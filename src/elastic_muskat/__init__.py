@@ -12,9 +12,9 @@ from .elastic import ElasticSplit, curvature, elastic_E, elastic_split, gateaux_
 __version__ = "0.1.0"
 
 from .params import Geometry, LinearSymbol, PhysicalParams
-from .dn import (DNConfig, DNResult, ExtensionState, FlatStrip, InfiniteDepth,
-                 VerticalGrid, dn_fixed_point, dn_shape_difference, dn_upper,
-                 harmonic_lift, make_vertical_grid)
+from .dn import (DNConfig, DNResult, FlatStrip, InfiniteDepth, VerticalGrid,
+                 dn_fixed_point, dn_shape_difference, dn_upper, harmonic_lift,
+                 make_vertical_grid)
 from .dn_oracle import oracle_dn
 from .pressure import (PressureConfig, PressurePair, pressure_fixed_point,
                        pressure_forcing, pressure_oracle)

@@ -15,9 +15,16 @@ infinite depth.  The |D|H factors in Q_a, Q_b are taken as the z-derivative
 of the lift (identical for the decaying lift; required for the strip lift).
 All z-integrals use an exponentially weighted trapezoid rule on a grid of
 levels graded toward z = 0, accumulated in one O(levels) pass.
+
+Fields are real, so every spectral array is a real-FFT half spectrum with
+n//2 + 1 modes per level.  The arrays that depend only on the grids (the
+vertical levels, per-panel decay factors and trapezoid weights, the lift
+kernels and the strip correction) are computed once per (grid, geometry,
+depth, levels) and shared read-only; a solve forms only the products with
+eta and f.
 """
 
-import json
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,6 +82,19 @@ class FlatStrip:
             out = np.where(k > 0, k * num / np.where(den > 0, den, 1.0),
                            1.0 / self.h)
         return out
+
+
+def dn_geometries(params):
+    """(lower, upper) DN geometries of ``params.geometry``.
+
+    A flat bottom or top becomes a FlatStrip at its distance from the
+    interface; an unbounded side is InfiniteDepth.
+    """
+    geo = params.geometry
+    lower = FlatStrip(geo.h_minus) if geo.kind == "flat_bottom" \
+        else InfiniteDepth()
+    upper = FlatStrip(geo.h_plus) if geo.h_plus > 0 else InfiniteDepth()
+    return lower, upper
 
 
 # --- vertical grid -----------------------------------------------------------
@@ -136,16 +156,6 @@ def default_depth(grid: PeriodicGrid) -> float:
 
 
 @dataclass
-class ExtensionState:
-    """Flattened-domain extension with per-iteration residual history."""
-
-    zgrid: VerticalGrid
-    v: np.ndarray            # (levels, n) physical values
-    lift: np.ndarray         # harmonic lift of eta on the same grid
-    residuals: list
-
-
-@dataclass
 class DNResult:
     gf: Field
     remainder: Field
@@ -153,7 +163,6 @@ class DNResult:
     converged: bool
     residuals: list = field(default_factory=list)
     tail_bound: float = 0.0
-    state: ExtensionState = None
 
     def report(self):
         return {
@@ -162,9 +171,6 @@ class DNResult:
             "residuals": list(map(float, self.residuals)),
             "tail_bound": float(self.tail_bound),
         }
-
-    def report_json(self):
-        return json.dumps(self.report(), indent=2)
 
 
 @dataclass(frozen=True)
@@ -184,52 +190,8 @@ class DNConfig:
 
 def harmonic_lift(f: Field, zgrid: VerticalGrid, geometry=InfiniteDepth()):
     """Values of the harmonic extension of f at every (level, node)."""
-    absk = np.abs(f.grid.wavenumbers)
-    fhat = np.fft.fft(f.values)
-    kern = geometry.lift_kernel(zgrid.levels, absk)
-    return np.fft.ifft(kern * fhat[None, :], axis=1).real
-
-
-def _lift_spectral(f: Field, zgrid, geometry, dz=False):
-    absk = np.abs(f.grid.wavenumbers)
-    fhat = np.fft.fft(f.values)
-    if dz:
-        kern = geometry.lift_dz_kernel(zgrid.levels, absk)
-    else:
-        kern = geometry.lift_kernel(zgrid.levels, absk)
-    return kern * fhat[None, :]
-
-
-# --- source terms ------------------------------------------------------------
-
-
-def q_terms_arrays(grid, Hx, Hz, vx, vz, jacobian_floor=0.1):
-    """Q_a and Q_b on the level/node grid from physical-space derivatives."""
-    jac = 1.0 + Hz
-    if np.min(jac) < jacobian_floor:
-        raise DegenerateJacobian(
-            f"min(1 + dH/dz) = {np.min(jac):.3g} below floor {jacobian_floor}")
-    qa = Hx * vx - (Hx * Hx - Hz) / jac * vz
-    k = grid.wavenumbers
-    sgn = 1j * np.sign(k)
-    sgn[grid.n // 2] = 0.0
-    qb = np.fft.ifft(sgn[None, :] * np.fft.fft(Hx * vz - Hz * vx, axis=1), axis=1).real
-    return qa, qb
-
-
-def q_terms(state: ExtensionState, eta: Field, geometry=InfiniteDepth(),
-            jacobian_floor=0.1):
-    """Source terms Q_a, Q_b for a stored extension state."""
-    grid = eta.grid
-    k = grid.wavenumbers
-    Hx = np.fft.ifft(1j * k[None, :] * np.fft.fft(state.lift, axis=1), axis=1).real
-    Hz = np.fft.ifft(_lift_spectral(eta, state.zgrid, geometry, dz=True), axis=1).real
-    vhat = np.fft.fft(state.v, axis=1)
-    vx = np.fft.ifft(1j * k[None, :] * vhat, axis=1).real
-    # d_z v by second-order differences on the graded levels
-    z = state.zgrid.levels
-    vz = np.gradient(state.v, z, axis=0)
-    return q_terms_arrays(grid, Hx, Hz, vx, vz, jacobian_floor)
+    kern = geometry.lift_kernel(zgrid.levels, np.abs(f.grid.rfft_wavenumbers))
+    return np.fft.irfft(kern * np.fft.rfft(f.values), f.grid.n, axis=1)
 
 
 # --- exponentially weighted trapezoid coefficients ---------------------------
@@ -251,68 +213,16 @@ def _exp_linear_coeffs(absk, d):
     return A - B, B
 
 
-# --- the fixed point ---------------------------------------------------------
+# --- grid-constant arrays ----------------------------------------------------
 
 
-class _DNWorkspace:
-    """Precomputed arrays for one (eta, f, geometry) solve."""
+def _strip_kernels(z, absk, h):
+    """Level profiles (u, u_z) of the homogeneous correction for a flat bottom.
 
-    def __init__(self, eta, f, geometry, cfg):
-        grid = eta.grid
-        self.grid = grid
-        self.geometry = geometry
-        self.k = grid.wavenumbers
-        self.absk = np.abs(self.k)
-        if isinstance(geometry, FlatStrip):
-            depth = geometry.h
-        else:
-            depth = cfg.depth if cfg.depth is not None else default_depth(grid)
-            tail = np.exp(-depth * grid.k_min)
-            if tail > cfg.tail_tol:
-                raise DepthTruncationInsufficient(
-                    f"e^(-Z k_min) = {tail:.3g} above {cfg.tail_tol}")
-        self.zgrid = make_vertical_grid(depth, cfg.n_levels)
-        z = self.zgrid.levels
-        self.gaps = np.diff(z)
-        # per-gap decay factors e^{-d |k|} and trapezoid weights
-        self.decay = np.exp(-np.multiply.outer(self.gaps, self.absk))
-        self.c0 = np.empty_like(self.decay)
-        self.cd = np.empty_like(self.decay)
-        for i, d in enumerate(self.gaps):
-            self.c0[i], self.cd[i] = _exp_linear_coeffs(self.absk, d)
-        self.Hx = np.fft.ifft(
-            1j * self.k[None, :] * _lift_spectral(eta, self.zgrid, geometry), axis=1).real
-        self.Hz = np.fft.ifft(
-            _lift_spectral(eta, self.zgrid, geometry, dz=True), axis=1).real
-        self.lift = np.fft.ifft(_lift_spectral(eta, self.zgrid, geometry), axis=1).real
-        self.v0_hat = _lift_spectral(f, self.zgrid, geometry)
-
-    def upward_w(self, rho_hat):
-        """w(z_i) = int_{-Z}^{z_i} e^{-(z_i - tau)|k|} rho(tau) dtau."""
-        m = len(self.zgrid.levels)
-        w = np.zeros_like(rho_hat)
-        for i in range(m - 1):
-            # u = z_{i+1} - tau; rho(z_i) sits at u = d, rho(z_{i+1}) at u = 0
-            w[i + 1] = self.decay[i] * w[i] + self.cd[i] * rho_hat[i] \
-                + self.c0[i] * rho_hat[i + 1]
-        return w
-
-    def downward_K(self, src_hat):
-        """K(z_i) = int_0^{z_i} e^{(z_i - z')|k|} src(z') dz' (z_i <= 0)."""
-        m = len(self.zgrid.levels)
-        K = np.zeros_like(src_hat)
-        for i in range(m - 2, -1, -1):
-            # u' = z' - z_i in [0, d]; src(z_i) at u' = 0, src(z_{i+1}) at u' = d
-            panel = self.c0[i] * src_hat[i] + self.cd[i] * src_hat[i + 1]
-            K[i] = self.decay[i] * K[i + 1] - panel
-        return K
-
-
-def _strip_correction(ws, kz_bottom, h):
-    """Homogeneous correction enforcing d_z v = 0 at the flat bottom."""
-    absk = ws.absk
-    z = ws.zgrid.levels
-    # u = A sinh(kz)/ (k cosh(kh)) forms; k=0 mode: u = A z
+    u = sinh(kz) / (k cosh(kh)) vanishes at z = 0 and has u_z = 1 at z = -h
+    (u = z for k = 0), so a bottom defect q of d_z v is removed by
+    v -= q u, v_z -= q u_z.
+    """
     zz = z[:, None]
     k = absk[None, :]
     with np.errstate(over="ignore"):
@@ -324,16 +234,100 @@ def _strip_correction(ws, kz_bottom, h):
             k > 0,
             (np.exp(k * (zz - h)) + np.exp(-k * (zz + h))) / (1.0 + np.exp(-2.0 * k * h)),
             np.ones_like(zz * k))
-    denom = np.where(absk > 0, absk, 1.0)
-    amp = -kz_bottom / denom
-    dv = amp[None, :] * sinh_ratio
-    dvz = amp[None, :] * denom[None, :] * cosh_ratio
-    # k = 0: u = amp * z, u_z = amp
-    return dv, dvz
+    return sinh_ratio / np.where(k > 0, k, 1.0), cosh_ratio
+
+
+class _LevelOperators:
+    """Everything a solve needs that depends only on the grids.
+
+    Spectral arrays are real-FFT half spectra: (levels, n//2 + 1), or
+    (levels - 1, n//2 + 1) per panel.  Instances are shared between solves,
+    so every array is read-only.
+    """
+
+    def __init__(self, grid, geometry, depth, n_levels):
+        self.zgrid = make_vertical_grid(depth, n_levels)
+        z = self.zgrid.levels
+        gaps = np.diff(z)
+        self.k = grid.rfft_wavenumbers
+        self.absk = np.abs(self.k)
+        self.ik = 1j * self.k
+        # i sign(k) of the Hilbert-type term in Q_b; zero mode and the
+        # sign-ambiguous Nyquist mode are dropped
+        self.isgn = 1j * np.sign(self.k)
+        self.isgn[-1] = 0.0
+        # per-panel decay factors e^{-d |k|} and trapezoid weights
+        self.decay = np.exp(-np.multiply.outer(gaps, self.absk))
+        self.c0, self.cd = _exp_linear_coeffs(self.absk[None, :], gaps[:, None])
+        self.lift = geometry.lift_kernel(z, self.absk)
+        self.lift_dz = geometry.lift_dz_kernel(z, self.absk)
+        self.strip_v = self.strip_vz = None
+        if isinstance(geometry, FlatStrip):
+            self.strip_v, self.strip_vz = _strip_kernels(z, self.absk, geometry.h)
+        for arr in vars(self).values():
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
+        self.zgrid.levels.setflags(write=False)
+        self.zgrid.weights.setflags(write=False)
+
+    def upward_w(self, rho_hat):
+        """w(z_i) = int_{-Z}^{z_i} e^{-(z_i - tau)|k|} rho(tau) dtau."""
+        # u = z_{i+1} - tau; rho(z_i) sits at u = d, rho(z_{i+1}) at u = 0
+        panel = self.cd * rho_hat[:-1] + self.c0 * rho_hat[1:]
+        w = np.zeros_like(rho_hat)
+        for decay, below, here, p in zip(self.decay, w[:-1], w[1:], panel):
+            np.multiply(decay, below, out=here)
+            here += p
+        return w
+
+    def downward_K(self, src_hat):
+        """K(z_i) = int_0^{z_i} e^{(z_i - z')|k|} src(z') dz' (z_i <= 0)."""
+        # u' = z' - z_i in [0, d]; src(z_i) at u' = 0, src(z_{i+1}) at u' = d
+        panel = self.c0 * src_hat[:-1] + self.cd * src_hat[1:]
+        K = np.zeros_like(src_hat)
+        for decay, here, above, p in zip(self.decay[::-1], K[-2::-1],
+                                          K[:0:-1], panel[::-1]):
+            np.multiply(decay, above, out=here)
+            here -= p
+        return K
+
+
+@functools.lru_cache(maxsize=8)
+def _level_operators(grid, geometry, depth, n_levels):
+    return _LevelOperators(grid, geometry, depth, n_levels)
+
+
+# --- the fixed point ---------------------------------------------------------
+
+
+class _DNWorkspace:
+    """The per-(eta, f) arrays of one solve, on shared grid-constant ones."""
+
+    def __init__(self, eta, f, geometry, cfg):
+        grid = eta.grid
+        if isinstance(geometry, FlatStrip):
+            depth = geometry.h
+        else:
+            depth = cfg.depth if cfg.depth is not None else default_depth(grid)
+            tail = np.exp(-depth * grid.k_min)
+            if tail > cfg.tail_tol:
+                raise DepthTruncationInsufficient(
+                    f"e^(-Z k_min) = {tail:.3g} above {cfg.tail_tol}")
+        ops = _level_operators(grid, geometry, float(depth), cfg.n_levels)
+        self.ops = ops
+        n = grid.n
+        eta_hat = np.fft.rfft(eta.values)
+        self.eta_hat = eta_hat
+        self.Hx = np.fft.irfft(ops.ik * (ops.lift * eta_hat), n, axis=1)
+        self.Hz = np.fft.irfft(ops.lift_dz * eta_hat, n, axis=1)
+        f_hat = np.fft.rfft(f.values)
+        self.v0_hat = ops.lift * f_hat
+        self.v0z_hat = ops.lift_dz * f_hat if ops.strip_v is not None \
+            else ops.absk * self.v0_hat
 
 
 def dn_fixed_point(eta: Field, f: Field, cfg: DNConfig = DNConfig(),
-                   geometry=InfiniteDepth(), keep_state=False) -> DNResult:
+                   geometry=InfiniteDepth()) -> DNResult:
     """G^-(eta) f for the lower fluid by Picard iteration on T[v].
 
     Raises NotContracting when the interface is outside the contraction
@@ -345,48 +339,48 @@ def dn_fixed_point(eta: Field, f: Field, cfg: DNConfig = DNConfig(),
     if eta.grid != f.grid:
         raise ValueError("eta and f live on different grids")
     grid = eta.grid
+    n = grid.n
     if cfg.check_gate:
         _, proxy = lipschitz_norms(eta)
         if proxy >= cfg.lipschitz_gate:
             raise NotContracting(
                 f"W^(1+eps) proxy {proxy:.3g} at or above gate {cfg.lipschitz_gate}")
     ws = _DNWorkspace(eta, f, geometry, cfg)
-    jac = 1.0 + ws.Hz
+    ops = ws.ops
+    Hx, Hz = ws.Hx, ws.Hz
+    jac = 1.0 + Hz
     if np.min(jac) < cfg.jacobian_floor:
         raise DegenerateJacobian(
             f"min(1 + dH/dz) = {np.min(jac):.3g} below floor {cfg.jacobian_floor}")
+    # Q_a = Hx vx - qa_vz vz
+    qa_vz = (Hx * Hx - Hz) / jac
 
-    k = ws.k
-    absk = ws.absk
-    strip = isinstance(geometry, FlatStrip)
-    v0z_hat = _lift_spectral(f, ws.zgrid, geometry, dz=True) if strip \
-        else absk[None, :] * ws.v0_hat
-    v_hat = ws.v0_hat.copy()
-    vz_hat = v0z_hat.copy()
+    absk = ops.absk
+    strip = ops.strip_v is not None
+    v_hat = ws.v0_hat
+    vz_hat = ws.v0z_hat
     scale = max(np.max(np.abs(v_hat)), 1e-300)
     residuals = []
     w_hat = np.zeros_like(v_hat)
-    src_hat = np.zeros_like(v_hat)
     converged = False
     grow = 0
     it = 0
     for it in range(1, cfg.max_iter + 1):
-        vx = np.fft.ifft(1j * k[None, :] * v_hat, axis=1).real
-        vz = np.fft.ifft(vz_hat, axis=1).real
-        qa, qb = q_terms_arrays(grid, ws.Hx, ws.Hz, vx, vz, cfg.jacobian_floor)
-        qa_hat = np.fft.fft(qa, axis=1)
-        qb_hat = np.fft.fft(qb, axis=1)
-        rho_hat = absk[None, :] * (qb_hat - qa_hat)
-        w_hat = ws.upward_w(rho_hat)
+        vx = np.fft.irfft(ops.ik * v_hat, n, axis=1)
+        vz = np.fft.irfft(vz_hat, n, axis=1)
+        qa_hat = np.fft.rfft(Hx * vx - qa_vz * vz, axis=1)
+        qb_hat = ops.isgn * np.fft.rfft(Hx * vz - Hz * vx, axis=1)
+        rho_hat = absk * (qb_hat - qa_hat)
+        w_hat = ops.upward_w(rho_hat)
         src_hat = qa_hat + w_hat
-        K_hat = ws.downward_K(src_hat)
+        K_hat = ops.downward_K(src_hat)
         v_new = ws.v0_hat + K_hat
-        vz_new = v0z_hat + absk[None, :] * K_hat + src_hat
+        vz_new = ws.v0z_hat + absk * K_hat + src_hat
         if strip:
-            kz_bottom = v0z_hat[0] + absk * K_hat[0] + src_hat[0]
-            dv, dvz = _strip_correction(ws, kz_bottom, geometry.h)
-            v_new = v_new + dv
-            vz_new = vz_new + dvz
+            # remove the d_z v defect at the flat bottom
+            kz_bottom = vz_new[0].copy()
+            v_new -= kz_bottom * ops.strip_v
+            vz_new -= kz_bottom * ops.strip_vz
         res = float(np.max(np.abs(v_new - v_hat)) / scale)
         residuals.append(res)
         v_hat, vz_hat = v_new, vz_new
@@ -401,25 +395,20 @@ def dn_fixed_point(eta: Field, f: Field, cfg: DNConfig = DNConfig(),
         else:
             grow = 0
 
-    remainder_hat = w_hat[-1]
     if strip:
         # extraction through the flattened normal derivative at z = 0
-        eta_x = np.fft.ifft(1j * k * np.fft.fft(eta.values)).real
-        vz_top = np.fft.ifft(vz_hat[-1]).real
-        vx_top = np.fft.ifft(1j * k * v_hat[-1]).real
-        jac_top = 1.0 + ws.Hz[-1]
+        eta_x = np.fft.irfft(ops.ik * ws.eta_hat, n)
+        vz_top = np.fft.irfft(vz_hat[-1], n)
+        vx_top = np.fft.irfft(ops.ik * v_hat[-1], n)
+        jac_top = jac[-1]
         gvals = (1.0 + eta_x ** 2) / jac_top * vz_top - eta_x * vx_top
         gf = Field(grid, gvals)
         remainder = gf - abs_d(f)
     else:
-        remainder = Field(grid, np.fft.ifft(remainder_hat).real)
+        remainder = Field(grid, np.fft.irfft(w_hat[-1], n))
         gf = abs_d(f) + remainder
-    tail = np.exp(-ws.zgrid.depth * grid.k_min)
-    state = None
-    if keep_state:
-        state = ExtensionState(ws.zgrid, np.fft.ifft(v_hat, axis=1).real,
-                               ws.lift, residuals)
-    return DNResult(gf, remainder, it, converged, residuals, tail, state)
+    tail = np.exp(-ops.zgrid.depth * grid.k_min)
+    return DNResult(gf, remainder, it, converged, residuals, tail)
 
 
 def dn_upper(eta: Field, f: Field, cfg: DNConfig = DNConfig(),
@@ -434,7 +423,7 @@ def dn_upper(eta: Field, f: Field, cfg: DNConfig = DNConfig(),
     gf = -lower.gf
     remainder = gf + abs_d(f)
     return DNResult(gf, remainder, lower.iterations, lower.converged,
-                    lower.residuals, lower.tail_bound, lower.state)
+                    lower.residuals, lower.tail_bound)
 
 
 def dn_shape_difference(eta1: Field, eta2: Field, f: Field,

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dn import DNConfig, FlatStrip, InfiniteDepth, dn_fixed_point
+from .dn import DNConfig, dn_fixed_point, dn_geometries
 from .elastic import elastic_E, elastic_split
 from .errors import NotContracting, SeparationLost
 from .grid import (Field, PeriodicGrid, abs_d, fractional_multiplier,
@@ -64,17 +64,10 @@ def default_dt(grid: PeriodicGrid, params: PhysicalParams) -> float:
     return 0.05 * float(np.min(1.0 / (m + 1.0)))
 
 
-def _lower_geometry(params: PhysicalParams):
-    geo = params.geometry
-    if geo.kind == "flat_bottom":
-        return FlatStrip(geo.h_minus)
-    return InfiniteDepth()
-
-
 def rhs(eta: Field, params: PhysicalParams,
         cfg: SolveConfig = SolveConfig(), record=None) -> Field:
     """Interface velocity -(1/mu^-) G^-(eta) f^-."""
-    geometry = _lower_geometry(params)
+    geometry, _ = dn_geometries(params)
     if params.phase == "one":
         f_minus = elastic_E(eta) * params.sigma \
             + eta * (params.rho_minus * params.g)
@@ -181,15 +174,20 @@ def solve(eta0: Field, T: float, dt: float, params: PhysicalParams,
     monitors = [_monitors(eta0, 0.0, params, cfg, diss)]
     abort = None
     eta = eta0
-    nsteps = int(round(T / dt))
+    # whole steps of dt up to T; a final step is shortened to land on T
+    # only when T is not a multiple of dt up to rounding
+    nsteps = int(np.ceil(T / dt - 1e-9))
+    last = T - dt * (nsteps - 1)
     for i in range(nsteps):
+        h, t = dt, dt * (i + 1)
+        if i == nsteps - 1 and dt - last > 1e-9 * dt:
+            h, t = last, T
         try:
-            diss += dt * sobolev_norm(eta, s0 + 2.5) ** 2
-            eta = etd_step(eta, dt, params, cfg.scheme, cfg, record=record)
+            diss += h * sobolev_norm(eta, s0 + 2.5) ** 2
+            eta = etd_step(eta, h, params, cfg.scheme, cfg, record=record)
         except (NotContracting, SeparationLost) as exc:
             abort = "%s: %s" % (type(exc).__name__, exc)
             break
-        t = dt * (i + 1)
         times.append(t)
         states.append(eta)
         monitors.append(_monitors(eta, t, params, cfg, diss))
@@ -216,7 +214,7 @@ def _duhamel_integrand(eta: Field, params: PhysicalParams,
     flat |D| applied to the elastic deviation from |D|^4, and the gravity
     remainder; their sum telescopes to the negated nonlinear remainder.
     """
-    geometry = _lower_geometry(params)
+    geometry, _ = dn_geometries(params)
     split = elastic_split(eta)
     el = split.total
     r_el = dn_fixed_point(eta, el, cfg.dn, geometry).remainder

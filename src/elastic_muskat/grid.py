@@ -34,6 +34,11 @@ class PeriodicGrid:
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.length / self.n)
 
     @property
+    def rfft_wavenumbers(self):
+        """Non-negative wavenumbers of the real-FFT half spectrum."""
+        return 2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.length / self.n)
+
+    @property
     def k_min(self):
         return 2.0 * np.pi / self.length
 

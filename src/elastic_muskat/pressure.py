@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dn import DNConfig, InfiniteDepth, FlatStrip, dn_fixed_point, dn_upper
+from .dn import DNConfig, dn_fixed_point, dn_geometries, dn_upper
 from .elastic import elastic_E
 from .errors import NotContracting
 from .grid import Field, inv_abs_d, mean, sobolev_norm
@@ -42,14 +42,6 @@ class PressurePair:
                 "iterations": self.iterations}
 
 
-def _geometries(params: PhysicalParams):
-    geo = params.geometry
-    lower = FlatStrip(geo.h_minus) if geo.kind == "flat_bottom" \
-        else InfiniteDepth()
-    upper = FlatStrip(geo.h_plus) if geo.h_plus > 0 else InfiniteDepth()
-    return lower, upper
-
-
 def pressure_jump(eta: Field, params: PhysicalParams) -> Field:
     """sigma E(eta) + g (rho^- - rho^+) eta."""
     return elastic_E(eta) * params.sigma + eta * (params.g * params.delta_rho)
@@ -60,7 +52,7 @@ def pressure_forcing(eta: Field, params: PhysicalParams,
     """Affine part u0 of the fixed-point equation for f^-."""
     mu_sum = params.mu_plus + params.mu_minus
     grav = params.g * params.delta_rho
-    _, upper = _geometries(params)
+    _, upper = dn_geometries(params)
     g_eta = dn_upper(eta, eta, cfg.dn, upper).gf
     g_el = dn_upper(eta, elastic_E(eta), cfg.dn, upper).gf
     u0 = inv_abs_d(g_eta) * (-grav * params.mu_minus / mu_sum) \
@@ -79,7 +71,7 @@ def pressure_fixed_point(eta: Field, params: PhysicalParams,
             raise NotContracting(
                 "||eta||_H2 = %.3g at or above pressure gate %.3g"
                 % (h2, cfg.smallness_gate))
-    lower, upper = _geometries(params)
+    lower, upper = dn_geometries(params)
     mu_sum = params.mu_plus + params.mu_minus
     u0 = pressure_forcing(eta, params, cfg)
     jump = pressure_jump(eta, params)
@@ -132,7 +124,7 @@ def pressure_oracle(eta: Field, params: PhysicalParams, n_modes: int = 16,
     if params.phase != "two":
         raise ValueError("pressure solve is a two-phase operation")
     grid = eta.grid
-    lower, upper = _geometries(params)
+    lower, upper = dn_geometries(params)
     mu_sum_inv_p = 1.0 / params.mu_plus
     mu_sum_inv_m = 1.0 / params.mu_minus
     basis = [np.ones(grid.n)]

@@ -44,17 +44,6 @@ def write_spectrum_csv(path, s: Spectrum):
             w.writerow([fmt(k), fmt(c.real), fmt(c.imag)])
 
 
-def write_extension_csv(path, state, grid: PeriodicGrid):
-    """ExtensionState: columns x, z, v over the vertical-by-horizontal grid."""
-    xs = grid.nodes
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "z", "v"])
-        for i, z in enumerate(state.zgrid.levels):
-            for j, x in enumerate(xs):
-                w.writerow([fmt(x), fmt(z), fmt(state.v[i, j])])
-
-
 def write_report_csv(path, rows):
     """Verification report: (check, expected, measured, tolerance, pass)."""
     with open(path, "w", newline="") as fh:

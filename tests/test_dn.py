@@ -1,9 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 
 from elastic_muskat.dn import (DNConfig, FlatStrip, InfiniteDepth,
-                               dn_fixed_point, dn_shape_difference, dn_upper,
-                               harmonic_lift, make_vertical_grid)
+                               _level_operators, dn_fixed_point,
+                               dn_shape_difference, dn_upper, harmonic_lift,
+                               make_vertical_grid)
 from elastic_muskat.dn_oracle import oracle_dn
 from elastic_muskat.errors import DegenerateJacobian, NotContracting
 from elastic_muskat.grid import Field, PeriodicGrid, mean
@@ -138,3 +141,80 @@ def test_report_fields():
     assert rep["converged"]
     assert rep["iterations"] >= 1
     assert rep["tail_bound"] < 1e-6
+
+
+# --- regression guards for the real-FFT engine ------------------------------
+#
+# dn_parent_pin_n128.npz holds eta = 0.03 sin x + 0.01 cos 3x, a datum
+# f = cos 2x + 0.1 N(0,1) + 0.05 cos 64x (default_rng(20260), so it has
+# energy at the Nyquist mode) and G(eta) f at n = 128 with DNConfig()
+# defaults, as computed by the complex-FFT engine this one replaced.
+
+PIN = np.load(os.path.join(os.path.dirname(__file__), "dn_parent_pin_n128.npz"))
+GRID128 = PeriodicGrid(128)
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("name, geometry", [("gf_infinite", InfiniteDepth()),
+                                            ("gf_strip", FlatStrip(1.0))])
+def test_matches_pinned_output(name, geometry):
+    eta, f = Field(GRID128, PIN["eta"]), Field(GRID128, PIN["f"])
+    res = dn_fixed_point(eta, f, geometry=geometry)
+    assert res.converged
+    assert _rel(res.gf.values, PIN[name]) < 1e-12
+
+
+@pytest.mark.parametrize("geometry", [InfiniteDepth(), FlatStrip(1.0)])
+def test_shift_covariance(geometry):
+    eta, f = Field(GRID128, PIN["eta"]), Field(GRID128, PIN["f"])
+    gf = dn_fixed_point(eta, f, geometry=geometry).gf.values
+    shifted = dn_fixed_point(Field(GRID128, np.roll(eta.values, 5)),
+                             Field(GRID128, np.roll(f.values, 5)),
+                             geometry=geometry).gf.values
+    assert np.max(np.abs(shifted - np.roll(gf, 5))) < 1e-13 * np.max(np.abs(gf))
+
+
+@pytest.mark.parametrize("geometry", [InfiniteDepth(), FlatStrip(1.0)])
+def test_symmetry_defect(geometry):
+    # <h, G f> = <f, G h> holds for the exact operator; the discrete defect
+    # is second-order discretization error in the levels
+    eta, f = Field(GRID128, PIN["eta"]), Field(GRID128, PIN["f"])
+    rng = np.random.default_rng(7)
+    h = Field(GRID128, np.sin(3 * GRID128.nodes)
+              + 0.1 * rng.standard_normal(GRID128.n))
+    defects = []
+    for levels in (32, 64):
+        cfg = DNConfig(n_levels=levels)
+        gf = dn_fixed_point(eta, f, cfg, geometry).gf.values
+        gh = dn_fixed_point(eta, h, cfg, geometry).gf.values
+        defects.append(abs(h.values @ gf - f.values @ gh)
+                       / (np.linalg.norm(h.values) * np.linalg.norm(gf)))
+    assert defects[1] < 1e-6
+    assert defects[0] / defects[1] > 3.0
+
+
+def test_cache_isolation():
+    # grid-constant arrays are shared between solves: alternating grids,
+    # geometries and level counts (more keys than the cache holds) must
+    # reproduce, bit for bit, the result of the same solve on an empty cache
+    cases = [(n, geometry, levels)
+             for n in (128, 256)
+             for geometry in (FlatStrip(1.0), FlatStrip(2.0), InfiniteDepth())
+             for levels in (32, 64)]
+
+    def solve(n, geometry, levels):
+        grid = PeriodicGrid(n)
+        x = grid.nodes
+        eta = Field(grid, 0.03 * np.sin(x) + 0.01 * np.cos(3 * x))
+        f = Field(grid, np.cos(2 * x) + 0.1 * np.sin(5 * x))
+        return dn_fixed_point(eta, f, DNConfig(n_levels=levels), geometry).gf.values
+
+    fresh = {}
+    for case in cases:
+        _level_operators.cache_clear()
+        fresh[case] = solve(*case)
+    for case in cases + cases[::-1] + cases[::2]:
+        assert np.array_equal(solve(*case), fresh[case])

@@ -101,6 +101,20 @@ def test_solve_zero_data_stays_zero():
     assert traj.abort_reason is None
 
 
+def test_solve_ends_at_T():
+    # 0.5 is not a multiple of 0.3: the second step is shortened to 0.2
+    grid = PeriodicGrid(64)
+    a = 1e-4
+    eta0 = Field(grid, a * np.cos(grid.nodes))
+    traj = solve(eta0, 0.5, 0.3, PhysicalParams(), quick_cfg())
+    assert traj.manifest["steps"] == 2
+    assert traj.times == [0.0, 0.3, 0.5]
+    assert traj.monitors[-1]["t"] == 0.5
+    # the single mode decays at rate sigma k^5 = 1 over the whole of T
+    amp = np.max(np.abs(traj.states[-1].values))
+    assert abs(amp - a * np.exp(-0.5)) < 1e-3 * a
+
+
 def test_solve_single_mode_decay():
     grid = PeriodicGrid(64)
     a = 1e-4
