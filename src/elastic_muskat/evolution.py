@@ -176,7 +176,7 @@ def solve(eta0: Field, T: float, dt: float, params: PhysicalParams,
     eta = eta0
     # whole steps of dt up to T; a final step is shortened to land on T
     # only when T is not a multiple of dt up to rounding
-    nsteps = int(np.ceil(T / dt - 1e-9))
+    nsteps = max(1, int(np.ceil(T / dt - 1e-9)))
     last = T - dt * (nsteps - 1)
     for i in range(nsteps):
         h, t = dt, dt * (i + 1)

@@ -145,12 +145,12 @@ def test_report_fields():
 
 # --- regression guards for the real-FFT engine ------------------------------
 #
-# dn_parent_pin_n128.npz holds eta = 0.03 sin x + 0.01 cos 3x, a datum
+# dn_pin_n128.npz holds eta = 0.03 sin x + 0.01 cos 3x, a datum
 # f = cos 2x + 0.1 N(0,1) + 0.05 cos 64x (default_rng(20260), so it has
 # energy at the Nyquist mode) and G(eta) f at n = 128 with DNConfig()
 # defaults, as computed by the complex-FFT engine this one replaced.
 
-PIN = np.load(os.path.join(os.path.dirname(__file__), "dn_parent_pin_n128.npz"))
+PIN = np.load(os.path.join(os.path.dirname(__file__), "dn_pin_n128.npz"))
 GRID128 = PeriodicGrid(128)
 
 
