@@ -2,11 +2,10 @@
 
 from .errors import (ConfigError, DegenerateJacobian, DepthTruncationInsufficient,
                      MuskatError, NotContracting, SeparationLost)
-from .grid import (Field, PeriodicGrid, Spectrum, abs_d, dx, field_from,
-                   fractional_multiplier, inv_abs_d, lipschitz_norms, lp_project,
-                   mean, semigroup_apply, sobolev_norm, to_field, to_spectrum,
-                   zero_field, zygmund_norm)
-from .paracalc import OrderedSymbol, SymbolTerm, para_apply, paralin_remainder, paraproduct
+from .grid import (Field, PeriodicGrid, abs_d, dx, inv_abs_d, lipschitz_norms,
+                   lp_project, mean, semigroup_apply, sobolev_norm, to_field,
+                   to_spectrum, zero_field, zygmund_norm)
+from .paracalc import OrderedSymbol, SymbolTerm, para_apply, paraproduct
 from .elastic import ElasticSplit, curvature, elastic_E, elastic_split, gateaux_dE, symbol_ell
 
 __version__ = "0.1.0"

@@ -109,7 +109,6 @@ def build_solve_config(cfg: dict) -> SolveConfig:
     scheme = cfg["scheme"] if cfg["scheme"] != "picard" else "ETDRK2"
     return SolveConfig(scheme=scheme, monitor_s=tuple(cfg["monitor_s"]),
                        dn=dn, pressure=pressure,
-                       snapshot_stride=cfg["snapshot_stride"],
                        picard_gate=cfg["picard_gate"])
 
 

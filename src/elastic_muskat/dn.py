@@ -102,14 +102,9 @@ def dn_geometries(params):
 
 @dataclass(frozen=True)
 class VerticalGrid:
-    """Strictly increasing levels in [-Z, 0] with composite trapezoid weights.
-
-    The composite rule is exact for piecewise-linear integrands (order 1);
-    the solver upgrades it with exact exponential weighting per panel.
-    """
+    """Strictly increasing levels in [-Z, 0], the top one at z = 0."""
 
     levels: np.ndarray
-    weights: np.ndarray
 
     def __post_init__(self):
         levels = np.asarray(self.levels, dtype=float)
@@ -120,31 +115,25 @@ class VerticalGrid:
         if levels[-1] != 0.0:
             raise ValueError("z = 0 must be a node")
         object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
 
     @property
     def depth(self):
         return -float(self.levels[0])
 
 
-def make_vertical_grid(depth, n_levels, grading=None):
+def make_vertical_grid(depth, n_levels):
     """Levels on [-depth, 0] geometrically clustered toward z = 0.
 
-    ``grading`` is the log ratio between the bottom and top spacing;
-    by default it grows with depth so the top panel is O(depth/e^grading).
+    The grading, the log ratio between the bottom and top spacing, grows
+    with depth so the top panel is O(depth/e^grading).
     """
-    if grading is None:
-        # independent of n_levels so refinement halves every panel
-        grading = max(1.0, np.log(40.0 * depth))
+    # independent of n_levels so refinement halves every panel
+    grading = max(1.0, np.log(40.0 * depth))
     t = np.linspace(0.0, 1.0, n_levels)
     z = -depth * (np.exp(grading * (1.0 - t)) - 1.0) / (np.exp(grading) - 1.0)
     z[0] = -depth
     z[-1] = 0.0
-    w = np.zeros(n_levels)
-    d = np.diff(z)
-    w[:-1] += 0.5 * d
-    w[1:] += 0.5 * d
-    return VerticalGrid(z, w)
+    return VerticalGrid(z)
 
 
 def default_depth(grid: PeriodicGrid) -> float:
@@ -173,16 +162,19 @@ class DNResult:
         }
 
 
+# Picard sweeps before a solve returns unconverged
+MAX_ITER = 60
+# smallest admissible 1 + dH/dz of the flattening map
+JACOBIAN_FLOOR = 0.1
+
+
 @dataclass(frozen=True)
 class DNConfig:
     tol: float = 1e-10
-    max_iter: int = 60
     n_levels: int = 64
     depth: float = None
     lipschitz_gate: float = 0.3
     tail_tol: float = 1e-6
-    jacobian_floor: float = 0.1
-    check_gate: bool = True
 
 
 # --- harmonic lift -----------------------------------------------------------
@@ -268,7 +260,6 @@ class _LevelOperators:
             if isinstance(arr, np.ndarray):
                 arr.setflags(write=False)
         self.zgrid.levels.setflags(write=False)
-        self.zgrid.weights.setflags(write=False)
 
     def upward_w(self, rho_hat):
         """w(z_i) = int_{-Z}^{z_i} e^{-(z_i - tau)|k|} rho(tau) dtau."""
@@ -340,18 +331,17 @@ def dn_fixed_point(eta: Field, f: Field, cfg: DNConfig = DNConfig(),
         raise ValueError("eta and f live on different grids")
     grid = eta.grid
     n = grid.n
-    if cfg.check_gate:
-        _, proxy = lipschitz_norms(eta)
-        if proxy >= cfg.lipschitz_gate:
-            raise NotContracting(
-                f"W^(1+eps) proxy {proxy:.3g} at or above gate {cfg.lipschitz_gate}")
+    _, proxy = lipschitz_norms(eta)
+    if proxy >= cfg.lipschitz_gate:
+        raise NotContracting(
+            f"W^(1+eps) proxy {proxy:.3g} at or above gate {cfg.lipschitz_gate}")
     ws = _DNWorkspace(eta, f, geometry, cfg)
     ops = ws.ops
     Hx, Hz = ws.Hx, ws.Hz
     jac = 1.0 + Hz
-    if np.min(jac) < cfg.jacobian_floor:
+    if np.min(jac) < JACOBIAN_FLOOR:
         raise DegenerateJacobian(
-            f"min(1 + dH/dz) = {np.min(jac):.3g} below floor {cfg.jacobian_floor}")
+            f"min(1 + dH/dz) = {np.min(jac):.3g} below floor {JACOBIAN_FLOOR}")
     # Q_a = Hx vx - qa_vz vz
     qa_vz = (Hx * Hx - Hz) / jac
 
@@ -365,7 +355,7 @@ def dn_fixed_point(eta: Field, f: Field, cfg: DNConfig = DNConfig(),
     converged = False
     grow = 0
     it = 0
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         vx = np.fft.irfft(ops.ik * v_hat, n, axis=1)
         vz = np.fft.irfft(vz_hat, n, axis=1)
         qa_hat = np.fft.rfft(Hx * vx - qa_vz * vz, axis=1)

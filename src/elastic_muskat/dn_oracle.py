@@ -5,10 +5,12 @@ x in [0, L) x z in [-Z, 0], with sigma coordinates
 
     y = rho(x, z) = z (Z + eta(x)) / Z + eta(x),
 
-Dirichlet data on top, flat-bottom Neumann (strip) or a lift-matched Robin
-condition (d_z - |D|) v = 0 (truncated infinite depth) at the bottom.  The
-discretization is deliberately different from the spectral fixed point so
-agreement between the two is evidence, not tautology.
+Dirichlet data on top and, at the bottom, one row of the one-sided
+second-order d_z per node: the flat-bottom Neumann condition of a strip, with
+the dense |D| added for the lift-matched Robin condition (d_z - |D|) v = 0 of
+a truncated infinite depth.  The discretization is deliberately different
+from the spectral fixed point so agreement between the two is evidence, not
+tautology.
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .dn import FlatStrip, InfiniteDepth
-from .grid import Field, PeriodicGrid
+from .grid import Field
 
 
 def _fd_periodic_derivs(vals, dxs):
@@ -55,48 +57,38 @@ def _oracle_solve(eta_vals, f_vals, geometry, nx, nz, depth, length):
     czz = beta ** 2 + 1.0 / J[None, :] ** 2
     cz = -(beta_x - beta * beta_z)
 
-    def idx(i, j):
-        return i * nx + j
-
-    rows, cols, data = [], [], []
+    # node (i, j) is unknown i * nx + j; each stencil entry is one block of
+    # (row, column, value), shifted in z by slicing and in x by rolling
+    node = np.arange(nz * nx).reshape(nz, nx)
+    east, west = np.roll(node, -1, axis=1), np.roll(node, 1, axis=1)
+    inner = node[1:-1]
+    b, czz, cz = beta[1:-1], czz[1:-1], cz[1:-1]
+    mixed = 2.0 * b / (4 * dxs * dz)
+    blocks = [
+        # interior 9-point stencil
+        (inner, east[1:-1], 1.0 / dxs ** 2),
+        (inner, west[1:-1], 1.0 / dxs ** 2),
+        (inner, inner, -2.0 / dxs ** 2),
+        (inner, east[2:], -mixed),
+        (inner, west[:-2], -mixed),
+        (inner, west[2:], mixed),
+        (inner, east[:-2], mixed),
+        (inner, node[2:], czz / dz ** 2 + cz / (2 * dz)),
+        (inner, node[:-2], czz / dz ** 2 - cz / (2 * dz)),
+        (inner, inner, -2.0 * czz / dz ** 2),
+        # bottom: v_z, one-sided second order
+        (node[0], node[0], -3.0 / (2 * dz)),
+        (node[0], node[1], 4.0 / (2 * dz)),
+        (node[0], node[2], -1.0 / (2 * dz)),
+        # top: Dirichlet data
+        (node[-1], node[-1], 1.0),
+    ]
+    rows = np.concatenate([r.ravel() for r, _, _ in blocks])
+    cols = np.concatenate([c.ravel() for _, c, _ in blocks])
+    data = np.concatenate([np.broadcast_to(v, r.shape).ravel()
+                           for r, _, v in blocks])
     rhs = np.zeros(nz * nx)
-
-    def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        data.append(v)
-
-    for i in range(nz):
-        for j in range(nx):
-            r = idx(i, j)
-            jm, jp = (j - 1) % nx, (j + 1) % nx
-            if i == nz - 1:
-                add(r, r, 1.0)
-                rhs[r] = f_vals[j]
-                continue
-            if i == 0:
-                if robin:
-                    # (v_z - |D| v)(x, -Z) = 0, one-sided second order
-                    add(r, idx(0, j), -3.0 / (2 * dz))
-                    add(r, idx(1, j), 4.0 / (2 * dz))
-                    add(r, idx(2, j), -1.0 / (2 * dz))
-                else:
-                    add(r, idx(0, j), -3.0 / (2 * dz))
-                    add(r, idx(1, j), 4.0 / (2 * dz))
-                    add(r, idx(2, j), -1.0 / (2 * dz))
-                continue
-            # interior 9-point stencil
-            add(r, idx(i, jp), 1.0 / dxs ** 2)
-            add(r, idx(i, jm), 1.0 / dxs ** 2)
-            add(r, idx(i, j), -2.0 / dxs ** 2)
-            b = beta[i, j]
-            add(r, idx(i + 1, jp), -2.0 * b / (4 * dxs * dz))
-            add(r, idx(i - 1, jm), -2.0 * b / (4 * dxs * dz))
-            add(r, idx(i + 1, jm), 2.0 * b / (4 * dxs * dz))
-            add(r, idx(i - 1, jp), 2.0 * b / (4 * dxs * dz))
-            add(r, idx(i + 1, j), czz[i, j] / dz ** 2 + cz[i, j] / (2 * dz))
-            add(r, idx(i - 1, j), czz[i, j] / dz ** 2 - cz[i, j] / (2 * dz))
-            add(r, idx(i, j), -2.0 * czz[i, j] / dz ** 2)
+    rhs[node[-1]] = f_vals
 
     A = sp.coo_matrix((data, (rows, cols)), shape=(nz * nx, nz * nx)).tocsr()
     if robin:
@@ -116,36 +108,25 @@ def _oracle_solve(eta_vals, f_vals, geometry, nx, nz, depth, length):
     return phi_y - ex * phi_x
 
 
-def oracle_dn(eta: Field, f: Field, geometry=InfiniteDepth(), nx=None, nz=None,
-              depth=None, richardson=True) -> Field:
+def oracle_dn(eta: Field, f: Field, geometry=InfiniteDepth()) -> Field:
     """Finite-difference reference value for G^-(eta) f.
 
-    With ``richardson`` the solve is repeated at half the spacing and
-    extrapolated, giving better than second-order accuracy.
+    The solve runs on twice the input's nodes, nx = 2n by nz = nx + 1, and
+    again at half that spacing; Richardson extrapolation of the two at the
+    input's nodes gives better than second-order accuracy.  A truncated
+    infinite depth reaches 2.5 periods down.
     """
     grid = eta.grid
-    if nx is None:
-        nx = 2 * grid.n
-    if nz is None:
-        nz = nx + 1
-    if depth is None:
-        depth = 2.5 * grid.length
     length = grid.length
+    depth = 2.5 * length
 
-    def run(nx_, nz_):
-        xs = np.arange(nx_) * (length / nx_)
-        ev = _sample(eta, xs)
-        fv = _sample(f, xs)
-        return _oracle_solve(ev, fv, geometry, nx_, nz_, depth, length)
+    def run(nx):
+        xs = np.arange(nx) * (length / nx)
+        return _oracle_solve(_sample(eta, xs), _sample(f, xs), geometry,
+                             nx, nx + 1, depth, length)
 
-    g_f = run(nx, nz)
-    if richardson:
-        g_c = run(nx // 2, (nz - 1) // 2 + 1)
-        g_f = g_f.copy()
-        g_f[::2] = (4.0 * g_f[::2] - g_c) / 3.0
-        # refit the odd nodes from the corrected even ones is unnecessary:
-        # return on the coarse x-grid of the input field instead
-    return _project(grid, g_f, length)
+    fine, coarse = run(2 * grid.n), run(grid.n)
+    return Field(grid, (4.0 * fine[::2] - coarse) / 3.0)
 
 
 def _sample(field: Field, xs):
@@ -157,16 +138,3 @@ def _sample(field: Field, xs):
     c[field.grid.n // 2] = 0.0
     return np.real(np.exp(1j * np.outer(xs, k)) @ c)
 
-
-def _project(grid: PeriodicGrid, vals, length):
-    """Restrict oracle output (on its own uniform grid) onto ``grid`` nodes."""
-    nxo = len(vals)
-    if nxo == grid.n:
-        return Field(grid, vals)
-    if nxo % grid.n == 0:
-        return Field(grid, vals[:: nxo // grid.n])
-    # trigonometric interpolation as a fallback
-    c = np.fft.fft(vals) / nxo
-    k = 2.0 * np.pi * np.fft.fftfreq(nxo, d=length / nxo)
-    xs = grid.nodes
-    return Field(grid, np.real(np.exp(1j * np.outer(xs, k)) @ c))

@@ -7,29 +7,30 @@ integrated either by exponential time differencing (ETD1 / ETDRK2) or, for
 small data, by Picard iteration on the Duhamel integral equation.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dn import DNConfig, dn_fixed_point, dn_geometries
 from .elastic import elastic_E, elastic_split
-from .errors import NotContracting, SeparationLost
-from .grid import (Field, PeriodicGrid, abs_d, fractional_multiplier,
-                   lipschitz_norms, mean, sobolev_norm, to_field, to_spectrum)
+from .errors import MuskatError, NotContracting
+from .grid import (Field, PeriodicGrid, abs_d, lipschitz_norms, mean,
+                   sobolev_norm, to_field, to_spectrum)
 from .params import LinearSymbol, PhysicalParams
 from .pressure import PressureConfig, pressure_fixed_point, pressure_oracle
+
+
+# stopping rule of the integral-equation solver: sweep distance and count
+PICARD_TOL = 1e-10
+PICARD_MAX_ITER = 40
 
 
 @dataclass(frozen=True)
 class SolveConfig:
     scheme: str = "ETDRK2"
     monitor_s: tuple = (2.0,)
-    separation_floor: float = None   # default: half the initial distance
     dn: DNConfig = DNConfig()
     pressure: PressureConfig = PressureConfig()
-    snapshot_stride: int = 1
-    picard_tol: float = 1e-10
-    picard_max_iter: int = 40
     picard_gate: float = 0.5         # on ||eta0||_{H^s}, s = monitor_s[0]
 
 
@@ -88,8 +89,7 @@ def nonlinear_remainder(eta: Field, params: PhysicalParams,
                         cfg: SolveConfig = SolveConfig(), record=None) -> Field:
     """rhs with the flat linear part added back: N = rhs + nu1|D|^5 + nu2|D|."""
     sym = LinearSymbol.from_params(params)
-    lin = fractional_multiplier(eta, "abs", 5.0) * sym.nu1 \
-        + abs_d(eta) * sym.nu2
+    lin = abs_d(eta, 5.0) * sym.nu1 + abs_d(eta) * sym.nu2
     return rhs(eta, params, cfg, record) + lin
 
 
@@ -131,15 +131,14 @@ def etd_step(eta: Field, dt: float, params: PhysicalParams,
     grid = eta.grid
     z = dt * linear_multiplier(grid, params)
     decay = np.exp(-z)
-    n0 = nonlinear(eta)
-    a_hat = decay * to_spectrum(eta).coeffs \
-        + dt * _phi1(z) * to_spectrum(n0).coeffs
+    n0_hat = to_spectrum(nonlinear(eta))
+    a_hat = decay * to_spectrum(eta) + dt * _phi1(z) * n0_hat
+    a = to_field(grid, a_hat)
     if scheme == "ETD1":
-        return Field(grid, np.fft.ifft(a_hat * grid.n).real)
-    a = Field(grid, np.fft.ifft(a_hat * grid.n).real)
+        return a
     n1 = nonlinear(a)
-    corr = dt * _phi2(z) * (to_spectrum(n1).coeffs - to_spectrum(n0).coeffs)
-    return Field(grid, np.fft.ifft((a_hat + corr) * grid.n).real)
+    corr = dt * _phi2(z) * (to_spectrum(n1) - n0_hat)
+    return to_field(grid, a_hat + corr)
 
 
 def _monitors(eta: Field, t: float, params: PhysicalParams,
@@ -165,8 +164,8 @@ def solve(eta0: Field, T: float, dt: float, params: PhysicalParams,
     record = {}
     s0 = cfg.monitor_s[0]
     geo = params.geometry
-    floor = cfg.separation_floor
-    if geo.kind == "flat_bottom" and floor is None:
+    if geo.kind == "flat_bottom":
+        # abort once the interface has closed half its initial distance
         floor = 0.5 * (geo.h_minus + float(np.min(eta0.values)))
     times = [0.0]
     diss = 0.0
@@ -185,14 +184,14 @@ def solve(eta0: Field, T: float, dt: float, params: PhysicalParams,
         try:
             diss += h * sobolev_norm(eta, s0 + 2.5) ** 2
             eta = etd_step(eta, h, params, cfg.scheme, cfg, record=record)
-        except (NotContracting, SeparationLost) as exc:
+        except MuskatError as exc:
             abort = "%s: %s" % (type(exc).__name__, exc)
             break
         times.append(t)
         states.append(eta)
         monitors.append(_monitors(eta, t, params, cfg, diss))
-        if monitors[-1]["boundary_distance"] <= (floor or 0.0) \
-                and geo.kind == "flat_bottom":
+        if geo.kind == "flat_bottom" \
+                and monitors[-1]["boundary_distance"] <= floor:
             abort = "SeparationLost: boundary distance %.3g at or below %.3g" \
                 % (monitors[-1]["boundary_distance"], floor)
             break
@@ -219,7 +218,7 @@ def _duhamel_integrand(eta: Field, params: PhysicalParams,
     el = split.total
     r_el = dn_fixed_point(eta, el, cfg.dn, geometry).remainder
     r_eta = dn_fixed_point(eta, eta, cfg.dn, geometry).remainder
-    d4 = fractional_multiplier(eta, "abs", 4.0)
+    d4 = abs_d(eta, 4.0)
     flat_part = abs_d(el - d4)
     coeff = params.sigma / params.mu_minus
     grav = params.rho_minus * params.g / params.sigma
@@ -246,7 +245,11 @@ def picard_solve(eta0: Field, T: float, params: PhysicalParams,
     grid = eta0.grid
     if dt is None:
         dt = T / n_steps
-    nsteps = int(round(T / dt))
+    # the trapezoid weights need equal panels, so a dt that does not divide
+    # T up to rounding is shrunk to the next one that does
+    nsteps = max(1, int(np.ceil(T / dt - 1e-9)))
+    if dt * nsteps - T > 1e-9 * dt:
+        dt = T / nsteps
     times = [dt * j for j in range(nsteps + 1)]
     m = linear_multiplier(grid, params)
     decay = np.exp(-dt * m)
@@ -260,21 +263,19 @@ def picard_solve(eta0: Field, T: float, params: PhysicalParams,
     w_new[small] = dt / 2.0
     w_old[small] = dt / 2.0
 
-    eta0_hat = to_spectrum(eta0).coeffs
+    eta0_hat = to_spectrum(eta0)
     free = [np.exp(-t * m) * eta0_hat for t in times]
-    iterates = [Field(grid, np.fft.ifft(c * grid.n).real) for c in free]
-    n_iter = 0
+    iterates = [to_field(grid, c) for c in free]
     prev_dist = np.inf
     grow = 0
-    for n_iter in range(1, cfg.picard_max_iter + 1):
-        g_hat = [to_spectrum(_duhamel_integrand(st, params, cfg)).coeffs
+    for n_iter in range(1, PICARD_MAX_ITER + 1):
+        g_hat = [to_spectrum(_duhamel_integrand(st, params, cfg))
                  for st in iterates]
         new = [iterates[0]]
         integral = np.zeros_like(eta0_hat)
         for j in range(1, nsteps + 1):
             integral = decay * integral + w_old * g_hat[j - 1] + w_new * g_hat[j]
-            c = free[j] + integral
-            new.append(Field(grid, np.fft.ifft(c * grid.n).real))
+            new.append(to_field(grid, free[j] + integral))
         # X^s-proxy distance between sweeps
         dist = max(sobolev_norm(new[j] - iterates[j], s0)
                    for j in range(nsteps + 1))
@@ -282,7 +283,7 @@ def picard_solve(eta0: Field, T: float, params: PhysicalParams,
             dt * sobolev_norm(new[j] - iterates[j], s0 + 5.0)
             for j in range(nsteps + 1))
         iterates = new
-        if dist < cfg.picard_tol:
+        if dist < PICARD_TOL:
             break
         if dist >= prev_dist:
             grow += 1
@@ -341,18 +342,18 @@ def scaling_experiment(eta0: Field, lam: int, T: float, dt: float,
         raise ValueError("lambda must divide the grid size")
     ref = solve(eta0, lam ** 5 * T, lam ** 5 * dt, params, cfg)
     # lam^{-1} eta0(lam x): spectral mode k moves to lam k
-    c = to_spectrum(eta0).coeffs
+    c = to_spectrum(eta0)
     cs = np.zeros_like(c)
     half = grid.n // 2
     for k in range(-(half // lam), half // lam + 1):
         cs[(lam * k) % grid.n] = c[k % grid.n] / lam
-    eta0_s = Field(grid, np.fft.ifft(cs * grid.n).real)
+    eta0_s = to_field(grid, cs)
     run = solve(eta0_s, T, dt, params, cfg)
-    cref = to_spectrum(ref.states[-1]).coeffs
+    cref = to_spectrum(ref.states[-1])
     csc = np.zeros_like(cref)
     for k in range(-(half // lam), half // lam + 1):
         csc[(lam * k) % grid.n] = cref[k % grid.n] / lam
-    scaled_ref = Field(grid, np.fft.ifft(csc * grid.n).real)
+    scaled_ref = to_field(grid, csc)
     defect = np.linalg.norm((run.states[-1] - scaled_ref).values)
     scale = max(np.linalg.norm(scaled_ref.values), 1e-300)
     return {"defect": float(defect / scale), "lambda": lam}
@@ -360,8 +361,8 @@ def scaling_experiment(eta0: Field, lam: int, T: float, dt: float,
 
 def smoothing_fit(eta0: Field, eta_t: Field, t: float, kmin: int) -> float:
     """Fit c > 0 in |eta_hat(t,k)| <= e^{-c t |k|^5} |eta_hat(0,k)|, |k|>=kmin."""
-    c0 = np.abs(to_spectrum(eta0).coeffs)
-    ct = np.abs(to_spectrum(eta_t).coeffs)
+    c0 = np.abs(to_spectrum(eta0))
+    ct = np.abs(to_spectrum(eta_t))
     k = np.abs(eta0.grid.wavenumbers)
     sel = (k >= kmin) & (c0 > 1e-14) & (ct > 0)
     if not np.any(sel):

@@ -79,40 +79,23 @@ class Field:
         return Field(self.grid, -self.values)
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Fourier coefficients in fft order under the stated normalization."""
-
-    grid: PeriodicGrid
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=complex)
-        if coeffs.shape != (self.grid.n,):
-            raise ValueError("coeffs must have one entry per wavenumber")
-        object.__setattr__(self, "coeffs", coeffs)
-
-
 def _check_same_grid(a, b):
     if a.grid != b.grid:
         raise ValueError("fields live on different grids")
-
-
-def field_from(grid, fn):
-    """Sample a callable on the grid nodes."""
-    return Field(grid, np.asarray(fn(grid.nodes), dtype=float))
 
 
 def zero_field(grid):
     return Field(grid, np.zeros(grid.n))
 
 
-def to_spectrum(f: Field) -> Spectrum:
-    return Spectrum(f.grid, np.fft.fft(f.values) / f.grid.n)
+def to_spectrum(f: Field) -> np.ndarray:
+    """Coefficients of f in fft order under the stated normalization."""
+    return np.fft.fft(f.values) / f.grid.n
 
 
-def to_field(s: Spectrum) -> Field:
-    return Field(s.grid, np.fft.ifft(s.coeffs * s.grid.n).real)
+def to_field(grid: PeriodicGrid, coeffs: np.ndarray) -> Field:
+    """The real field with coefficients ``coeffs`` (as from to_spectrum)."""
+    return Field(grid, np.fft.ifft(coeffs * grid.n).real)
 
 
 def mean(f: Field) -> float:
@@ -131,55 +114,36 @@ def _nyquist_mask(grid):
     return m
 
 
-def fractional_multiplier(f: Field, kind: str, order: float) -> Field:
-    """Apply |D|^alpha, d/dx^m, or |D|^{-1} as a Fourier multiplier.
-
-    The zero mode is mapped to 0 for negative powers of |D|; odd-order
-    derivatives zero the Nyquist mode (sign-ambiguous).
-    """
-    k = f.grid.wavenumbers
-    if kind == "abs":
-        alpha = float(order)
-        absk = np.abs(k)
-        sym = np.zeros(f.grid.n)
-        nz = absk > 0
-        sym[nz] = absk[nz] ** alpha
-        if alpha == 0.0:
-            sym[~nz] = 1.0
-        return _apply_multiplier(f, sym)
-    if kind == "deriv":
-        m = int(order)
-        sym = (1j * k) ** m
-        if m % 2 == 1:
-            sym = sym * _nyquist_mask(f.grid)
-        return _apply_multiplier(f, sym)
-    if kind == "inv_abs":
-        sym = np.zeros(f.grid.n)
-        nz = k != 0
-        sym[nz] = 1.0 / np.abs(k[nz])
-        return _apply_multiplier(f, sym)
-    raise ValueError(f"unknown multiplier kind {kind!r}")
-
-
 def abs_d(f: Field, alpha: float = 1.0) -> Field:
-    """|D|^alpha f."""
-    return fractional_multiplier(f, "abs", alpha)
+    """|D|^alpha f; the zero mode is mapped to 0 unless alpha = 0."""
+    alpha = float(alpha)
+    absk = np.abs(f.grid.wavenumbers)
+    sym = np.zeros(f.grid.n)
+    nz = absk > 0
+    sym[nz] = absk[nz] ** alpha
+    if alpha == 0.0:
+        sym[~nz] = 1.0
+    return _apply_multiplier(f, sym)
 
 
 def dx(f: Field, m: int = 1) -> Field:
-    """m-th spectral derivative."""
-    return fractional_multiplier(f, "deriv", m)
+    """m-th spectral derivative.
+
+    Odd orders zero the Nyquist mode, whose sign is ambiguous.
+    """
+    m = int(m)
+    sym = (1j * f.grid.wavenumbers) ** m
+    if m % 2 == 1:
+        sym = sym * _nyquist_mask(f.grid)
+    return _apply_multiplier(f, sym)
 
 
 def inv_abs_d(f: Field) -> Field:
     """|D|^{-1} f with the zero mode mapped to 0."""
-    return fractional_multiplier(f, "inv_abs", 0)
-
-
-def hilbert_sign(f: Field) -> Field:
-    """The bounded multiplier i*sign(k), i.e. |D|^{-1} d/dx."""
     k = f.grid.wavenumbers
-    sym = 1j * np.sign(k) * _nyquist_mask(f.grid)
+    sym = np.zeros(f.grid.n)
+    nz = k != 0
+    sym[nz] = 1.0 / np.abs(k[nz])
     return _apply_multiplier(f, sym)
 
 
@@ -204,7 +168,7 @@ def semigroup_apply(f: Field, t: float, nu1: float, alpha1: float,
 def sobolev_norm(f: Field, s: float) -> float:
     """(sum_k (1+k^2)^s |f_hat(k)|^2)^(1/2)."""
     k = f.grid.wavenumbers
-    c = np.fft.fft(f.values) / f.grid.n
+    c = to_spectrum(f)
     return float(np.sqrt(np.sum((1.0 + k * k) ** s * np.abs(c) ** 2)))
 
 
@@ -263,18 +227,22 @@ def zygmund_norm(f: Field, s: float) -> float:
     return best
 
 
-def lipschitz_norms(f: Field, eps: float = 0.5):
+# Holder exponent of the Lipschitz proxy: the W^{1+1/2,inf} norm
+LIPSCHITZ_EPS = 0.5
+
+
+def lipschitz_norms(f: Field):
     """(||f_x||_inf, W^{1+eps,inf} proxy ||f_x||_inf + |f_x|_{C^eps_*})."""
     fx = dx(f)
     lip = float(np.max(np.abs(fx.values)))
-    return lip, lip + zygmund_norm(fx, eps)
+    return lip, lip + zygmund_norm(fx, LIPSCHITZ_EPS)
 
 
-def refine(f: Field, factor: int = 2) -> Field:
-    """Spectrally interpolate onto a grid with ``factor`` times the nodes."""
+def refine(f: Field) -> Field:
+    """Spectrally interpolate onto a grid with twice the nodes."""
     n = f.grid.n
-    fine = PeriodicGrid(n * factor, f.grid.length)
-    c = np.fft.fft(f.values) / n
+    fine = PeriodicGrid(2 * n, f.grid.length)
+    c = to_spectrum(f)
     cf = np.zeros(fine.n, dtype=complex)
     half = n // 2
     cf[:half] = c[:half]
@@ -282,7 +250,7 @@ def refine(f: Field, factor: int = 2) -> Field:
     # split the unpaired Nyquist coefficient symmetrically
     cf[half] = 0.5 * c[half]
     cf[-half] = 0.5 * c[half]
-    return Field(fine, np.fft.ifft(cf * fine.n).real)
+    return to_field(fine, cf)
 
 
 def truncate(f: Field, grid: PeriodicGrid) -> Field:
@@ -290,10 +258,10 @@ def truncate(f: Field, grid: PeriodicGrid) -> Field:
     factor = f.grid.n // grid.n
     if grid.n * factor != f.grid.n or abs(f.grid.length - grid.length) > 0:
         raise ValueError("grids are not nested")
-    c = np.fft.fft(f.values) / f.grid.n
+    c = to_spectrum(f)
     half = grid.n // 2
     cc = np.zeros(grid.n, dtype=complex)
     cc[:half] = c[:half]
     cc[half + 1:] = c[-half + 1:]
     cc[half] = c[half] + c[-half]
-    return Field(grid, np.fft.ifft(cc * grid.n).real)
+    return to_field(grid, cc)

@@ -122,11 +122,3 @@ def para_apply(sym: OrderedSymbol, u: Field) -> Field:
         out = out + Field(u.grid, cbar * mu.values) + paraproduct(fluct, mu)
     return out
 
-
-def paralin_remainder(F, dF, u: Field) -> Field:
-    """F(u) - F(0) - T_{F'(u)} u for pointwise closed-form maps F, F'."""
-    grid = u.grid
-    fu = Field(grid, F(u.values))
-    f0 = float(np.asarray(F(np.zeros(1)))[0])
-    coeff = Field(grid, dF(u.values))
-    return Field(grid, fu.values - f0 - paraproduct(coeff, u).values)

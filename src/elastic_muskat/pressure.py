@@ -19,12 +19,14 @@ from .grid import Field, inv_abs_d, mean, sobolev_norm
 from .params import PhysicalParams
 
 
+# fixed-point sweeps before the solve gives up
+MAX_ITER = 80
+
+
 @dataclass(frozen=True)
 class PressureConfig:
     tol: float = 1e-12
-    max_iter: int = 80
     smallness_gate: float = 0.1   # on ||eta||_{H^2}
-    check_gate: bool = True
     dn: DNConfig = DNConfig()
 
 
@@ -65,23 +67,21 @@ def pressure_fixed_point(eta: Field, params: PhysicalParams,
     """Solve for the trace pressures by Picard iteration on f^-."""
     if params.phase != "two":
         raise ValueError("pressure solve is a two-phase operation")
-    if cfg.check_gate:
-        h2 = sobolev_norm(eta, 2.0)
-        if h2 >= cfg.smallness_gate:
-            raise NotContracting(
-                "||eta||_H2 = %.3g at or above pressure gate %.3g"
-                % (h2, cfg.smallness_gate))
+    h2 = sobolev_norm(eta, 2.0)
+    if h2 >= cfg.smallness_gate:
+        raise NotContracting(
+            "||eta||_H2 = %.3g at or above pressure gate %.3g"
+            % (h2, cfg.smallness_gate))
     lower, upper = dn_geometries(params)
     mu_sum = params.mu_plus + params.mu_minus
     u0 = pressure_forcing(eta, params, cfg)
     jump = pressure_jump(eta, params)
 
     phi = u0
-    iters = 0
     prev = np.inf
     grow = 0
     scale = max(np.max(np.abs(u0.values)), 1e-300)
-    for iters in range(1, cfg.max_iter + 1):
+    for iters in range(1, MAX_ITER + 1):
         r_plus = dn_upper(eta, phi, cfg.dn, upper).remainder
         r_minus = dn_fixed_point(eta, phi, cfg.dn, lower).remainder
         phi_new = u0 + inv_abs_d(r_plus) * (params.mu_minus / mu_sum) \
@@ -98,6 +98,10 @@ def pressure_fixed_point(eta: Field, params: PhysicalParams,
         else:
             grow = 0
         prev = res
+    else:
+        raise NotContracting(
+            "pressure iteration not converged after %d sweeps (residual %.3g)"
+            % (MAX_ITER, res))
 
     f_minus = Field(phi.grid, phi.values - mean(phi))
     f_plus = f_minus - jump

@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 
-from .grid import Field, PeriodicGrid, Spectrum
+from .grid import Field
 
 
 def fmt(x) -> str:
@@ -24,24 +24,6 @@ def write_field_csv(path, f: Field):
         w.writerow(["x", "value"])
         for x, v in zip(f.grid.nodes, f.values):
             w.writerow([fmt(x), fmt(v)])
-
-
-def read_field_csv(path, grid: PeriodicGrid) -> Field:
-    vals = []
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        next(r)
-        for row in r:
-            vals.append(float(row[1]))
-    return Field(grid, np.asarray(vals))
-
-
-def write_spectrum_csv(path, s: Spectrum):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "re", "im"])
-        for k, c in zip(s.grid.wavenumbers, s.coeffs):
-            w.writerow([fmt(k), fmt(c.real), fmt(c.imag)])
 
 
 def write_report_csv(path, rows):

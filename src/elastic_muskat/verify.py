@@ -9,16 +9,14 @@ convergence orders.
 
 import numpy as np
 
-from .dn import DNConfig, FlatStrip, InfiniteDepth, dn_fixed_point
+from .dn import DNConfig, FlatStrip, dn_fixed_point
 from .dn_oracle import oracle_dn
 from .elastic import elastic_E, elastic_split, gateaux_dE, symbol_ell
-from .errors import NotContracting
-from .grid import Field, PeriodicGrid, sobolev_norm
+from .grid import Field, PeriodicGrid, sobolev_norm, to_field
 from .paracalc import para_apply
 from .params import PhysicalParams
 from .pressure import pressure_fixed_point, pressure_oracle
-from .evolution import (SolveConfig, etd_step, picard_solve,
-                        scaling_experiment, smoothing_fit, solve,
+from .evolution import (SolveConfig, scaling_experiment, smoothing_fit, solve,
                         stability_experiment)
 
 
@@ -200,7 +198,7 @@ def suite_stability():
         ph = rng.uniform(0, 2 * np.pi)
         c[j] = 0.5 * amp * np.exp(1j * ph)
         c[-j] = np.conj(c[j])
-    eta0 = Field(grid, np.fft.ifft(c * grid.n).real)
+    eta0 = to_field(grid, c)
     traj = solve(eta0, 1e-3, 2.5e-4, params)
     cfit = smoothing_fit(eta0, traj.states[-1], 1e-3, grid.n // 4)
     rows.append(_row("smoothing_exponent", 1.0, cfit, 1.0, passed=cfit > 0))

@@ -124,7 +124,6 @@ def test_vertical_grid_shape():
     assert vg.levels[0] == -10.0
     assert vg.levels[-1] == 0.0
     assert np.all(np.diff(vg.levels) > 0)
-    assert abs(np.sum(vg.weights) - 10.0) < 1e-12
 
 
 def test_harmonic_lift_matches_boundary():
@@ -218,3 +217,21 @@ def test_cache_isolation():
         fresh[case] = solve(*case)
     for case in cases + cases[::-1] + cases[::2]:
         assert np.array_equal(solve(*case), fresh[case])
+
+
+# oracle_pin_n32.npz holds eta = 0.05 sin x + 0.02 cos 3x, f = cos x +
+# 0.5 cos(2x + 2) and the FD referee's G(eta) f at n = 32, as computed by the
+# entry-by-entry assembly that the array assembly replaced.  The referee is
+# held to the DN solver only to 1e-3, which would hide a small assembly error.
+
+ORACLE_PIN = np.load(os.path.join(os.path.dirname(__file__),
+                                  "oracle_pin_n32.npz"))
+
+
+@pytest.mark.parametrize("name, geometry", [("gf_infinite", InfiniteDepth()),
+                                            ("gf_strip", FlatStrip(1.0))])
+def test_oracle_matches_pinned_output(name, geometry):
+    grid = PeriodicGrid(32)
+    ref = oracle_dn(Field(grid, ORACLE_PIN["eta"]),
+                    Field(grid, ORACLE_PIN["f"]), geometry=geometry)
+    assert _rel(ref.values, ORACLE_PIN[name]) < 1e-12

@@ -115,6 +115,17 @@ def test_solve_ends_at_T():
     assert abs(amp - a * np.exp(-0.5)) < 1e-3 * a
 
 
+def test_solve_aborts_cleanly_on_solver_failure():
+    # the flattening map degenerates on the first DN solve; the run stops
+    # with the trajectory so far instead of raising
+    grid = PeriodicGrid(64)
+    eta0 = Field(grid, 2.5 * np.sin(grid.nodes))
+    cfg = quick_cfg(dn=DNConfig(lipschitz_gate=100.0))
+    traj = solve(eta0, 0.1, 0.05, PhysicalParams(), cfg)
+    assert traj.abort_reason.startswith("DegenerateJacobian")
+    assert traj.states == [eta0]
+
+
 def test_solve_single_mode_decay():
     grid = PeriodicGrid(64)
     a = 1e-4
@@ -163,6 +174,15 @@ def test_picard_matches_etd():
     te = solve(eta0, T, T / 64, params, cfg)
     diff = sobolev_norm(tp.states[-1] - te.states[-1], 2.0)
     assert diff < 1e-7
+
+
+def test_picard_ends_at_T():
+    # 0.5 is not a multiple of 0.3: two equal steps of 0.25 instead
+    grid = PeriodicGrid(64)
+    eta0 = Field(grid, 1e-4 * np.cos(grid.nodes))
+    traj = picard_solve(eta0, 0.5, PhysicalParams(), quick_cfg(), dt=0.3)
+    assert traj.times == [0.0, 0.25, 0.5]
+    assert traj.manifest["dt"] == 0.25
 
 
 def test_picard_gate_rejects_large_data():

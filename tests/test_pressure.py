@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from elastic_muskat import pressure
 from elastic_muskat.dn import DNConfig
 from elastic_muskat.errors import NotContracting
+from elastic_muskat.evolution import SolveConfig, rhs
 from elastic_muskat.grid import Field, PeriodicGrid, mean
 from elastic_muskat.params import PhysicalParams
 from elastic_muskat.pressure import (PressureConfig, pressure_fixed_point,
@@ -74,6 +76,19 @@ def test_smallness_gate_raises():
     eta = Field(grid, 0.5 * np.cos(grid.nodes))
     with pytest.raises(NotContracting):
         pressure_fixed_point(eta, two_phase_params(), quick_cfg())
+
+
+def test_iteration_cap_raises(monkeypatch):
+    # an unconverged fixed point says so, and rhs falls back to the dense
+    # referee and counts the switch
+    grid = PeriodicGrid(64)
+    eta = Field(grid, 0.02 * np.sin(grid.nodes))
+    monkeypatch.setattr(pressure, "MAX_ITER", 1)
+    with pytest.raises(NotContracting):
+        pressure_fixed_point(eta, two_phase_params(), quick_cfg())
+    cfg, record = quick_cfg(), {}
+    rhs(eta, two_phase_params(), SolveConfig(dn=cfg.dn, pressure=cfg), record)
+    assert record == {"pressure_oracle_switches": 1}
 
 
 def test_one_phase_rejected():
