@@ -1,7 +1,7 @@
 """Pseudo-spectral simulator for Darcy flow beneath an elastic interface."""
 
 from .errors import (ConfigError, DegenerateJacobian, DepthTruncationInsufficient,
-                     MuskatError, NotContracting, SeparationLost)
+                     MuskatError, NonFiniteState, NotContracting, SeparationLost)
 from .grid import (Field, PeriodicGrid, abs_d, dx, inv_abs_d, lipschitz_norms,
                    lp_project, mean, semigroup_apply, sobolev_norm, to_field,
                    to_spectrum, zero_field, zygmund_norm)

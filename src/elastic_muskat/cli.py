@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .dn import DNConfig
-from .errors import ConfigError, MuskatError, NotContracting, SeparationLost
+from .errors import ConfigError, MuskatError
 from .evolution import SolveConfig, default_dt, picard_solve, solve
 from .grid import Field, PeriodicGrid
 from .params import Geometry, PhysicalParams
@@ -130,11 +130,12 @@ def cmd_simulate(cfg: dict, quiet=False) -> int:
             traj = picard_solve(eta0, cfg["T"], params, scfg, dt=dt)
         else:
             traj = solve(eta0, cfg["T"], dt, params, scfg)
-    except (NotContracting, SeparationLost) as exc:
+    except MuskatError as exc:
         from .evolution import Trajectory
+        reason = "%s: %s" % (type(exc).__name__, exc)
         traj = Trajectory(times=[0.0], states=[eta0], monitors=[{"t": 0.0}],
-                          abort_reason="%s: %s" % (type(exc).__name__, exc),
-                          manifest={"abort_reason": str(exc)})
+                          abort_reason=reason,
+                          manifest={"abort_reason": reason})
         write_trajectory(cfg["output_dir"], traj, cfg, __version__,
                          cfg["snapshot_stride"])
         if not quiet:

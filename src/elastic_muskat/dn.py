@@ -14,14 +14,16 @@ with the lower fluid's operator extracted as G(eta) f = |D| f + w(0) in
 infinite depth.  The |D|H factors in Q_a, Q_b are taken as the z-derivative
 of the lift (identical for the decaying lift; required for the strip lift).
 All z-integrals use an exponentially weighted trapezoid rule on a grid of
-levels graded toward z = 0, accumulated in one O(levels) pass.
+levels graded toward z = 0.  The panel terms are accumulated by a doubling
+(Hillis-Steele) scan: pass s = 1, 2, 4, ... adds to every level the partial
+sum s levels away, damped by the stride decay e^{-(z_{i+s} - z_i)|k|}, so
+log2(levels) whole-array passes replace one pass per level.
 
 Fields are real, so every spectral array is a real-FFT half spectrum with
 n//2 + 1 modes per level.  The arrays that depend only on the grids (the
-vertical levels, per-panel decay factors and trapezoid weights, the lift
-kernels and the strip correction) are computed once per (grid, geometry,
-depth, levels) and shared read-only; a solve forms only the products with
-eta and f.
+vertical levels, stride decays and trapezoid weights, the lift kernels and
+the strip correction) are computed once per (grid, geometry, depth, levels)
+and shared read-only; a solve forms only the products with eta and f.
 """
 
 import functools
@@ -233,8 +235,10 @@ class _LevelOperators:
     """Everything a solve needs that depends only on the grids.
 
     Spectral arrays are real-FFT half spectra: (levels, n//2 + 1), or
-    (levels - 1, n//2 + 1) per panel.  Instances are shared between solves,
-    so every array is read-only.
+    (levels - 1, n//2 + 1) per panel.  ``strides`` holds the scan strides
+    s = 1, 2, 4, ... below the level count and ``stride_decay`` the matching
+    (levels - s, n//2 + 1) arrays e^{-(z_{i+s} - z_i)|k|}.  Instances are
+    shared between solves, so every array is read-only.
     """
 
     def __init__(self, grid, geometry, depth, n_levels):
@@ -248,15 +252,20 @@ class _LevelOperators:
         # sign-ambiguous Nyquist mode are dropped
         self.isgn = 1j * np.sign(self.k)
         self.isgn[-1] = 0.0
-        # per-panel decay factors e^{-d |k|} and trapezoid weights
-        self.decay = np.exp(-np.multiply.outer(gaps, self.absk))
+        # scan decays taken straight from the level differences, so a decay
+        # that underflows is never divided by
+        self.strides = tuple(2 ** p for p in range((n_levels - 1).bit_length()))
+        self.stride_decay = tuple(
+            np.exp(-np.multiply.outer(z[s:] - z[:-s], self.absk))
+            for s in self.strides)
+        # trapezoid weights per panel
         self.c0, self.cd = _exp_linear_coeffs(self.absk[None, :], gaps[:, None])
         self.lift = geometry.lift_kernel(z, self.absk)
         self.lift_dz = geometry.lift_dz_kernel(z, self.absk)
         self.strip_v = self.strip_vz = None
         if isinstance(geometry, FlatStrip):
             self.strip_v, self.strip_vz = _strip_kernels(z, self.absk, geometry.h)
-        for arr in vars(self).values():
+        for arr in (*vars(self).values(), *self.stride_decay):
             if isinstance(arr, np.ndarray):
                 arr.setflags(write=False)
         self.zgrid.levels.setflags(write=False)
@@ -264,22 +273,30 @@ class _LevelOperators:
     def upward_w(self, rho_hat):
         """w(z_i) = int_{-Z}^{z_i} e^{-(z_i - tau)|k|} rho(tau) dtau."""
         # u = z_{i+1} - tau; rho(z_i) sits at u = d, rho(z_{i+1}) at u = 0
-        panel = self.cd * rho_hat[:-1] + self.c0 * rho_hat[1:]
-        w = np.zeros_like(rho_hat)
-        for decay, below, here, p in zip(self.decay, w[:-1], w[1:], panel):
-            np.multiply(decay, below, out=here)
-            here += p
+        w = np.empty_like(rho_hat)
+        tmp = np.empty_like(rho_hat)
+        w[0] = 0.0
+        np.multiply(self.cd, rho_hat[:-1], out=w[1:])
+        np.multiply(self.c0, rho_hat[1:], out=tmp[1:])
+        w[1:] += tmp[1:]
+        for s, decay in zip(self.strides, self.stride_decay):
+            np.multiply(decay, w[:-s], out=tmp[s:])
+            w[s:] += tmp[s:]
         return w
 
     def downward_K(self, src_hat):
         """K(z_i) = int_0^{z_i} e^{(z_i - z')|k|} src(z') dz' (z_i <= 0)."""
         # u' = z' - z_i in [0, d]; src(z_i) at u' = 0, src(z_{i+1}) at u' = d
-        panel = self.c0 * src_hat[:-1] + self.cd * src_hat[1:]
-        K = np.zeros_like(src_hat)
-        for decay, here, above, p in zip(self.decay[::-1], K[-2::-1],
-                                          K[:0:-1], panel[::-1]):
-            np.multiply(decay, above, out=here)
-            here -= p
+        K = np.empty_like(src_hat)
+        tmp = np.empty_like(src_hat)
+        K[-1] = 0.0
+        np.multiply(self.c0, src_hat[:-1], out=K[:-1])
+        np.multiply(self.cd, src_hat[1:], out=tmp[:-1])
+        K[:-1] += tmp[:-1]
+        np.negative(K[:-1], out=K[:-1])
+        for s, decay in zip(self.strides, self.stride_decay):
+            np.multiply(decay, K[s:], out=tmp[:-s])
+            K[:-s] += tmp[:-s]
         return K
 
 

@@ -21,5 +21,9 @@ class SeparationLost(MuskatError):
     """The interface approached a rigid boundary during time stepping."""
 
 
+class NonFiniteState(MuskatError, ValueError):
+    """A field took a non-finite value."""
+
+
 class ConfigError(MuskatError):
     """Invalid run configuration."""

@@ -80,6 +80,9 @@ def rhs(eta: Field, params: PhysicalParams,
             if record is not None:
                 record.setdefault("pressure_oracle_switches", 0)
                 record["pressure_oracle_switches"] += 1
+        if cfg.pressure.dn == cfg.dn:
+            # the pressure solve has already applied G^- to f^-
+            return pair.g_minus * (-1.0 / params.mu_minus)
         f_minus = pair.f_minus
     gf = dn_fixed_point(eta, f_minus, cfg.dn, geometry).gf
     return gf * (-1.0 / params.mu_minus)

@@ -6,9 +6,12 @@ single mode cos(k0 x) has coefficients 1/2 at k = +-k0.  Wavenumbers are
 k_m = 2*pi*m/L for m in {-n/2, ..., n/2 - 1}, stored in numpy fft order.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import NonFiniteState
 
 
 @dataclass(frozen=True)
@@ -59,7 +62,7 @@ class Field:
         if values.shape != (self.grid.n,):
             raise ValueError("values must have one sample per node")
         if not np.all(np.isfinite(values)):
-            raise ValueError("values must be finite")
+            raise NonFiniteState("values must be finite")
         object.__setattr__(self, "values", values)
 
     def __add__(self, other):
@@ -219,11 +222,27 @@ def lp_lowpass(f: Field, j: int) -> Field:
     return _apply_multiplier(f, lp_lowpass_symbol(f.grid, j))
 
 
+@functools.lru_cache(maxsize=8)
+def _lp_block_symbols(grid):
+    """Read-only (blocks, n) stack of the lp_block_symbol rows."""
+    symbols = np.array([lp_block_symbol(grid, j)
+                        for j in range(lp_block_count(grid))])
+    symbols.setflags(write=False)
+    return symbols
+
+
 def zygmund_norm(f: Field, s: float) -> float:
-    """sup_j 2^{js} ||P_j f||_inf over the grid's dyadic blocks."""
+    """sup_j 2^{js} ||P_j f||_inf over the grid's dyadic blocks.
+
+    One forward transform of f and one batched inverse transform give every
+    block P_j f at once.
+    """
+    blocks = np.fft.ifft(np.fft.fft(f.values) * _lp_block_symbols(f.grid),
+                         axis=1).real
+    peaks = np.max(np.abs(blocks), axis=1)
     best = 0.0
-    for j in range(lp_block_count(f.grid)):
-        best = max(best, 2.0 ** (j * s) * float(np.max(np.abs(lp_project(f, j).values))))
+    for j, peak in enumerate(peaks):
+        best = max(best, 2.0 ** (j * s) * float(peak))
     return best
 
 

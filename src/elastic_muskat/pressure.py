@@ -37,6 +37,8 @@ class PressurePair:
     jump_residual: float
     flux_residual: float
     iterations: int
+    # G^-(eta) f^- from the flux check, reused by the velocity
+    g_minus: Field = None
 
     def report(self) -> dict:
         return {"jump_residual": self.jump_residual,
@@ -114,7 +116,7 @@ def pressure_fixed_point(eta: Field, params: PhysicalParams,
     return PressurePair(f_minus=f_minus, f_plus=f_plus,
                         jump_residual=float(jres / jscale),
                         flux_residual=float(np.linalg.norm(flux.values) / fscale),
-                        iterations=iters)
+                        iterations=iters, g_minus=gm)
 
 
 def pressure_oracle(eta: Field, params: PhysicalParams, n_modes: int = 16,
@@ -168,4 +170,4 @@ def pressure_oracle(eta: Field, params: PhysicalParams, n_modes: int = 16,
     return PressurePair(f_minus=f_minus, f_plus=f_plus,
                         jump_residual=0.0,
                         flux_residual=float(np.linalg.norm(flux.values) / fscale),
-                        iterations=1)
+                        iterations=1, g_minus=gm)

@@ -3,9 +3,10 @@ import os
 
 import pytest
 
+from elastic_muskat import cli
 from elastic_muskat.cli import (CONFIG_DEFAULTS, build_initial_data,
                                 load_config, main)
-from elastic_muskat.errors import ConfigError
+from elastic_muskat.errors import ConfigError, DegenerateJacobian
 from elastic_muskat.grid import PeriodicGrid
 
 
@@ -74,6 +75,17 @@ def test_picard_gate_abort_is_exit_two(tmp_path):
     assert main(["simulate", "--config", cfg, "--quiet"]) == 2
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert "smallness gate" in manifest["abort_reason"]
+
+
+def test_every_solver_failure_is_exit_two(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise DegenerateJacobian("min(1 + dH/dz) below floor")
+    monkeypatch.setattr(cli, "picard_solve", fail)
+    cfg = base_run_cfg(tmp_path, scheme="picard")
+    assert main(["simulate", "--config", cfg, "--quiet"]) == 2
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["abort_reason"].startswith("DegenerateJacobian")
+    assert (tmp_path / "out" / "state_000000.csv").exists()
 
 
 def test_verify_writes_report_and_exits_zero(tmp_path, capsys):

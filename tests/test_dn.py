@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from elastic_muskat.dn import (DNConfig, FlatStrip, InfiniteDepth,
-                               _level_operators, dn_fixed_point,
-                               dn_shape_difference, dn_upper, harmonic_lift,
-                               make_vertical_grid)
+                               _level_operators, default_depth,
+                               dn_fixed_point, dn_shape_difference, dn_upper,
+                               harmonic_lift, make_vertical_grid)
 from elastic_muskat.dn_oracle import oracle_dn
 from elastic_muskat.errors import DegenerateJacobian, NotContracting
 from elastic_muskat.grid import Field, PeriodicGrid, mean
@@ -235,3 +235,58 @@ def test_oracle_matches_pinned_output(name, geometry):
     ref = oracle_dn(Field(grid, ORACLE_PIN["eta"]),
                     Field(grid, ORACLE_PIN["f"]), geometry=geometry)
     assert _rel(ref.values, ORACLE_PIN[name]) < 1e-12
+
+
+# --- the doubling scans against the sequential recurrences -----------------
+
+
+def _loop_upward_w(ops, rho_hat):
+    # w_{i+1} = e^{-d_i |k|} w_i + panel_i, one level at a time
+    decay = np.exp(-np.multiply.outer(np.diff(ops.zgrid.levels), ops.absk))
+    panel = ops.cd * rho_hat[:-1] + ops.c0 * rho_hat[1:]
+    w = np.zeros_like(rho_hat)
+    for i in range(len(panel)):
+        w[i + 1] = decay[i] * w[i] + panel[i]
+    return w
+
+
+def _loop_downward_K(ops, src_hat):
+    # K_i = e^{-d_i |k|} K_{i+1} - panel_i, from the top level down
+    decay = np.exp(-np.multiply.outer(np.diff(ops.zgrid.levels), ops.absk))
+    panel = ops.c0 * src_hat[:-1] + ops.cd * src_hat[1:]
+    K = np.zeros_like(src_hat)
+    for i in range(len(panel) - 1, -1, -1):
+        K[i] = decay[i] * K[i + 1] - panel[i]
+    return K
+
+
+@pytest.mark.parametrize("n", [128, 256, 512])
+@pytest.mark.parametrize("geometry", [InfiniteDepth(), FlatStrip(1.0)])
+def test_scans_match_sequential_recurrences(n, geometry):
+    grid = PeriodicGrid(n)
+    depth = geometry.h if isinstance(geometry, FlatStrip) else default_depth(grid)
+    ops = _level_operators(grid, geometry, float(depth), DNConfig().n_levels)
+    rng = np.random.default_rng(n)
+    shape = (DNConfig().n_levels, n // 2 + 1)
+    data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for scan, loop in ((ops.upward_w, _loop_upward_w),
+                       (ops.downward_K, _loop_downward_K)):
+        ref = loop(ops, data)
+        assert np.max(np.abs(scan(data) - ref)) < 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("geometry", [InfiniteDepth(), FlatStrip(1.0)])
+def test_picard_count_on_pinned_inputs(geometry):
+    # the sequential recurrences took 7 sweeps on both geometries
+    res = dn_fixed_point(Field(GRID128, PIN["eta"]), Field(GRID128, PIN["f"]),
+                         geometry=geometry)
+    assert res.iterations == 7
+
+
+def test_stride_decays_are_read_only():
+    ops = _level_operators(GRID128, InfiniteDepth(), default_depth(GRID128),
+                           DNConfig().n_levels)
+    assert ops.strides == (1, 2, 4, 8, 16, 32)
+    for s, decay in zip(ops.strides, ops.stride_decay):
+        assert decay.shape == (DNConfig().n_levels - s, GRID128.n // 2 + 1)
+        assert not decay.flags.writeable

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from elastic_muskat import evolution
 from elastic_muskat.dn import DNConfig
-from elastic_muskat.errors import ConfigError, NotContracting
+from elastic_muskat.errors import ConfigError, NonFiniteState, NotContracting
 from elastic_muskat.evolution import (SolveConfig, default_dt, etd_step,
                                       linear_multiplier, nonlinear_remainder,
                                       picard_solve, rhs, scaling_experiment,
@@ -124,6 +125,27 @@ def test_solve_aborts_cleanly_on_solver_failure():
     traj = solve(eta0, 0.1, 0.05, PhysicalParams(), cfg)
     assert traj.abort_reason.startswith("DegenerateJacobian")
     assert traj.states == [eta0]
+
+
+def test_solve_aborts_cleanly_on_non_finite_state(monkeypatch):
+    # a remainder whose spectrum overflows makes the next state non-finite;
+    # the run stops with the trajectory so far instead of raising
+    grid = PeriodicGrid(64)
+    eta0 = Field(grid, 1e-3 * np.cos(grid.nodes))
+    monkeypatch.setattr(evolution, "nonlinear_remainder",
+                        lambda eta, *args, **kwargs:
+                        Field(grid, np.full(grid.n, 1e308)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = solve(eta0, 0.1, 0.05, PhysicalParams(), quick_cfg())
+    assert traj.abort_reason.startswith("NonFiniteState")
+    assert traj.states == [eta0]
+
+
+def test_non_finite_field_is_a_value_error():
+    with pytest.raises(ValueError):
+        Field(PeriodicGrid(8), np.full(8, np.nan))
+    with pytest.raises(NonFiniteState):
+        Field(PeriodicGrid(8), np.full(8, np.inf))
 
 
 def test_solve_single_mode_decay():

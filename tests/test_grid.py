@@ -113,6 +113,18 @@ def test_zygmund_single_mode():
     assert abs(zygmund_norm(f, 0.0) - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize("n", [64, 128, 512])
+def test_zygmund_matches_block_projections(n):
+    # the batched transform gives the same blocks as one lp_project each
+    grid = PeriodicGrid(n)
+    rng = np.random.default_rng(n)
+    for s in (0.0, 0.5, 1.0):
+        f = Field(grid, rng.standard_normal(n))
+        expected = max(2.0 ** (j * s) * np.max(np.abs(lp_project(f, j).values))
+                       for j in range(lp_block_count(grid)))
+        assert zygmund_norm(f, s) == expected
+
+
 def test_lipschitz_norms():
     f = Field(GRID, 0.3 * np.sin(X))
     lip, proxy = lipschitz_norms(f)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from elastic_muskat import pressure
-from elastic_muskat.dn import DNConfig
+from elastic_muskat import evolution, pressure
+from elastic_muskat.dn import DNConfig, dn_fixed_point
 from elastic_muskat.errors import NotContracting
 from elastic_muskat.evolution import SolveConfig, rhs
 from elastic_muskat.grid import Field, PeriodicGrid, mean
@@ -120,3 +120,48 @@ def test_jump_field_composition():
     expected = (params.sigma + params.g * params.delta_rho) * a \
         * np.cos(grid.nodes)
     assert np.max(np.abs(jump.values - expected)) < 1e-12
+
+
+def test_two_phase_velocity_reuses_pressure_solve(monkeypatch):
+    # the flux check of the pressure solve already applies G^- to f^-, so a
+    # two-phase velocity costs 2 + 2 * iterations + 2 DN solves, not one more
+    grid = PeriodicGrid(128)
+    eta = Field(grid, 0.02 * np.cos(grid.nodes)
+                + 0.01 * np.sin(2.0 * grid.nodes))
+    params = PhysicalParams(sigma=1.0, g=1.0, mu_minus=1.0, mu_plus=1.0,
+                            rho_minus=2.0, rho_plus=1.0, phase="two")
+    cfg = SolveConfig()
+    pair = pressure_fixed_point(eta, params, cfg.pressure)
+    assert pair.iterations == 4
+    expected = dn_fixed_point(eta, pair.f_minus, cfg.dn).gf \
+        * (-1.0 / params.mu_minus)
+
+    calls = []
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((pressure, "dn_fixed_point"), (pressure, "dn_upper"),
+                         (evolution, "dn_fixed_point")):
+        counted(module, name)
+    velocity = rhs(eta, params, cfg)
+    assert len(calls) == 12
+    assert np.array_equal(velocity.values, expected.values)
+
+
+def test_mixed_dn_configs_solve_the_velocity_again():
+    # a velocity DN config that differs from the pressure solve's is honoured
+    grid = PeriodicGrid(64)
+    eta = Field(grid, 0.02 * np.sin(grid.nodes))
+    params = two_phase_params()
+    pcfg, dn = quick_cfg(), DNConfig(n_levels=32)
+    pair = pressure_fixed_point(eta, params, pcfg)
+    velocity = rhs(eta, params, SolveConfig(dn=dn, pressure=pcfg))
+    expected = dn_fixed_point(eta, pair.f_minus, dn).gf \
+        * (-1.0 / params.mu_minus)
+    assert np.array_equal(velocity.values, expected.values)
