@@ -67,12 +67,12 @@ def default_dt(grid: PeriodicGrid, params: PhysicalParams) -> float:
 
 def rhs(eta: Field, params: PhysicalParams,
         cfg: SolveConfig = SolveConfig(), record=None) -> Field:
-    """Interface velocity -(1/mu^-) G^-(eta) f^-."""
-    geometry, _ = dn_geometries(params)
-    if params.phase == "one":
-        f_minus = elastic_E(eta) * params.sigma \
-            + eta * (params.rho_minus * params.g)
-    else:
+    """Interface velocity -(1/mu^-) G^-(eta) f^-.
+
+    In the two-phase case G^-(eta) f^- is the one the pressure solve applied
+    for its flux check, so it is taken with cfg.pressure.dn, not cfg.dn.
+    """
+    if params.phase == "two":
         try:
             pair = pressure_fixed_point(eta, params, cfg.pressure)
         except NotContracting:
@@ -80,10 +80,10 @@ def rhs(eta: Field, params: PhysicalParams,
             if record is not None:
                 record.setdefault("pressure_oracle_switches", 0)
                 record["pressure_oracle_switches"] += 1
-        if cfg.pressure.dn == cfg.dn:
-            # the pressure solve has already applied G^- to f^-
-            return pair.g_minus * (-1.0 / params.mu_minus)
-        f_minus = pair.f_minus
+        return pair.g_minus * (-1.0 / params.mu_minus)
+    geometry, _ = dn_geometries(params)
+    f_minus = elastic_E(eta) * params.sigma \
+        + eta * (params.rho_minus * params.g)
     gf = dn_fixed_point(eta, f_minus, cfg.dn, geometry).gf
     return gf * (-1.0 / params.mu_minus)
 

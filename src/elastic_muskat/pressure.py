@@ -38,7 +38,7 @@ class PressurePair:
     flux_residual: float
     iterations: int
     # G^-(eta) f^- from the flux check, reused by the velocity
-    g_minus: Field = None
+    g_minus: Field
 
     def report(self) -> dict:
         return {"jump_residual": self.jump_residual,

@@ -153,15 +153,3 @@ def test_two_phase_velocity_reuses_pressure_solve(monkeypatch):
     assert len(calls) == 12
     assert np.array_equal(velocity.values, expected.values)
 
-
-def test_mixed_dn_configs_solve_the_velocity_again():
-    # a velocity DN config that differs from the pressure solve's is honoured
-    grid = PeriodicGrid(64)
-    eta = Field(grid, 0.02 * np.sin(grid.nodes))
-    params = two_phase_params()
-    pcfg, dn = quick_cfg(), DNConfig(n_levels=32)
-    pair = pressure_fixed_point(eta, params, pcfg)
-    velocity = rhs(eta, params, SolveConfig(dn=dn, pressure=pcfg))
-    expected = dn_fixed_point(eta, pair.f_minus, dn).gf \
-        * (-1.0 / params.mu_minus)
-    assert np.array_equal(velocity.values, expected.values)
