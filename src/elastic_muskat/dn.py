@@ -155,6 +155,14 @@ class DNResult:
     residuals: list = field(default_factory=list)
     tail_bound: float = 0.0
 
+    def require_converged(self):
+        """This result; NotContracting if the solve stopped at MAX_ITER."""
+        if not self.converged:
+            raise NotContracting(
+                "DN solve not converged after %d sweeps (residual %.3g)"
+                % (self.iterations, self.residuals[-1]))
+        return self
+
     def report(self):
         return {
             "iterations": self.iterations,

@@ -13,7 +13,7 @@ import numpy as np
 
 from .dn import DNConfig, dn_fixed_point, dn_geometries
 from .elastic import elastic_E, elastic_split
-from .errors import MuskatError, NotContracting
+from .errors import MuskatError, NotContracting, SeparationLost
 from .grid import (Field, PeriodicGrid, abs_d, lipschitz_norms, mean,
                    sobolev_norm, to_field, to_spectrum)
 from .params import LinearSymbol, PhysicalParams
@@ -84,7 +84,7 @@ def rhs(eta: Field, params: PhysicalParams,
     geometry, _ = dn_geometries(params)
     f_minus = elastic_E(eta) * params.sigma \
         + eta * (params.rho_minus * params.g)
-    gf = dn_fixed_point(eta, f_minus, cfg.dn, geometry).gf
+    gf = dn_fixed_point(eta, f_minus, cfg.dn, geometry).require_converged().gf
     return gf * (-1.0 / params.mu_minus)
 
 
@@ -187,16 +187,17 @@ def solve(eta0: Field, T: float, dt: float, params: PhysicalParams,
         try:
             diss += h * sobolev_norm(eta, s0 + 2.5) ** 2
             eta = etd_step(eta, h, params, cfg.scheme, cfg, record=record)
+            mon = _monitors(eta, t, params, cfg, diss)
+            times.append(t)
+            states.append(eta)
+            monitors.append(mon)
+            # the offending step stays in the trajectory
+            if geo.kind == "flat_bottom" and mon["boundary_distance"] <= floor:
+                raise SeparationLost(
+                    "boundary distance %.3g at or below %.3g"
+                    % (mon["boundary_distance"], floor))
         except MuskatError as exc:
             abort = "%s: %s" % (type(exc).__name__, exc)
-            break
-        times.append(t)
-        states.append(eta)
-        monitors.append(_monitors(eta, t, params, cfg, diss))
-        if geo.kind == "flat_bottom" \
-                and monitors[-1]["boundary_distance"] <= floor:
-            abort = "SeparationLost: boundary distance %.3g at or below %.3g" \
-                % (monitors[-1]["boundary_distance"], floor)
             break
     manifest = {"scheme": cfg.scheme, "dt": dt, "T": T,
                 "steps": len(times) - 1, "abort_reason": abort}
@@ -219,8 +220,10 @@ def _duhamel_integrand(eta: Field, params: PhysicalParams,
     geometry, _ = dn_geometries(params)
     split = elastic_split(eta)
     el = split.total
-    r_el = dn_fixed_point(eta, el, cfg.dn, geometry).remainder
-    r_eta = dn_fixed_point(eta, eta, cfg.dn, geometry).remainder
+    r_el = dn_fixed_point(
+        eta, el, cfg.dn, geometry).require_converged().remainder
+    r_eta = dn_fixed_point(
+        eta, eta, cfg.dn, geometry).require_converged().remainder
     d4 = abs_d(eta, 4.0)
     flat_part = abs_d(el - d4)
     coeff = params.sigma / params.mu_minus

@@ -1,21 +1,37 @@
 """Interfacial pressure solve for the two-phase problem.
 
 The trace pressures f^- and f^+ satisfy a jump condition
-f^- - f^+ = sigma E(eta) + g (rho^- - rho^+) eta together with continuity of
-the normal velocity (1/mu^+) G^+ f^+ = (1/mu^-) G^- f^-.  Splitting the DN
+f^- - f^+ = J = sigma E(eta) + g (rho^- - rho^+) eta together with continuity
+of the normal velocity (1/mu^+) G^+ f^+ = (1/mu^-) G^- f^-.  Splitting the DN
 operators into their flat parts -+|D| plus remainders R^+- turns this into a
-fixed-point equation for f^-, contractive for small interfaces.  A dense
-collocation solve over a truncated Fourier basis serves as the referee.
+fixed-point equation for f^-,
+
+    phi = u0 + |D|^{-1} (mu^- R^+ phi - mu^+ R^- phi) / (mu^+ + mu^-),
+    u0  = -mu^- |D|^{-1} G^+ J / (mu^+ + mu^-),
+
+contractive for small interfaces.  G^+- are linear in their datum, which the
+solve uses three times:
+
+- forcing: u0 takes one DN solve, G^+ J;
+- increments: sweep k solves only delta_k = phi_k - phi_{k-1} and adds its
+  remainders to running sums R^+- (delta_0 = u0).  Each increment is solved
+  to the absolute accuracy a full solve of phi_k would get, so a small
+  increment needs few Picard sweeps;
+- upper flux: G^+ f^+ = -|D| f^- + R^+ - G^+ J from the sums, with no solve.
+
+G^- f^- is a fresh solve, so the flux residual checks the iteration against
+an independent application of G^-.  A dense collocation solve over a
+truncated Fourier basis serves as the referee.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dn import DNConfig, dn_fixed_point, dn_geometries, dn_upper
 from .elastic import elastic_E
 from .errors import NotContracting
-from .grid import Field, inv_abs_d, mean, sobolev_norm
+from .grid import Field, abs_d, inv_abs_d, mean, sobolev_norm, zero_field
 from .params import PhysicalParams
 
 
@@ -39,6 +55,8 @@ class PressurePair:
     iterations: int
     # G^-(eta) f^- from the flux check, reused by the velocity
     g_minus: Field
+    # G^+(eta) f^+ of the flux check (from the remainder sums, no solve)
+    g_plus: Field
 
     def report(self) -> dict:
         return {"jump_residual": self.jump_residual,
@@ -51,22 +69,27 @@ def pressure_jump(eta: Field, params: PhysicalParams) -> Field:
     return elastic_E(eta) * params.sigma + eta * (params.g * params.delta_rho)
 
 
-def pressure_forcing(eta: Field, params: PhysicalParams,
-                     cfg: PressureConfig = PressureConfig()) -> Field:
-    """Affine part u0 of the fixed-point equation for f^-."""
-    mu_sum = params.mu_plus + params.mu_minus
-    grav = params.g * params.delta_rho
-    _, upper = dn_geometries(params)
-    g_eta = dn_upper(eta, eta, cfg.dn, upper).gf
-    g_el = dn_upper(eta, elastic_E(eta), cfg.dn, upper).gf
-    u0 = inv_abs_d(g_eta) * (-grav * params.mu_minus / mu_sum) \
-        + inv_abs_d(g_el) * (-params.sigma * params.mu_minus / mu_sum)
-    return u0
+def _increment_dn(dn_cfg: DNConfig, phi: Field, delta: Field) -> DNConfig:
+    """DN config that solves delta to the absolute accuracy of a solve of phi.
+
+    A DN solve stops on residuals relative to max|rfft(datum)|, so the
+    tolerance grows by the ratio of the two scales; it is never tighter than
+    dn_cfg.tol.
+    """
+    s_delta = np.max(np.abs(np.fft.rfft(delta.values)))
+    if s_delta == 0.0:
+        return dn_cfg
+    s_phi = np.max(np.abs(np.fft.rfft(phi.values)))
+    return replace(dn_cfg, tol=dn_cfg.tol * max(1.0, s_phi / s_delta))
 
 
 def pressure_fixed_point(eta: Field, params: PhysicalParams,
                          cfg: PressureConfig = PressureConfig()) -> PressurePair:
-    """Solve for the trace pressures by Picard iteration on f^-."""
+    """Solve for the trace pressures by Picard iteration on f^-.
+
+    Makes 2 + 2 * iterations DN solves: G^+ J, one upper and one lower
+    solve per sweep on its increment, and G^- f^-.
+    """
     if params.phase != "two":
         raise ValueError("pressure solve is a two-phase operation")
     h2 = sobolev_norm(eta, 2.0)
@@ -76,19 +99,25 @@ def pressure_fixed_point(eta: Field, params: PhysicalParams,
             % (h2, cfg.smallness_gate))
     lower, upper = dn_geometries(params)
     mu_sum = params.mu_plus + params.mu_minus
-    u0 = pressure_forcing(eta, params, cfg)
     jump = pressure_jump(eta, params)
+    g_jump = dn_upper(eta, jump, cfg.dn, upper).require_converged().gf
+    u0 = inv_abs_d(g_jump) * (-params.mu_minus / mu_sum)
 
-    phi = u0
+    phi = delta = u0
+    r_plus = r_minus = zero_field(eta.grid)
     prev = np.inf
     grow = 0
     scale = max(np.max(np.abs(u0.values)), 1e-300)
     for iters in range(1, MAX_ITER + 1):
-        r_plus = dn_upper(eta, phi, cfg.dn, upper).remainder
-        r_minus = dn_fixed_point(eta, phi, cfg.dn, lower).remainder
+        dn_cfg = _increment_dn(cfg.dn, phi, delta)
+        r_plus = r_plus + dn_upper(
+            eta, delta, dn_cfg, upper).require_converged().remainder
+        r_minus = r_minus + dn_fixed_point(
+            eta, delta, dn_cfg, lower).require_converged().remainder
         phi_new = u0 + inv_abs_d(r_plus) * (params.mu_minus / mu_sum) \
             - inv_abs_d(r_minus) * (params.mu_plus / mu_sum)
-        res = float(np.max(np.abs(phi_new.values - phi.values)) / scale)
+        delta = phi_new - phi
+        res = float(np.max(np.abs(delta.values)) / scale)
         phi = phi_new
         if res < cfg.tol:
             break
@@ -109,14 +138,16 @@ def pressure_fixed_point(eta: Field, params: PhysicalParams,
     f_plus = f_minus - jump
     jres = np.linalg.norm((f_minus - f_plus - jump).values)
     jscale = max(np.linalg.norm(jump.values), 1e-300)
-    gm = dn_fixed_point(eta, f_minus, cfg.dn, lower).gf
-    gp = dn_upper(eta, f_plus, cfg.dn, upper).gf
+    gm = dn_fixed_point(eta, f_minus, cfg.dn, lower).require_converged().gf
+    # G^+ f^+ = -|D| f^- + R^+ f^- - G^+ J with R^+ f^- from the sums: R^+
+    # of the mean is zero, and the unsolved last increment is below tol
+    gp = r_plus - abs_d(f_minus) - g_jump
     flux = gp * (1.0 / params.mu_plus) - gm * (1.0 / params.mu_minus)
     fscale = max(np.linalg.norm(gm.values) / params.mu_minus, 1e-300)
     return PressurePair(f_minus=f_minus, f_plus=f_plus,
                         jump_residual=float(jres / jscale),
                         flux_residual=float(np.linalg.norm(flux.values) / fscale),
-                        iterations=iters, g_minus=gm)
+                        iterations=iters, g_minus=gm, g_plus=gp)
 
 
 def pressure_oracle(eta: Field, params: PhysicalParams, n_modes: int = 16,
@@ -142,13 +173,16 @@ def pressure_oracle(eta: Field, params: PhysicalParams, n_modes: int = 16,
     Gp = np.zeros((grid.n, nb))
     for j, b in enumerate(basis):
         bf = Field(grid, b)
-        Gm[:, j] = dn_fixed_point(eta, bf, cfg.dn, lower).gf.values
-        Gp[:, j] = dn_upper(eta, bf, cfg.dn, upper).gf.values
+        Gm[:, j] = dn_fixed_point(
+            eta, bf, cfg.dn, lower).require_converged().gf.values
+        Gp[:, j] = dn_upper(
+            eta, bf, cfg.dn, upper).require_converged().gf.values
 
     jump = pressure_jump(eta, params)
     # [(1/mu+) G+ - (1/mu-) G-] c = (1/mu+) G+ jump,  mean gauge row appended
     A = mu_sum_inv_p * Gp - mu_sum_inv_m * Gm
-    rhs = mu_sum_inv_p * (dn_upper(eta, jump, cfg.dn, upper).gf.values)
+    rhs = mu_sum_inv_p * dn_upper(
+        eta, jump, cfg.dn, upper).require_converged().gf.values
     gauge = np.zeros(nb)
     gauge[0] = 1.0
     A = np.vstack([A, gauge])
@@ -163,11 +197,11 @@ def pressure_oracle(eta: Field, params: PhysicalParams, n_modes: int = 16,
     f_minus = Field(grid, fm_vals)
     f_minus = Field(grid, f_minus.values - mean(f_minus))
     f_plus = f_minus - jump
-    gm = dn_fixed_point(eta, f_minus, cfg.dn, lower).gf
-    gp = dn_upper(eta, f_plus, cfg.dn, upper).gf
+    gm = dn_fixed_point(eta, f_minus, cfg.dn, lower).require_converged().gf
+    gp = dn_upper(eta, f_plus, cfg.dn, upper).require_converged().gf
     flux = gp * mu_sum_inv_p - gm * mu_sum_inv_m
     fscale = max(np.linalg.norm(gm.values) * mu_sum_inv_m, 1e-300)
     return PressurePair(f_minus=f_minus, f_plus=f_plus,
                         jump_residual=0.0,
                         flux_residual=float(np.linalg.norm(flux.values) / fscale),
-                        iterations=1, g_minus=gm)
+                        iterations=1, g_minus=gm, g_plus=gp)

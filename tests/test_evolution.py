@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from elastic_muskat import evolution
+from elastic_muskat import dn, evolution
 from elastic_muskat.dn import DNConfig
 from elastic_muskat.errors import ConfigError, NonFiniteState, NotContracting
 from elastic_muskat.evolution import (SolveConfig, default_dt, etd_step,
@@ -11,7 +11,7 @@ from elastic_muskat.evolution import (SolveConfig, default_dt, etd_step,
                                       stability_experiment)
 from elastic_muskat.grid import (Field, PeriodicGrid, mean, sobolev_norm,
                                  zero_field)
-from elastic_muskat.params import LinearSymbol, PhysicalParams
+from elastic_muskat.params import Geometry, LinearSymbol, PhysicalParams
 
 
 def quick_cfg(**kw):
@@ -139,6 +139,37 @@ def test_solve_aborts_cleanly_on_non_finite_state(monkeypatch):
         traj = solve(eta0, 0.1, 0.05, PhysicalParams(), quick_cfg())
     assert traj.abort_reason.startswith("NonFiniteState")
     assert traj.states == [eta0]
+
+
+def test_solve_aborts_on_unconverged_dn_solve(monkeypatch):
+    # a DN solve that stops at its sweep cap is an error, not a velocity
+    grid = PeriodicGrid(64)
+    eta0 = Field(grid, 0.02 * np.cos(grid.nodes))
+    monkeypatch.setattr(dn, "MAX_ITER", 2)
+    traj = solve(eta0, 0.1, 0.05, PhysicalParams(), quick_cfg())
+    assert traj.abort_reason.startswith("NotContracting")
+    assert traj.states == [eta0]
+    with pytest.raises(NotContracting, match="DN solve not converged"):
+        evolution._duhamel_integrand(eta0, PhysicalParams(), quick_cfg())
+
+
+def test_solve_raises_separation_lost_after_the_step(monkeypatch):
+    # a step that closes more than half the initial distance to the flat
+    # bottom ends the run; the offending state is the last one kept
+    grid = PeriodicGrid(64)
+    eta0 = Field(grid, 0.01 * np.cos(grid.nodes))
+    params = PhysicalParams(geometry=Geometry("flat_bottom", h_minus=1.0))
+    sunk = Field(grid, eta0.values - 0.6)
+    monkeypatch.setattr(evolution, "etd_step",
+                        lambda eta, *args, **kwargs: sunk)
+    traj = solve(eta0, 0.1, 0.05, params, quick_cfg())
+    assert traj.abort_reason == \
+        "SeparationLost: boundary distance 0.39 at or below 0.495"
+    assert traj.manifest["abort_reason"] == traj.abort_reason
+    assert traj.states == [eta0, sunk]
+    assert traj.times == [0.0, 0.05]
+    assert len(traj.monitors) == 2
+    assert traj.monitors[-1]["boundary_distance"] == 1.0 + np.min(sunk.values)
 
 
 def test_non_finite_field_is_a_value_error():
