@@ -19,7 +19,7 @@ from .dn import DNConfig
 from .errors import ConfigError, MuskatError
 from .evolution import SolveConfig, default_dt, picard_solve, solve
 from .grid import Field, PeriodicGrid
-from .params import Geometry, PhysicalParams
+from .params import Geometry, PhysicalParams, wall_distances
 from .pressure import PressureConfig
 from .serialization import write_report_csv, write_trajectory
 from .verify import SUITES
@@ -105,7 +105,7 @@ def build_initial_data(cfg: dict, grid: PeriodicGrid) -> Field:
 def build_solve_config(cfg: dict) -> SolveConfig:
     dn = DNConfig(tol=cfg["dn_tol"], n_levels=cfg["dn_levels"],
                   lipschitz_gate=cfg["lipschitz_gate"])
-    pressure = PressureConfig(smallness_gate=cfg["pressure_gate"], dn=dn)
+    pressure = PressureConfig(smallness_gate=cfg["pressure_gate"])
     scheme = cfg["scheme"] if cfg["scheme"] != "picard" else "ETDRK2"
     return SolveConfig(scheme=scheme, monitor_s=tuple(cfg["monitor_s"]),
                        dn=dn, pressure=pressure,
@@ -116,13 +116,12 @@ def cmd_simulate(cfg: dict, quiet=False) -> int:
     params = build_params(cfg)
     grid = PeriodicGrid(int(cfg["n"]), float(cfg["length"]))
     eta0 = build_initial_data(cfg, grid)
-    geo = params.geometry
-    if geo.kind == "flat_bottom":
-        dist = geo.h_minus + float(np.min(eta0.values))
-        if dist <= geo.h_minus / 2.0:
+    depths = wall_distances(params.geometry)
+    for side, dist in wall_distances(params.geometry, eta0.values).items():
+        if dist <= depths[side] / 2.0:
             raise ConfigError(
                 "initial boundary distance %.3g below half depth %.3g"
-                % (dist, geo.h_minus / 2.0))
+                % (dist, depths[side] / 2.0))
     scfg = build_solve_config(cfg)
     dt = cfg["dt"] if cfg["dt"] is not None else default_dt(grid, params)
     try:

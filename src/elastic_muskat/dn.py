@@ -14,7 +14,9 @@ with the lower fluid's operator extracted as G(eta) f = |D| f + w(0) in
 infinite depth.  The |D|H factors in Q_a, Q_b are taken as the z-derivative
 of the lift (identical for the decaying lift; required for the strip lift).
 All z-integrals use an exponentially weighted trapezoid rule on a grid of
-levels graded toward z = 0.  The panel terms are accumulated by a doubling
+levels graded toward z = 0, with the weights of grid.exp_linear_weights.
+The bottomless domain is truncated at default_depth, where the neglected
+tail e^{-Z k_min} is 1e-18 on every grid.  The panel terms are accumulated by a doubling
 (Hillis-Steele) scan: pass s = 1, 2, 4, ... adds to every level the partial
 sum s levels away, damped by the stride decay e^{-(z_{i+s} - z_i)|k|}, so
 log2(levels) whole-array passes replace one pass per level.
@@ -31,8 +33,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateJacobian, DepthTruncationInsufficient, NotContracting
-from .grid import Field, PeriodicGrid, abs_d, lipschitz_norms, sobolev_norm
+from .errors import DegenerateJacobian, NotContracting
+from .grid import (Field, PeriodicGrid, abs_d, exp_linear_weights,
+                   lipschitz_norms, sobolev_norm)
+from .params import wall_distances
 
 
 # --- geometry ----------------------------------------------------------------
@@ -89,14 +93,12 @@ class FlatStrip:
 def dn_geometries(params):
     """(lower, upper) DN geometries of ``params.geometry``.
 
-    A flat bottom or top becomes a FlatStrip at its distance from the
-    interface; an unbounded side is InfiniteDepth.
+    A wall becomes a FlatStrip at its distance from the flat interface; a
+    side without one is InfiniteDepth.
     """
-    geo = params.geometry
-    lower = FlatStrip(geo.h_minus) if geo.kind == "flat_bottom" \
-        else InfiniteDepth()
-    upper = FlatStrip(geo.h_plus) if geo.h_plus > 0 else InfiniteDepth()
-    return lower, upper
+    walls = wall_distances(params.geometry)
+    return tuple(FlatStrip(walls[side]) if side in walls else InfiniteDepth()
+                 for side in ("bottom", "top"))
 
 
 # --- vertical grid -----------------------------------------------------------
@@ -139,7 +141,7 @@ def make_vertical_grid(depth, n_levels):
 
 
 def default_depth(grid: PeriodicGrid) -> float:
-    """Truncation depth with e^{-Z k_min} below 1e-18."""
+    """Truncation depth Z of the bottomless domain: e^{-Z k_min} = 1e-18."""
     return 3.0 * grid.length / (2.0 * np.pi) * np.log(1e6)
 
 
@@ -182,9 +184,7 @@ JACOBIAN_FLOOR = 0.1
 class DNConfig:
     tol: float = 1e-10
     n_levels: int = 64
-    depth: float = None
     lipschitz_gate: float = 0.3
-    tail_tol: float = 1e-6
 
 
 # --- harmonic lift -----------------------------------------------------------
@@ -194,25 +194,6 @@ def harmonic_lift(f: Field, zgrid: VerticalGrid, geometry=InfiniteDepth()):
     """Values of the harmonic extension of f at every (level, node)."""
     kern = geometry.lift_kernel(zgrid.levels, np.abs(f.grid.rfft_wavenumbers))
     return np.fft.irfft(kern * np.fft.rfft(f.values), f.grid.n, axis=1)
-
-
-# --- exponentially weighted trapezoid coefficients ---------------------------
-
-
-def _exp_linear_coeffs(absk, d):
-    """Weights for int_0^d e^{-k u} g(u) du with g linear on [0, d].
-
-    Returns (c0, cd): the coefficients of g(0) and g(d).
-    c0 = A - B, cd = B with A = (1-E)/k, B = (1 - E(1+kd))/(k^2 d), E = e^{-kd}.
-    Series used below k*d = 1e-6.
-    """
-    kd = absk * d
-    E = np.exp(-kd)
-    small = kd < 1e-6
-    safe = np.where(small, 1.0, absk)
-    A = np.where(small, d * (1.0 - 0.5 * kd), (1.0 - E) / safe)
-    B = np.where(small, d * (0.5 - kd / 3.0), (1.0 - E * (1.0 + kd)) / (safe * safe * d))
-    return A - B, B
 
 
 # --- grid-constant arrays ----------------------------------------------------
@@ -266,8 +247,11 @@ class _LevelOperators:
         self.stride_decay = tuple(
             np.exp(-np.multiply.outer(z[s:] - z[:-s], self.absk))
             for s in self.strides)
-        # trapezoid weights per panel
-        self.c0, self.cd = _exp_linear_coeffs(self.absk[None, :], gaps[:, None])
+        # trapezoid weights per panel of int_0^d e^{-k u} g(u) du: c0 on
+        # g(0), cd on g(d)
+        w0, w1 = exp_linear_weights(np.multiply.outer(gaps, self.absk))
+        self.c0 = gaps[:, None] * w0
+        self.cd = gaps[:, None] * w1
         self.lift = geometry.lift_kernel(z, self.absk)
         self.lift_dz = geometry.lift_dz_kernel(z, self.absk)
         self.strip_v = self.strip_vz = None
@@ -321,14 +305,8 @@ class _DNWorkspace:
 
     def __init__(self, eta, f, geometry, cfg):
         grid = eta.grid
-        if isinstance(geometry, FlatStrip):
-            depth = geometry.h
-        else:
-            depth = cfg.depth if cfg.depth is not None else default_depth(grid)
-            tail = np.exp(-depth * grid.k_min)
-            if tail > cfg.tail_tol:
-                raise DepthTruncationInsufficient(
-                    f"e^(-Z k_min) = {tail:.3g} above {cfg.tail_tol}")
+        depth = geometry.h if isinstance(geometry, FlatStrip) \
+            else default_depth(grid)
         ops = _level_operators(grid, geometry, float(depth), cfg.n_levels)
         self.ops = ops
         n = grid.n
@@ -347,10 +325,8 @@ def dn_fixed_point(eta: Field, f: Field, cfg: DNConfig = DNConfig(),
     """G^-(eta) f for the lower fluid by Picard iteration on T[v].
 
     Raises NotContracting when the interface is outside the contraction
-    regime (gate on the W^{1+1/2,inf} proxy, or growing residuals),
-    DegenerateJacobian when the flattening change of variables degenerates,
-    DepthTruncationInsufficient when the truncated depth cannot meet the
-    tail tolerance.
+    regime (gate on the W^{1+1/2,inf} proxy, or growing residuals) and
+    DegenerateJacobian when the flattening change of variables degenerates.
     """
     if eta.grid != f.grid:
         raise ValueError("eta and f live on different grids")

@@ -13,10 +13,6 @@ class NotContracting(MuskatError):
     """A fixed-point iteration left its contraction regime."""
 
 
-class DepthTruncationInsufficient(MuskatError):
-    """The truncated vertical domain cannot meet the tail tolerance."""
-
-
 class SeparationLost(MuskatError):
     """The interface approached a rigid boundary during time stepping."""
 

@@ -4,7 +4,11 @@ The interface height eta obeys a stiff fifth-order semilinear equation once
 the flat-interface linear part nu1 |D|^5 + nu2 |D| is split off.  The linear
 flow is applied exactly per Fourier mode; the nonlinear remainder is
 integrated either by exponential time differencing (ETD1 / ETDRK2) or, for
-small data, by Picard iteration on the Duhamel integral equation.
+small data, by Picard iteration on the Duhamel integral equation; both take
+their exponential weights from grid.exp_linear_weights.  A run ends cleanly,
+with the trajectory so far, on any solver failure (an unconverged pressure
+solve included) and when the interface closes half its initial distance to
+a wall.
 """
 
 from dataclasses import dataclass, field
@@ -14,10 +18,10 @@ import numpy as np
 from .dn import DNConfig, dn_fixed_point, dn_geometries
 from .elastic import elastic_E, elastic_split
 from .errors import MuskatError, NotContracting, SeparationLost
-from .grid import (Field, PeriodicGrid, abs_d, lipschitz_norms, mean,
-                   sobolev_norm, to_field, to_spectrum)
-from .params import LinearSymbol, PhysicalParams
-from .pressure import PressureConfig, pressure_fixed_point, pressure_oracle
+from .grid import (Field, PeriodicGrid, abs_d, exp_linear_weights,
+                   lipschitz_norms, mean, sobolev_norm, to_field, to_spectrum)
+from .params import LinearSymbol, PhysicalParams, wall_distances
+from .pressure import PressureConfig, pressure_fixed_point
 
 
 # stopping rule of the integral-equation solver: sweep distance and count
@@ -66,20 +70,14 @@ def default_dt(grid: PeriodicGrid, params: PhysicalParams) -> float:
 
 
 def rhs(eta: Field, params: PhysicalParams,
-        cfg: SolveConfig = SolveConfig(), record=None) -> Field:
+        cfg: SolveConfig = SolveConfig()) -> Field:
     """Interface velocity -(1/mu^-) G^-(eta) f^-.
 
     In the two-phase case G^-(eta) f^- is the one the pressure solve applied
-    for its flux check, so it is taken with cfg.pressure.dn, not cfg.dn.
+    for its flux check.  Raises NotContracting when that solve fails.
     """
     if params.phase == "two":
-        try:
-            pair = pressure_fixed_point(eta, params, cfg.pressure)
-        except NotContracting:
-            pair = pressure_oracle(eta, params, cfg=cfg.pressure)
-            if record is not None:
-                record.setdefault("pressure_oracle_switches", 0)
-                record["pressure_oracle_switches"] += 1
+        pair = pressure_fixed_point(eta, params, cfg.pressure, cfg.dn)
         return pair.g_minus * (-1.0 / params.mu_minus)
     geometry, _ = dn_geometries(params)
     f_minus = elastic_E(eta) * params.sigma \
@@ -89,58 +87,38 @@ def rhs(eta: Field, params: PhysicalParams,
 
 
 def nonlinear_remainder(eta: Field, params: PhysicalParams,
-                        cfg: SolveConfig = SolveConfig(), record=None) -> Field:
+                        cfg: SolveConfig = SolveConfig()) -> Field:
     """rhs with the flat linear part added back: N = rhs + nu1|D|^5 + nu2|D|."""
     sym = LinearSymbol.from_params(params)
     lin = abs_d(eta, 5.0) * sym.nu1 + abs_d(eta) * sym.nu2
-    return rhs(eta, params, cfg, record) + lin
-
-
-def _phi1(z):
-    out = np.empty_like(z)
-    small = np.abs(z) < 1e-3
-    zs = z[small]
-    out[small] = 1.0 - zs / 2.0 + zs ** 2 / 6.0 - zs ** 3 / 24.0
-    zb = z[~small]
-    out[~small] = (1.0 - np.exp(-zb)) / zb
-    return out
-
-
-def _phi2(z):
-    out = np.empty_like(z)
-    small = np.abs(z) < 1e-3
-    zs = z[small]
-    out[small] = 0.5 - zs / 6.0 + zs ** 2 / 24.0 - zs ** 3 / 120.0
-    zb = z[~small]
-    out[~small] = (np.exp(-zb) - 1.0 + zb) / zb ** 2
-    return out
+    return rhs(eta, params, cfg) + lin
 
 
 def etd_step(eta: Field, dt: float, params: PhysicalParams,
-             scheme: str = "ETDRK2", cfg: SolveConfig = SolveConfig(),
-             nonlinear=None, record=None) -> Field:
-    """One exponential-time-differencing step.
+             cfg: SolveConfig = SolveConfig(), nonlinear=None) -> Field:
+    """One exponential-time-differencing step of scheme ``cfg.scheme``.
 
     ``nonlinear`` overrides the remainder evaluation (pass
     ``lambda e: zero_field(e.grid)`` to recover the exact linear flow).
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    if scheme not in ("ETD1", "ETDRK2"):
-        raise ValueError("unknown scheme %r" % (scheme,))
+    if cfg.scheme not in ("ETD1", "ETDRK2"):
+        raise ValueError("unknown scheme %r" % (cfg.scheme,))
     if nonlinear is None:
         def nonlinear(e):
-            return nonlinear_remainder(e, params, cfg, record)
+            return nonlinear_remainder(e, params, cfg)
     grid = eta.grid
     z = dt * linear_multiplier(grid, params)
-    decay = np.exp(-z)
+    # phi_1 = w0 + w1, phi_2 = w0 (Cox & Matthews)
+    w0, w1 = exp_linear_weights(z)
     n0_hat = to_spectrum(nonlinear(eta))
-    a_hat = decay * to_spectrum(eta) + dt * _phi1(z) * n0_hat
+    a_hat = np.exp(-z) * to_spectrum(eta) + dt * (w0 + w1) * n0_hat
     a = to_field(grid, a_hat)
-    if scheme == "ETD1":
+    if cfg.scheme == "ETD1":
         return a
     n1 = nonlinear(a)
-    corr = dt * _phi2(z) * (to_spectrum(n1) - n0_hat)
+    corr = dt * w0 * (to_spectrum(n1) - n0_hat)
     return to_field(grid, a_hat + corr)
 
 
@@ -151,11 +129,8 @@ def _monitors(eta: Field, t: float, params: PhysicalParams,
            "lipschitz_proxy": lip_proxy, "dissipation": diss_acc}
     for s in cfg.monitor_s:
         mon["H%g" % s] = sobolev_norm(eta, s)
-    geo = params.geometry
-    if geo.kind == "flat_bottom":
-        mon["boundary_distance"] = geo.h_minus + float(np.min(eta.values))
-    else:
-        mon["boundary_distance"] = np.inf
+    mon["boundary_distance"] = min(
+        wall_distances(params.geometry, eta.values).values(), default=np.inf)
     return mon
 
 
@@ -164,12 +139,10 @@ def solve(eta0: Field, T: float, dt: float, params: PhysicalParams,
     """Fixed-step ETD time loop with monitors and clean aborts."""
     if not T > 0 or not dt > 0:
         raise ValueError("T and dt must be positive")
-    record = {}
     s0 = cfg.monitor_s[0]
-    geo = params.geometry
-    if geo.kind == "flat_bottom":
-        # abort once the interface has closed half its initial distance
-        floor = 0.5 * (geo.h_minus + float(np.min(eta0.values)))
+    # abort once the interface has closed half its initial distance to a wall
+    floors = {side: 0.5 * dist for side, dist
+              in wall_distances(params.geometry, eta0.values).items()}
     times = [0.0]
     diss = 0.0
     states = [eta0]
@@ -186,22 +159,23 @@ def solve(eta0: Field, T: float, dt: float, params: PhysicalParams,
             h, t = last, T
         try:
             diss += h * sobolev_norm(eta, s0 + 2.5) ** 2
-            eta = etd_step(eta, h, params, cfg.scheme, cfg, record=record)
+            eta = etd_step(eta, h, params, cfg)
             mon = _monitors(eta, t, params, cfg, diss)
             times.append(t)
             states.append(eta)
             monitors.append(mon)
             # the offending step stays in the trajectory
-            if geo.kind == "flat_bottom" and mon["boundary_distance"] <= floor:
-                raise SeparationLost(
-                    "boundary distance %.3g at or below %.3g"
-                    % (mon["boundary_distance"], floor))
+            for side, dist in wall_distances(params.geometry,
+                                             eta.values).items():
+                if dist <= floors[side]:
+                    raise SeparationLost(
+                        "boundary distance %.3g at or below %.3g"
+                        % (dist, floors[side]))
         except MuskatError as exc:
             abort = "%s: %s" % (type(exc).__name__, exc)
             break
     manifest = {"scheme": cfg.scheme, "dt": dt, "T": T,
                 "steps": len(times) - 1, "abort_reason": abort}
-    manifest.update(record)
     return Trajectory(times=times, states=states, monitors=monitors,
                       abort_reason=abort, manifest=manifest)
 
@@ -259,15 +233,9 @@ def picard_solve(eta0: Field, T: float, params: PhysicalParams,
     times = [dt * j for j in range(nsteps + 1)]
     m = linear_multiplier(grid, params)
     decay = np.exp(-dt * m)
-    # per-panel endpoint weights of int_0^dt e^{-(dt-s)m} (linear interp) ds
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e = decay
-        w_new = np.where(m > 0, (dt * m - 1.0 + e) / (dt * m ** 2), dt / 2.0)
-        w_old = np.where(m > 0, (1.0 - e * (1.0 + dt * m)) / (dt * m ** 2),
-                         dt / 2.0)
-    small = dt * m < 1e-6
-    w_new[small] = dt / 2.0
-    w_old[small] = dt / 2.0
+    # per-panel weights of int_0^dt e^{-(dt-s)m} g(s) ds, g linear: u = dt - s
+    # puts the new end at u = 0 and the old one at u = dt
+    w_new, w_old = (dt * w for w in exp_linear_weights(dt * m))
 
     eta0_hat = to_spectrum(eta0)
     free = [np.exp(-t * m) * eta0_hat for t in times]
@@ -338,8 +306,8 @@ def scaling_experiment(eta0: Field, lam: int, T: float, dt: float,
                        cfg: SolveConfig = SolveConfig()) -> dict:
     """Two-run defect for the rescaling eta -> lam^{-1} eta(lam^5 t, lam x)."""
     if params.g != 0 or params.phase != "one" \
-            or params.geometry.kind != "bottomless":
-        raise ValueError("scaling symmetry requires g=0, one-phase, bottomless")
+            or wall_distances(params.geometry):
+        raise ValueError("scaling symmetry requires g=0, one-phase, no walls")
     if int(lam) != lam or lam < 1:
         raise ValueError("lambda must be a positive integer")
     lam = int(lam)

@@ -2,6 +2,8 @@
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ConfigError
 
 
@@ -21,6 +23,22 @@ class Geometry:
             raise ConfigError("flat_bottom requires h_minus > 0")
         if self.kind == "flat_top" and not self.h_plus > 0:
             raise ConfigError("flat_top requires h_plus > 0")
+
+
+def wall_distances(geometry: Geometry, heights=0.0) -> dict:
+    """Distance from the interface y = heights to each rigid wall, by side.
+
+    A "bottom" wall lies at y = -h_minus when the kind is flat_bottom and a
+    "top" wall at y = h_plus when h_plus > 0; a side without a wall has no
+    entry.  The default, a flat interface at y = 0, gives the wall depths.
+    This is the one place that reads the geometry kind.
+    """
+    walls = {}
+    if geometry.kind == "flat_bottom":
+        walls["bottom"] = geometry.h_minus + float(np.min(heights))
+    if geometry.h_plus > 0:
+        walls["top"] = geometry.h_plus - float(np.max(heights))
+    return walls
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ solve uses three times:
 - upper flux: G^+ f^+ = -|D| f^- + R^+ - G^+ J from the sums, with no solve.
 
 G^- f^- is a fresh solve, so the flux residual checks the iteration against
-an independent application of G^-.  A dense collocation solve over a
+an independent application of G^-, which the velocity reuses.  A solve that
+does not converge raises NotContracting.  A dense collocation solve over a
 truncated Fourier basis serves as the referee.
 """
 
@@ -35,15 +36,15 @@ from .grid import Field, abs_d, inv_abs_d, mean, sobolev_norm, zero_field
 from .params import PhysicalParams
 
 
-# fixed-point sweeps before the solve gives up
+# fixed-point sweeps before the solve gives up, and the sweep residual
+# (relative to max|u0|) at which it stops
 MAX_ITER = 80
+TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class PressureConfig:
-    tol: float = 1e-12
     smallness_gate: float = 0.1   # on ||eta||_{H^2}
-    dn: DNConfig = DNConfig()
 
 
 @dataclass(frozen=True)
@@ -84,11 +85,12 @@ def _increment_dn(dn_cfg: DNConfig, phi: Field, delta: Field) -> DNConfig:
 
 
 def pressure_fixed_point(eta: Field, params: PhysicalParams,
-                         cfg: PressureConfig = PressureConfig()) -> PressurePair:
+                         cfg: PressureConfig = PressureConfig(),
+                         dn_cfg: DNConfig = DNConfig()) -> PressurePair:
     """Solve for the trace pressures by Picard iteration on f^-.
 
-    Makes 2 + 2 * iterations DN solves: G^+ J, one upper and one lower
-    solve per sweep on its increment, and G^- f^-.
+    Makes 2 + 2 * iterations DN solves with ``dn_cfg``: G^+ J, one upper
+    and one lower solve per sweep on its increment, and G^- f^-.
     """
     if params.phase != "two":
         raise ValueError("pressure solve is a two-phase operation")
@@ -100,7 +102,7 @@ def pressure_fixed_point(eta: Field, params: PhysicalParams,
     lower, upper = dn_geometries(params)
     mu_sum = params.mu_plus + params.mu_minus
     jump = pressure_jump(eta, params)
-    g_jump = dn_upper(eta, jump, cfg.dn, upper).require_converged().gf
+    g_jump = dn_upper(eta, jump, dn_cfg, upper).require_converged().gf
     u0 = inv_abs_d(g_jump) * (-params.mu_minus / mu_sum)
 
     phi = delta = u0
@@ -109,17 +111,17 @@ def pressure_fixed_point(eta: Field, params: PhysicalParams,
     grow = 0
     scale = max(np.max(np.abs(u0.values)), 1e-300)
     for iters in range(1, MAX_ITER + 1):
-        dn_cfg = _increment_dn(cfg.dn, phi, delta)
+        inc_cfg = _increment_dn(dn_cfg, phi, delta)
         r_plus = r_plus + dn_upper(
-            eta, delta, dn_cfg, upper).require_converged().remainder
+            eta, delta, inc_cfg, upper).require_converged().remainder
         r_minus = r_minus + dn_fixed_point(
-            eta, delta, dn_cfg, lower).require_converged().remainder
+            eta, delta, inc_cfg, lower).require_converged().remainder
         phi_new = u0 + inv_abs_d(r_plus) * (params.mu_minus / mu_sum) \
             - inv_abs_d(r_minus) * (params.mu_plus / mu_sum)
         delta = phi_new - phi
         res = float(np.max(np.abs(delta.values)) / scale)
         phi = phi_new
-        if res < cfg.tol:
+        if res < TOL:
             break
         if res >= prev:
             grow += 1
@@ -138,7 +140,7 @@ def pressure_fixed_point(eta: Field, params: PhysicalParams,
     f_plus = f_minus - jump
     jres = np.linalg.norm((f_minus - f_plus - jump).values)
     jscale = max(np.linalg.norm(jump.values), 1e-300)
-    gm = dn_fixed_point(eta, f_minus, cfg.dn, lower).require_converged().gf
+    gm = dn_fixed_point(eta, f_minus, dn_cfg, lower).require_converged().gf
     # G^+ f^+ = -|D| f^- + R^+ f^- - G^+ J with R^+ f^- from the sums: R^+
     # of the mean is zero, and the unsolved last increment is below tol
     gp = r_plus - abs_d(f_minus) - g_jump
@@ -151,7 +153,7 @@ def pressure_fixed_point(eta: Field, params: PhysicalParams,
 
 
 def pressure_oracle(eta: Field, params: PhysicalParams, n_modes: int = 16,
-                    cfg: PressureConfig = PressureConfig()) -> PressurePair:
+                    dn_cfg: DNConfig = DNConfig()) -> PressurePair:
     """Dense collocation referee for the pressure system.
 
     Columns of G^+- are built by DN solves on each truncated Fourier basis
@@ -174,15 +176,15 @@ def pressure_oracle(eta: Field, params: PhysicalParams, n_modes: int = 16,
     for j, b in enumerate(basis):
         bf = Field(grid, b)
         Gm[:, j] = dn_fixed_point(
-            eta, bf, cfg.dn, lower).require_converged().gf.values
+            eta, bf, dn_cfg, lower).require_converged().gf.values
         Gp[:, j] = dn_upper(
-            eta, bf, cfg.dn, upper).require_converged().gf.values
+            eta, bf, dn_cfg, upper).require_converged().gf.values
 
     jump = pressure_jump(eta, params)
     # [(1/mu+) G+ - (1/mu-) G-] c = (1/mu+) G+ jump,  mean gauge row appended
     A = mu_sum_inv_p * Gp - mu_sum_inv_m * Gm
     rhs = mu_sum_inv_p * dn_upper(
-        eta, jump, cfg.dn, upper).require_converged().gf.values
+        eta, jump, dn_cfg, upper).require_converged().gf.values
     gauge = np.zeros(nb)
     gauge[0] = 1.0
     A = np.vstack([A, gauge])
@@ -197,8 +199,8 @@ def pressure_oracle(eta: Field, params: PhysicalParams, n_modes: int = 16,
     f_minus = Field(grid, fm_vals)
     f_minus = Field(grid, f_minus.values - mean(f_minus))
     f_plus = f_minus - jump
-    gm = dn_fixed_point(eta, f_minus, cfg.dn, lower).require_converged().gf
-    gp = dn_upper(eta, f_plus, cfg.dn, upper).require_converged().gf
+    gm = dn_fixed_point(eta, f_minus, dn_cfg, lower).require_converged().gf
+    gp = dn_upper(eta, f_plus, dn_cfg, upper).require_converged().gf
     flux = gp * mu_sum_inv_p - gm * mu_sum_inv_m
     fscale = max(np.linalg.norm(gm.values) * mu_sum_inv_m, 1e-300)
     return PressurePair(f_minus=f_minus, f_plus=f_plus,

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from elastic_muskat import cli
+from elastic_muskat import cli, pressure
 from elastic_muskat.cli import (CONFIG_DEFAULTS, build_initial_data,
                                 load_config, main)
 from elastic_muskat.errors import ConfigError, DegenerateJacobian
@@ -68,6 +68,22 @@ def test_separation_precondition_is_exit_one(tmp_path):
     cfg = base_run_cfg(tmp_path, geometry="flat_bottom", h_minus=0.015,
                        modes=[[1, 0.01, 0.0]])
     assert main(["simulate", "--config", cfg, "--quiet"]) == 1
+
+
+def test_top_separation_precondition_is_exit_one(tmp_path):
+    cfg = base_run_cfg(tmp_path, phase="two", mu_plus=1.0, geometry="flat_top",
+                       h_plus=0.015, modes=[[1, 0.01, 0.0]])
+    assert main(["simulate", "--config", cfg, "--quiet"]) == 1
+
+
+def test_pressure_failure_is_exit_two(tmp_path, monkeypatch):
+    # an unconverged pressure solve aborts the run; it is not replaced
+    monkeypatch.setattr(pressure, "MAX_ITER", 1)
+    cfg = base_run_cfg(tmp_path, phase="two", mu_plus=1.0)
+    assert main(["simulate", "--config", cfg, "--quiet"]) == 2
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["abort_reason"].startswith("NotContracting")
+    assert (tmp_path / "out" / "state_000000.csv").exists()
 
 
 def test_picard_gate_abort_is_exit_two(tmp_path):

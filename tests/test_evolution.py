@@ -76,7 +76,7 @@ def test_etd_rejects_bad_input():
     with pytest.raises(ValueError):
         etd_step(eta, 0.0, PhysicalParams())
     with pytest.raises(ValueError):
-        etd_step(eta, 0.1, PhysicalParams(), scheme="RK4")
+        etd_step(eta, 0.1, PhysicalParams(), cfg=quick_cfg(scheme="RK4"))
 
 
 def test_etdrk2_second_order():
@@ -170,6 +170,28 @@ def test_solve_raises_separation_lost_after_the_step(monkeypatch):
     assert traj.times == [0.0, 0.05]
     assert len(traj.monitors) == 2
     assert traj.monitors[-1]["boundary_distance"] == 1.0 + np.min(sunk.values)
+
+
+@pytest.mark.parametrize("geometry", [Geometry("flat_top", h_plus=1.0),
+                                      Geometry("flat_bottom", h_minus=1.0,
+                                               h_plus=1.0)])
+def test_solve_watches_the_flat_top(geometry, monkeypatch):
+    # a step that lifts the interface past half its initial distance to a
+    # flat top ends a two-phase run like one that sinks toward the bottom
+    grid = PeriodicGrid(64)
+    eta0 = Field(grid, 0.01 * np.cos(grid.nodes))
+    params = PhysicalParams(mu_plus=1.0, rho_plus=0.5, phase="two",
+                            geometry=geometry)
+    lifted = Field(grid, eta0.values + 0.6)
+    monkeypatch.setattr(evolution, "etd_step",
+                        lambda eta, *args, **kwargs: lifted)
+    traj = solve(eta0, 0.1, 0.05, params, quick_cfg())
+    assert traj.abort_reason == \
+        "SeparationLost: boundary distance 0.39 at or below 0.495"
+    assert traj.states == [eta0, lifted]
+    assert traj.monitors[0]["boundary_distance"] == 1.0 - np.max(eta0.values)
+    assert traj.monitors[-1]["boundary_distance"] == \
+        1.0 - np.max(lifted.values)
 
 
 def test_non_finite_field_is_a_value_error():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from elastic_muskat.grid import (Field, PeriodicGrid, abs_d, dx, inv_abs_d,
+from elastic_muskat.grid import (Field, PeriodicGrid, abs_d, dx,
+                                 exp_linear_weights, inv_abs_d,
                                  lipschitz_norms, lp_block_count,
                                  lp_lowpass, lp_project, mean,
                                  refine, semigroup_apply, sobolev_norm,
@@ -146,3 +148,17 @@ def test_derivative_matches_analytic():
     f = Field(GRID, np.sin(2 * X))
     out = dx(f)
     assert np.max(np.abs(out.values - 2 * np.cos(2 * X))) < 1e-11
+
+
+def test_exp_linear_weights_match_quadrature():
+    # the one exponential quadrature of the DN panels, the ETD phi-functions
+    # and the Duhamel trapezoid, on both sides of its series cut
+    z = np.concatenate([[0.0], np.logspace(-10, 3, 131)])
+    w0, w1 = exp_linear_weights(z)
+    for zj, a, b in zip(z, w0, w1):
+        ref0 = quad(lambda u: np.exp(-zj * u) * (1.0 - u), 0.0, 1.0,
+                    epsabs=0.0, epsrel=2e-14)[0]
+        ref1 = quad(lambda u: np.exp(-zj * u) * u, 0.0, 1.0,
+                    epsabs=0.0, epsrel=2e-14)[0]
+        assert abs(a - ref0) <= 1e-13 * ref0
+        assert abs(b - ref1) <= 1e-13 * ref1
