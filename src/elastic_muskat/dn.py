@@ -26,9 +26,18 @@ n//2 + 1 modes per level.  The arrays that depend only on the grids (the
 vertical levels, stride decays and trapezoid weights, the lift kernels and
 the strip correction) are computed once per (grid, geometry, depth, levels)
 and shared read-only; a solve forms only the products with eta and f.
+
+Those products are written into working arrays kept per (n, levels) and per
+thread, which every Picard sweep of every solve reuses: each ufunc and FFT
+takes ``out=``, and the current and next iterates swap arrays.  A solve
+that allocated its own (levels, n//2 + 1) temporaries, about 1 MB at
+n = 128, would have them handed back to the OS by the C heap's trimming
+when it ends and faulted in again by the next solve.  Nothing a solve
+returns is a view of these arrays.
 """
 
 import functools
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -262,11 +271,12 @@ class _LevelOperators:
                 arr.setflags(write=False)
         self.zgrid.levels.setflags(write=False)
 
-    def upward_w(self, rho_hat):
-        """w(z_i) = int_{-Z}^{z_i} e^{-(z_i - tau)|k|} rho(tau) dtau."""
+    def upward_w(self, rho_hat, w, tmp):
+        """w(z_i) = int_{-Z}^{z_i} e^{-(z_i - tau)|k|} rho(tau) dtau, into w.
+
+        ``tmp`` is scratch of the same shape; neither may overlap rho_hat.
+        """
         # u = z_{i+1} - tau; rho(z_i) sits at u = d, rho(z_{i+1}) at u = 0
-        w = np.empty_like(rho_hat)
-        tmp = np.empty_like(rho_hat)
         w[0] = 0.0
         np.multiply(self.cd, rho_hat[:-1], out=w[1:])
         np.multiply(self.c0, rho_hat[1:], out=tmp[1:])
@@ -276,11 +286,12 @@ class _LevelOperators:
             w[s:] += tmp[s:]
         return w
 
-    def downward_K(self, src_hat):
-        """K(z_i) = int_0^{z_i} e^{(z_i - z')|k|} src(z') dz' (z_i <= 0)."""
+    def downward_K(self, src_hat, K, tmp):
+        """K(z_i) = int_0^{z_i} e^{(z_i - z')|k|} src(z') dz' (z_i <= 0), into K.
+
+        ``tmp`` is scratch of the same shape; neither may overlap src_hat.
+        """
         # u' = z' - z_i in [0, d]; src(z_i) at u' = 0, src(z_{i+1}) at u' = d
-        K = np.empty_like(src_hat)
-        tmp = np.empty_like(src_hat)
         K[-1] = 0.0
         np.multiply(self.c0, src_hat[:-1], out=K[:-1])
         np.multiply(self.cd, src_hat[1:], out=tmp[:-1])
@@ -301,23 +312,44 @@ def _level_operators(grid, geometry, depth, n_levels):
 
 
 class _DNWorkspace:
-    """The per-(eta, f) arrays of one solve, on shared grid-constant ones."""
+    """Working arrays of every solve on n nodes and n_levels levels.
 
-    def __init__(self, eta, f, geometry, cfg):
-        grid = eta.grid
-        depth = geometry.h if isinstance(geometry, FlatStrip) \
-            else default_depth(grid)
-        ops = _level_operators(grid, geometry, float(depth), cfg.n_levels)
-        self.ops = ops
-        n = grid.n
-        eta_hat = np.fft.rfft(eta.values)
-        self.eta_hat = eta_hat
-        self.Hx = np.fft.irfft(ops.ik * (ops.lift * eta_hat), n, axis=1)
-        self.Hz = np.fft.irfft(ops.lift_dz * eta_hat, n, axis=1)
-        f_hat = np.fft.rfft(f.values)
-        self.v0_hat = ops.lift * f_hat
-        self.v0z_hat = ops.lift_dz * f_hat if ops.strip_v is not None \
-            else ops.absk * self.v0_hat
+    Spectral arrays are (n_levels, n//2 + 1) complex and physical ones
+    (n_levels, n) real.  Each solve overwrites them all, so nothing a solve
+    returns may be a view of one.
+    """
+
+    def __init__(self, n, n_levels):
+        def spectral():
+            return np.empty((n_levels, n // 2 + 1), complex)
+
+        def physical():
+            return np.empty((n_levels, n))
+
+        # the lifted datum, the current and next iterates, Q_a, Q_b, w, K,
+        # and one temporary that is also the scans' scratch
+        self.v0_hat, self.v0z_hat = spectral(), spectral()
+        self.v_hat, self.vz_hat = spectral(), spectral()
+        self.v_next, self.vz_next = spectral(), spectral()
+        self.qa_hat, self.qb_hat = spectral(), spectral()
+        self.w_hat, self.K_hat, self.tmp_hat = spectral(), spectral(), spectral()
+        # the flattening map, its Jacobian, the Q_a coefficient of v_z, the
+        # velocity and two products
+        self.Hx, self.Hz, self.jac, self.qa_vz = (physical() for _ in range(4))
+        self.vx, self.vz, self.prod, self.prod2 = (physical() for _ in range(4))
+        # moduli for the residual
+        self.mag = np.empty((n_levels, n // 2 + 1))
+
+
+_thread = threading.local()
+
+
+def _workspace(n, n_levels):
+    """This thread's working arrays for solves on n nodes and n_levels levels."""
+    cache = getattr(_thread, "workspaces", None)
+    if cache is None:
+        cache = _thread.workspaces = functools.lru_cache(maxsize=4)(_DNWorkspace)
+    return cache(n, n_levels)
 
 
 def dn_fixed_point(eta: Field, f: Field, cfg: DNConfig = DNConfig(),
@@ -336,45 +368,75 @@ def dn_fixed_point(eta: Field, f: Field, cfg: DNConfig = DNConfig(),
     if proxy >= cfg.lipschitz_gate:
         raise NotContracting(
             f"W^(1+eps) proxy {proxy:.3g} at or above gate {cfg.lipschitz_gate}")
-    ws = _DNWorkspace(eta, f, geometry, cfg)
-    ops = ws.ops
-    Hx, Hz = ws.Hx, ws.Hz
-    jac = 1.0 + Hz
+    strip = isinstance(geometry, FlatStrip)
+    depth = geometry.h if strip else default_depth(grid)
+    ops = _level_operators(grid, geometry, float(depth), cfg.n_levels)
+    ws = _workspace(n, cfg.n_levels)
+    absk, tmp, prod, prod2 = ops.absk, ws.tmp_hat, ws.prod, ws.prod2
+
+    eta_hat = np.fft.rfft(eta.values)
+    np.multiply(ops.lift, eta_hat, out=tmp)
+    Hx = np.fft.irfft(np.multiply(ops.ik, tmp, out=tmp), n, axis=1, out=ws.Hx)
+    Hz = np.fft.irfft(np.multiply(ops.lift_dz, eta_hat, out=tmp), n, axis=1,
+                      out=ws.Hz)
+    jac = np.add(1.0, Hz, out=ws.jac)
     if np.min(jac) < JACOBIAN_FLOOR:
         raise DegenerateJacobian(
             f"min(1 + dH/dz) = {np.min(jac):.3g} below floor {JACOBIAN_FLOOR}")
     # Q_a = Hx vx - qa_vz vz
-    qa_vz = (Hx * Hx - Hz) / jac
+    qa_vz = np.multiply(Hx, Hx, out=ws.qa_vz)
+    np.subtract(qa_vz, Hz, out=qa_vz)
+    np.divide(qa_vz, jac, out=qa_vz)
 
-    absk = ops.absk
-    strip = ops.strip_v is not None
-    v_hat = ws.v0_hat
-    vz_hat = ws.v0z_hat
-    scale = max(np.max(np.abs(v_hat)), 1e-300)
+    f_hat = np.fft.rfft(f.values)
+    v0_hat = np.multiply(ops.lift, f_hat, out=ws.v0_hat)
+    v0z_hat = np.multiply(ops.lift_dz, f_hat, out=ws.v0z_hat) if strip \
+        else np.multiply(absk, v0_hat, out=ws.v0z_hat)
+    # the lifted datum is the first iterate; each sweep writes the next
+    # iterate into the spare pair of arrays and the two pairs swap
+    v_hat, vz_hat = ws.v_hat, ws.vz_hat
+    v_new, vz_new = ws.v_next, ws.vz_next
+    np.copyto(v_hat, v0_hat)
+    np.copyto(vz_hat, v0z_hat)
+    scale = max(np.max(np.abs(v_hat, out=ws.mag)), 1e-300)
     residuals = []
-    w_hat = np.zeros_like(v_hat)
     converged = False
     grow = 0
     it = 0
     for it in range(1, MAX_ITER + 1):
-        vx = np.fft.irfft(ops.ik * v_hat, n, axis=1)
-        vz = np.fft.irfft(vz_hat, n, axis=1)
-        qa_hat = np.fft.rfft(Hx * vx - qa_vz * vz, axis=1)
-        qb_hat = ops.isgn * np.fft.rfft(Hx * vz - Hz * vx, axis=1)
-        rho_hat = absk * (qb_hat - qa_hat)
-        w_hat = ops.upward_w(rho_hat)
-        src_hat = qa_hat + w_hat
-        K_hat = ops.downward_K(src_hat)
-        v_new = ws.v0_hat + K_hat
-        vz_new = ws.v0z_hat + absk * K_hat + src_hat
+        vx = np.fft.irfft(np.multiply(ops.ik, v_hat, out=tmp), n, axis=1,
+                          out=ws.vx)
+        vz = np.fft.irfft(vz_hat, n, axis=1, out=ws.vz)
+        np.multiply(Hx, vx, out=prod)
+        np.multiply(qa_vz, vz, out=prod2)
+        qa_hat = np.fft.rfft(np.subtract(prod, prod2, out=prod), axis=1,
+                             out=ws.qa_hat)
+        np.multiply(Hx, vz, out=prod)
+        np.multiply(Hz, vx, out=prod2)
+        qb_hat = np.fft.rfft(np.subtract(prod, prod2, out=prod), axis=1,
+                             out=ws.qb_hat)
+        np.multiply(ops.isgn, qb_hat, out=qb_hat)
+        # rho = |k| (Q_b - Q_a) in Q_b's array, then src = Q_a + w in Q_a's
+        np.subtract(qb_hat, qa_hat, out=qb_hat)
+        rho_hat = np.multiply(absk, qb_hat, out=qb_hat)
+        w_hat = ops.upward_w(rho_hat, ws.w_hat, tmp)
+        src_hat = np.add(qa_hat, w_hat, out=qa_hat)
+        K_hat = ops.downward_K(src_hat, ws.K_hat, tmp)
+        np.add(v0_hat, K_hat, out=v_new)
+        np.add(v0z_hat, np.multiply(absk, K_hat, out=K_hat), out=vz_new)
+        np.add(vz_new, src_hat, out=vz_new)
         if strip:
             # remove the d_z v defect at the flat bottom
             kz_bottom = vz_new[0].copy()
-            v_new -= kz_bottom * ops.strip_v
-            vz_new -= kz_bottom * ops.strip_vz
-        res = float(np.max(np.abs(v_new - v_hat)) / scale)
+            np.subtract(v_new, np.multiply(kz_bottom, ops.strip_v, out=tmp),
+                        out=v_new)
+            np.subtract(vz_new, np.multiply(kz_bottom, ops.strip_vz, out=tmp),
+                        out=vz_new)
+        change = np.abs(np.subtract(v_new, v_hat, out=tmp), out=ws.mag)
+        res = float(np.max(change) / scale)
         residuals.append(res)
-        v_hat, vz_hat = v_new, vz_new
+        v_hat, v_new = v_new, v_hat
+        vz_hat, vz_new = vz_new, vz_hat
         if res < cfg.tol:
             converged = True
             break
@@ -386,19 +448,22 @@ def dn_fixed_point(eta: Field, f: Field, cfg: DNConfig = DNConfig(),
         else:
             grow = 0
 
+    # everything below is built from copies, never views of the workspace
     if strip:
         # extraction through the flattened normal derivative at z = 0
-        eta_x = np.fft.irfft(ops.ik * ws.eta_hat, n)
+        eta_x = np.fft.irfft(ops.ik * eta_hat, n)
         vz_top = np.fft.irfft(vz_hat[-1], n)
         vx_top = np.fft.irfft(ops.ik * v_hat[-1], n)
         jac_top = jac[-1]
         gvals = (1.0 + eta_x ** 2) / jac_top * vz_top - eta_x * vx_top
         gf = Field(grid, gvals)
         remainder = gf - abs_d(f)
+        # the strip is solved whole: no depth is truncated
+        tail = 0.0
     else:
-        remainder = Field(grid, np.fft.irfft(w_hat[-1], n))
+        remainder = Field(grid, np.fft.irfft(ws.w_hat[-1], n))
         gf = abs_d(f) + remainder
-    tail = np.exp(-ops.zgrid.depth * grid.k_min)
+        tail = np.exp(-ops.zgrid.depth * grid.k_min)
     return DNResult(gf, remainder, it, converged, residuals, tail)
 
 

@@ -10,7 +10,11 @@ from .errors import ConfigError
 @dataclass(frozen=True)
 class Geometry:
     """Fluid-domain geometry: bottomless, flat_bottom(h), or flat_top also
-    set for the two-phase strip-above case."""
+    set for the two-phase strip-above case.
+
+    h_minus is the bottom wall's depth and is set only for flat_bottom;
+    h_plus > 0 puts a top wall above the upper fluid of a two-phase run.
+    """
 
     kind: str = "bottomless"
     h_minus: float = 0.0
@@ -23,6 +27,9 @@ class Geometry:
             raise ConfigError("flat_bottom requires h_minus > 0")
         if self.kind == "flat_top" and not self.h_plus > 0:
             raise ConfigError("flat_top requires h_plus > 0")
+        if self.kind != "flat_bottom" and self.h_minus > 0:
+            raise ConfigError("h_minus > 0 requires the flat_bottom kind, "
+                              "not %r" % (self.kind,))
 
 
 def wall_distances(geometry: Geometry, heights=0.0) -> dict:
@@ -67,6 +74,9 @@ class PhysicalParams:
         if self.phase == "one":
             if self.mu_plus != 0.0 or self.rho_plus != 0.0:
                 raise ConfigError("one-phase requires mu_plus = rho_plus = 0")
+            if self.geometry.h_plus > 0:
+                raise ConfigError("one-phase has no upper fluid, so no top "
+                                  "wall: h_plus must be 0")
         else:
             if not self.mu_plus > 0:
                 raise ConfigError("two-phase requires mu_plus > 0")

@@ -70,6 +70,17 @@ def test_separation_precondition_is_exit_one(tmp_path):
     assert main(["simulate", "--config", cfg, "--quiet"]) == 1
 
 
+@pytest.mark.parametrize("geometry", [
+    {"geometry": "bottomless", "h_minus": 1.0},   # depth without a bottom
+    {"geometry": "bottomless", "h_plus": 1.0},    # one-phase top wall
+])
+def test_contradictory_geometry_is_exit_one(tmp_path, capsys, geometry):
+    cfg = base_run_cfg(tmp_path, **geometry)
+    assert main(["simulate", "--config", cfg, "--quiet"]) == 1
+    assert "h_" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_top_separation_precondition_is_exit_one(tmp_path):
     cfg = base_run_cfg(tmp_path, phase="two", mu_plus=1.0, geometry="flat_top",
                        h_plus=0.015, modes=[[1, 0.01, 0.0]])

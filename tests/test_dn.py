@@ -1,4 +1,7 @@
 import os
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,6 +145,14 @@ def test_report_fields():
     assert rep["tail_bound"] < 1e-6
 
 
+def test_strip_reports_no_truncation_tail():
+    # a flat strip is solved to its bottom, so nothing is truncated
+    eta = Field(GRID, 0.05 * np.sin(X))
+    f = Field(GRID, np.cos(X))
+    assert dn_fixed_point(eta, f, geometry=FlatStrip(1.0)).tail_bound == 0.0
+    assert dn_upper(eta, f, geometry=FlatStrip(1.0)).report()["tail_bound"] == 0.0
+
+
 # --- regression guards for the real-FFT engine ------------------------------
 #
 # dn_pin_n128.npz holds eta = 0.03 sin x + 0.01 cos 3x, a datum
@@ -273,7 +284,8 @@ def test_scans_match_sequential_recurrences(n, geometry):
     for scan, loop in ((ops.upward_w, _loop_upward_w),
                        (ops.downward_K, _loop_downward_K)):
         ref = loop(ops, data)
-        assert np.max(np.abs(scan(data) - ref)) < 1e-14 * np.max(np.abs(ref))
+        out = scan(data, np.empty_like(data), np.empty_like(data))
+        assert np.max(np.abs(out - ref)) < 1e-14 * np.max(np.abs(ref))
 
 
 def test_stride_decays_are_read_only():
@@ -283,3 +295,92 @@ def test_stride_decays_are_read_only():
     for s, decay in zip(ops.strides, ops.stride_decay):
         assert decay.shape == (DNConfig().n_levels - s, GRID128.n // 2 + 1)
         assert not decay.flags.writeable
+
+
+# --- the reused working arrays ------------------------------------------------
+
+
+def _problem(n, shift=0):
+    grid = PeriodicGrid(n)
+    x = grid.nodes
+    eta = Field(grid, 0.03 * np.sin(x + shift) + 0.01 * np.cos(3 * x))
+    f = Field(grid, np.cos(2 * x) + 0.1 * np.sin(5 * x + shift))
+    return eta, f
+
+
+@pytest.mark.parametrize("n, geometry", [(128, InfiniteDepth()),
+                                         (512, FlatStrip(1.0))])
+def test_warm_solve_allocates_no_level_arrays(n, geometry):
+    # a solve's (levels, n//2 + 1) arrays are kept and reused, so once they
+    # exist a solve allocates less than three of them
+    eta, f = _problem(n)
+    dn_fixed_point(eta, f, geometry=geometry)
+    tracemalloc.start()
+    try:
+        dn_fixed_point(eta, f, geometry=geometry)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    level_array = DNConfig().n_levels * (n // 2 + 1) * 16
+    assert peak < 3 * level_array
+
+
+def _solve(n, geometry, shift=0):
+    eta, f = _problem(n, shift)
+    return dn_fixed_point(eta, f, geometry=geometry)
+
+
+def _same(a, b):
+    return (np.array_equal(a.gf.values, b.gf.values)
+            and np.array_equal(a.remainder.values, b.remainder.values)
+            and a.residuals == b.residuals and a.iterations == b.iterations)
+
+
+def test_interleaved_shapes_match_solves_alone():
+    cases = [(64, InfiniteDepth()), (128, FlatStrip(1.0))]
+    alone = {case: _solve(*case) for case in cases}
+    for case in cases * 2 + cases[::-1]:
+        assert _same(_solve(*case), alone[case])
+
+
+def test_results_survive_later_solves():
+    # nothing a result holds may be a view of the reused arrays
+    for geometry in (InfiniteDepth(), FlatStrip(1.0)):
+        res = _solve(64, geometry)
+        kept = (res.gf.values.copy(), res.remainder.values.copy(),
+                list(res.residuals))
+        for shift in (1, 2):
+            _solve(64, geometry, shift)
+            dn_upper(*_problem(64, shift), geometry=geometry)
+        assert np.array_equal(res.gf.values, kept[0])
+        assert np.array_equal(res.remainder.values, kept[1])
+        assert res.residuals == kept[2]
+
+
+def test_threads_solve_on_their_own_arrays():
+    # more threads than cores solve different data of one shape at once,
+    # switching often; each must get the result of its data solved alone
+    jobs = [(128, InfiniteDepth(), shift) for shift in range(4)]
+    serial = [_solve(*job) for job in jobs]
+    results = [[] for _ in jobs]
+    start = threading.Barrier(len(jobs), timeout=30)
+
+    def run(i):
+        start.wait()
+        for _ in range(3):
+            results[i].append(_solve(*jobs[i]))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for expected, got in zip(serial, results):
+        assert len(got) == 3
+        assert all(_same(res, expected) for res in got)

@@ -11,7 +11,8 @@ from elastic_muskat.evolution import (SolveConfig, default_dt, etd_step,
                                       stability_experiment)
 from elastic_muskat.grid import (Field, PeriodicGrid, mean, sobolev_norm,
                                  zero_field)
-from elastic_muskat.params import Geometry, LinearSymbol, PhysicalParams
+from elastic_muskat.params import (Geometry, LinearSymbol, PhysicalParams,
+                                   wall_distances)
 
 
 def quick_cfg(**kw):
@@ -291,6 +292,27 @@ def test_scaling_input_validation():
     with pytest.raises(ValueError):
         scaling_experiment(eta0, 2, 0.05, 0.05, PhysicalParams(g=1.0),
                            quick_cfg())
+
+
+@pytest.mark.parametrize("kind, h_plus", [("bottomless", 0.0),
+                                           ("flat_top", 1.0)])
+def test_bottom_depth_without_a_bottom_is_rejected(kind, h_plus):
+    # h_minus would be ignored: only flat_bottom has a bottom wall
+    with pytest.raises(ConfigError, match="h_minus"):
+        Geometry(kind, h_minus=1.0, h_plus=h_plus)
+
+
+@pytest.mark.parametrize("geometry", [
+    Geometry("flat_top", h_plus=1.0),
+    Geometry("bottomless", h_plus=1.0),
+    Geometry("flat_bottom", h_minus=1.0, h_plus=1.0),
+])
+def test_one_phase_top_wall_is_rejected(geometry):
+    # one phase has no upper fluid for a top wall to bound
+    with pytest.raises(ConfigError, match="h_plus"):
+        PhysicalParams(geometry=geometry)
+    two = PhysicalParams(phase="two", mu_plus=1.0, geometry=geometry)
+    assert wall_distances(two.geometry)["top"] == 1.0
 
 
 def test_unstable_ordering_needs_flag():
