@@ -4,7 +4,9 @@ muskat simulate --config cfg.json [--output dir] [--quiet]
 muskat verify <suite> [--config cfg.json] [--output dir] [--quiet]
 
 Configs are flat JSON with a strict schema: every key has a default and
-unknown keys are rejected.  Exit codes: 0 success, 1 invalid input or failed
+unknown keys are rejected.  ``simulate`` runs every scheme (ETD1, ETDRK2,
+picard) through evolution.solve and writes its trajectory, aborted or not.
+Exit codes: 0 success, 1 invalid input (before any output) or failed
 verification, 2 clean solver abort (separation or contraction loss).
 """
 
@@ -17,7 +19,7 @@ import numpy as np
 from . import __version__
 from .dn import DNConfig
 from .errors import ConfigError, MuskatError
-from .evolution import SolveConfig, default_dt, picard_solve, solve
+from .evolution import SCHEMES, SolveConfig, default_dt, solve
 from .grid import Field, PeriodicGrid
 from .params import Geometry, PhysicalParams, wall_distances
 from .pressure import PressureConfig
@@ -106,15 +108,31 @@ def build_solve_config(cfg: dict) -> SolveConfig:
     dn = DNConfig(tol=cfg["dn_tol"], n_levels=cfg["dn_levels"],
                   lipschitz_gate=cfg["lipschitz_gate"])
     pressure = PressureConfig(smallness_gate=cfg["pressure_gate"])
-    scheme = cfg["scheme"] if cfg["scheme"] != "picard" else "ETDRK2"
-    return SolveConfig(scheme=scheme, monitor_s=tuple(cfg["monitor_s"]),
+    return SolveConfig(scheme=cfg["scheme"], monitor_s=tuple(cfg["monitor_s"]),
                        dn=dn, pressure=pressure,
                        picard_gate=cfg["picard_gate"])
 
 
+def check_run_settings(cfg: dict, params: PhysicalParams):
+    """Reject settings the time loop would fail on, before any output."""
+    if cfg["scheme"] not in SCHEMES:
+        raise ConfigError("scheme must be one of %s, not %r"
+                          % (", ".join(SCHEMES), cfg["scheme"]))
+    if cfg["scheme"] == "picard" and params.phase != "one":
+        raise ConfigError("scheme picard is one-phase only")
+    for key in ("T", "dt") if cfg["dt"] is not None else ("T",):
+        if not isinstance(cfg[key], (int, float)) or not cfg[key] > 0:
+            raise ConfigError("%s must be a positive number, not %r"
+                              % (key, cfg[key]))
+
+
 def cmd_simulate(cfg: dict, quiet=False) -> int:
     params = build_params(cfg)
-    grid = PeriodicGrid(int(cfg["n"]), float(cfg["length"]))
+    check_run_settings(cfg, params)
+    try:
+        grid = PeriodicGrid(int(cfg["n"]), float(cfg["length"]))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc))
     eta0 = build_initial_data(cfg, grid)
     depths = wall_distances(params.geometry)
     for side, dist in wall_distances(params.geometry, eta0.values).items():
@@ -124,22 +142,7 @@ def cmd_simulate(cfg: dict, quiet=False) -> int:
                 % (dist, depths[side] / 2.0))
     scfg = build_solve_config(cfg)
     dt = cfg["dt"] if cfg["dt"] is not None else default_dt(grid, params)
-    try:
-        if cfg["scheme"] == "picard":
-            traj = picard_solve(eta0, cfg["T"], params, scfg, dt=dt)
-        else:
-            traj = solve(eta0, cfg["T"], dt, params, scfg)
-    except MuskatError as exc:
-        from .evolution import Trajectory
-        reason = "%s: %s" % (type(exc).__name__, exc)
-        traj = Trajectory(times=[0.0], states=[eta0], monitors=[{"t": 0.0}],
-                          abort_reason=reason,
-                          manifest={"abort_reason": reason})
-        write_trajectory(cfg["output_dir"], traj, cfg, __version__,
-                         cfg["snapshot_stride"])
-        if not quiet:
-            print("aborted: %s" % traj.abort_reason)
-        return 2
+    traj = solve(eta0, cfg["T"], dt, params, scfg)
     write_trajectory(cfg["output_dir"], traj, cfg, __version__,
                      cfg["snapshot_stride"])
     if traj.abort_reason is not None:

@@ -4,11 +4,12 @@ The interface height eta obeys a stiff fifth-order semilinear equation once
 the flat-interface linear part nu1 |D|^5 + nu2 |D| is split off.  The linear
 flow is applied exactly per Fourier mode; the nonlinear remainder is
 integrated either by exponential time differencing (ETD1 / ETDRK2) or, for
-small data, by Picard iteration on the Duhamel integral equation; both take
-their exponential weights from grid.exp_linear_weights.  A run ends cleanly,
-with the trajectory so far, on any solver failure (an unconverged pressure
-solve included) and when the interface closes half its initial distance to
-a wall.
+small data, by Picard iteration on the Duhamel integral equation; both
+integrate the one remainder nonlinear_remainder and take their exponential
+weights from grid.exp_linear_weights.  solve runs every scheme.  A run ends
+cleanly, with the trajectory so far, on any solver failure (an unconverged
+pressure solve included) and when the interface closes half its initial
+distance to a wall.
 """
 
 from dataclasses import dataclass, field
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dn import DNConfig, dn_fixed_point, dn_geometries
-from .elastic import elastic_E, elastic_split
+from .elastic import elastic_E
 from .errors import MuskatError, NotContracting, SeparationLost
 from .grid import (Field, PeriodicGrid, abs_d, exp_linear_weights,
                    lipschitz_norms, mean, sobolev_norm, to_field, to_spectrum)
@@ -27,6 +28,9 @@ from .pressure import PressureConfig, pressure_fixed_point
 # stopping rule of the integral-equation solver: sweep distance and count
 PICARD_TOL = 1e-10
 PICARD_MAX_ITER = 40
+
+# the schemes solve runs: etd_step's two and picard_solve
+SCHEMES = ("ETD1", "ETDRK2", "picard")
 
 
 @dataclass(frozen=True)
@@ -57,9 +61,7 @@ class Trajectory:
 
 
 def linear_multiplier(grid: PeriodicGrid, params: PhysicalParams):
-    sym = LinearSymbol.from_params(params)
-    absk = np.abs(grid.wavenumbers)
-    return sym.nu1 * absk ** 5 + sym.nu2 * absk
+    return LinearSymbol.from_params(params).rate(grid.wavenumbers)
 
 
 def default_dt(grid: PeriodicGrid, params: PhysicalParams) -> float:
@@ -136,7 +138,11 @@ def _monitors(eta: Field, t: float, params: PhysicalParams,
 
 def solve(eta0: Field, T: float, dt: float, params: PhysicalParams,
           cfg: SolveConfig = SolveConfig()) -> Trajectory:
-    """Fixed-step ETD time loop with monitors and clean aborts."""
+    """Time loop of scheme ``cfg.scheme`` with monitors and clean aborts.
+
+    ETD1 and ETDRK2 take fixed steps of etd_step; "picard" hands the run to
+    picard_solve, and its failure ends the run at the initial state.
+    """
     if not T > 0 or not dt > 0:
         raise ValueError("T and dt must be positive")
     s0 = cfg.monitor_s[0]
@@ -153,11 +159,13 @@ def solve(eta0: Field, T: float, dt: float, params: PhysicalParams,
     # only when T is not a multiple of dt up to rounding
     nsteps = max(1, int(np.ceil(T / dt - 1e-9)))
     last = T - dt * (nsteps - 1)
-    for i in range(nsteps):
-        h, t = dt, dt * (i + 1)
-        if i == nsteps - 1 and dt - last > 1e-9 * dt:
-            h, t = last, T
-        try:
+    try:
+        if cfg.scheme == "picard":
+            return picard_solve(eta0, T, params, cfg, dt=dt)
+        for i in range(nsteps):
+            h, t = dt, dt * (i + 1)
+            if i == nsteps - 1 and dt - last > 1e-9 * dt:
+                h, t = last, T
             diss += h * sobolev_norm(eta, s0 + 2.5) ** 2
             eta = etd_step(eta, h, params, cfg)
             mon = _monitors(eta, t, params, cfg, diss)
@@ -171,9 +179,8 @@ def solve(eta0: Field, T: float, dt: float, params: PhysicalParams,
                     raise SeparationLost(
                         "boundary distance %.3g at or below %.3g"
                         % (dist, floors[side]))
-        except MuskatError as exc:
-            abort = "%s: %s" % (type(exc).__name__, exc)
-            break
+    except MuskatError as exc:
+        abort = "%s: %s" % (type(exc).__name__, exc)
     manifest = {"scheme": cfg.scheme, "dt": dt, "T": T,
                 "steps": len(times) - 1, "abort_reason": abort}
     return Trajectory(times=times, states=states, monitors=monitors,
@@ -183,36 +190,16 @@ def solve(eta0: Field, T: float, dt: float, params: PhysicalParams,
 # --- Duhamel / Picard small-data solver --------------------------------------
 
 
-def _duhamel_integrand(eta: Field, params: PhysicalParams,
-                       cfg: SolveConfig) -> Field:
-    """-N(eta), assembled from the paradifferential split of the velocity.
-
-    The pieces are the DN remainder applied to the full elastic trace, the
-    flat |D| applied to the elastic deviation from |D|^4, and the gravity
-    remainder; their sum telescopes to the negated nonlinear remainder.
-    """
-    geometry, _ = dn_geometries(params)
-    split = elastic_split(eta)
-    el = split.total
-    r_el = dn_fixed_point(
-        eta, el, cfg.dn, geometry).require_converged().remainder
-    r_eta = dn_fixed_point(
-        eta, eta, cfg.dn, geometry).require_converged().remainder
-    d4 = abs_d(eta, 4.0)
-    flat_part = abs_d(el - d4)
-    coeff = params.sigma / params.mu_minus
-    grav = params.rho_minus * params.g / params.sigma
-    return (r_el + flat_part + r_eta * grav) * (-coeff)
-
-
 def picard_solve(eta0: Field, T: float, params: PhysicalParams,
                  cfg: SolveConfig = SolveConfig(), dt: float = None,
                  n_steps: int = 32) -> Trajectory:
     """Small-data solver: fixed-point iteration on the integral equation.
 
     Each sweep evaluates eta(t) = e^{-t m} eta0 + int_0^t e^{-(t-s) m} g(s) ds
-    with g the negated nonlinear remainder of the previous iterate, using an
-    exponentially weighted trapezoid rule per mode.
+    with g = N the nonlinear remainder of the previous iterate, using an
+    exponentially weighted trapezoid rule per mode.  Raises NotContracting
+    when the data is above the smallness gate or the sweeps do not converge;
+    solve turns that into an abort.
     """
     if params.phase != "one":
         raise ValueError("the integral-equation solver is one-phase only")
@@ -243,7 +230,7 @@ def picard_solve(eta0: Field, T: float, params: PhysicalParams,
     prev_dist = np.inf
     grow = 0
     for n_iter in range(1, PICARD_MAX_ITER + 1):
-        g_hat = [to_spectrum(_duhamel_integrand(st, params, cfg))
+        g_hat = [to_spectrum(nonlinear_remainder(st, params, cfg))
                  for st in iterates]
         new = [iterates[0]]
         integral = np.zeros_like(eta0_hat)
@@ -276,7 +263,8 @@ def picard_solve(eta0: Field, T: float, params: PhysicalParams,
         if j > 0:
             diss += dt * sobolev_norm(iterates[j - 1], s0 + 2.5) ** 2
         monitors.append(_monitors(st, times[j], params, cfg, diss))
-    manifest = {"scheme": "picard", "dt": dt, "T": T, "iterations": n_iter}
+    manifest = {"scheme": "picard", "dt": dt, "T": T, "steps": nsteps,
+                "iterations": n_iter, "abort_reason": None}
     return Trajectory(times=times, states=iterates, monitors=monitors,
                       manifest=manifest)
 
@@ -314,20 +302,19 @@ def scaling_experiment(eta0: Field, lam: int, T: float, dt: float,
     grid = eta0.grid
     if lam > 1 and grid.n % lam != 0:
         raise ValueError("lambda must divide the grid size")
-    ref = solve(eta0, lam ** 5 * T, lam ** 5 * dt, params, cfg)
-    # lam^{-1} eta0(lam x): spectral mode k moves to lam k
-    c = to_spectrum(eta0)
-    cs = np.zeros_like(c)
     half = grid.n // 2
-    for k in range(-(half // lam), half // lam + 1):
-        cs[(lam * k) % grid.n] = c[k % grid.n] / lam
-    eta0_s = to_field(grid, cs)
-    run = solve(eta0_s, T, dt, params, cfg)
-    cref = to_spectrum(ref.states[-1])
-    csc = np.zeros_like(cref)
-    for k in range(-(half // lam), half // lam + 1):
-        csc[(lam * k) % grid.n] = cref[k % grid.n] / lam
-    scaled_ref = to_field(grid, csc)
+
+    def rescaled(f):
+        # lam^{-1} f(lam x): spectral mode k moves to lam k
+        c = to_spectrum(f)
+        cs = np.zeros_like(c)
+        for k in range(-(half // lam), half // lam + 1):
+            cs[(lam * k) % grid.n] = c[k % grid.n] / lam
+        return to_field(grid, cs)
+
+    ref = solve(eta0, lam ** 5 * T, lam ** 5 * dt, params, cfg)
+    run = solve(rescaled(eta0), T, dt, params, cfg)
+    scaled_ref = rescaled(ref.states[-1])
     defect = np.linalg.norm((run.states[-1] - scaled_ref).values)
     scale = max(np.linalg.norm(scaled_ref.values), 1e-300)
     return {"defect": float(defect / scale), "lambda": lam}

@@ -32,15 +32,19 @@ class PeriodicGrid:
     def nodes(self):
         return np.arange(self.n) * (self.length / self.n)
 
-    @property
+    @functools.cached_property
     def wavenumbers(self):
-        """Physical wavenumbers 2*pi*m/L in fft order."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.length / self.n)
+        """Shared read-only physical wavenumbers 2*pi*m/L in fft order."""
+        k = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.length / self.n)
+        k.setflags(write=False)
+        return k
 
-    @property
+    @functools.cached_property
     def rfft_wavenumbers(self):
-        """Non-negative wavenumbers of the real-FFT half spectrum."""
-        return 2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.length / self.n)
+        """Shared read-only wavenumbers k >= 0 of the rfft half spectrum."""
+        k = 2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.length / self.n)
+        k.setflags(write=False)
+        return k
 
     @property
     def k_min(self):

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from elastic_muskat import cli, pressure
+from elastic_muskat import evolution, pressure
 from elastic_muskat.cli import (CONFIG_DEFAULTS, build_initial_data,
                                 load_config, main)
 from elastic_muskat.errors import ConfigError, DegenerateJacobian
@@ -104,10 +104,45 @@ def test_picard_gate_abort_is_exit_two(tmp_path):
     assert "smallness gate" in manifest["abort_reason"]
 
 
+def test_picard_abort_writes_the_etd_record(tmp_path):
+    # an abort at the smallness gate writes the monitors and manifest an
+    # ETD run writes, with the initial state
+    etd = base_run_cfg(tmp_path, output_dir=str(tmp_path / "etd"))
+    assert main(["simulate", "--config", etd, "--quiet"]) == 0
+    cfg = base_run_cfg(tmp_path, scheme="picard", modes=[[1, 1.0, 0.0]])
+    assert main(["simulate", "--config", cfg, "--quiet"]) == 2
+    out, ref = tmp_path / "out", tmp_path / "etd"
+    header = (out / "monitors.csv").read_text().splitlines()[0]
+    assert header == (ref / "monitors.csv").read_text().splitlines()[0]
+    assert len((out / "monitors.csv").read_text().splitlines()) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    etd_manifest = json.loads((ref / "manifest.json").read_text())
+    assert set(manifest) == set(etd_manifest)
+    assert manifest["steps"] == 0 and manifest["scheme"] == "picard"
+    assert (out / "state_000000.csv").exists()
+    assert not (out / "state_000001.csv").exists()
+
+
+@pytest.mark.parametrize("bad", [
+    {"scheme": "RK4"},
+    {"scheme": "picard", "phase": "two", "mu_plus": 1.0},
+    {"T": 0.0},
+    {"T": -1.0},
+    {"dt": 0.0},
+    {"dt": -0.01},
+    {"n": 63},
+])
+def test_invalid_run_settings_are_exit_one(tmp_path, capsys, bad):
+    cfg = base_run_cfg(tmp_path, **bad)
+    assert main(["simulate", "--config", cfg, "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_every_solver_failure_is_exit_two(tmp_path, monkeypatch):
     def fail(*args, **kwargs):
         raise DegenerateJacobian("min(1 + dH/dz) below floor")
-    monkeypatch.setattr(cli, "picard_solve", fail)
+    monkeypatch.setattr(evolution, "picard_solve", fail)
     cfg = base_run_cfg(tmp_path, scheme="picard")
     assert main(["simulate", "--config", cfg, "--quiet"]) == 2
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from elastic_muskat import dn, evolution
-from elastic_muskat.dn import DNConfig
+from elastic_muskat.dn import DNConfig, dn_fixed_point, dn_geometries
+from elastic_muskat.elastic import elastic_E
 from elastic_muskat.errors import ConfigError, NonFiniteState, NotContracting
 from elastic_muskat.evolution import (SolveConfig, default_dt, etd_step,
                                       linear_multiplier, nonlinear_remainder,
                                       picard_solve, rhs, scaling_experiment,
                                       smoothing_fit, solve,
                                       stability_experiment)
-from elastic_muskat.grid import (Field, PeriodicGrid, mean, sobolev_norm,
-                                 zero_field)
+from elastic_muskat.grid import (Field, PeriodicGrid, abs_d, mean,
+                                 sobolev_norm, zero_field)
 from elastic_muskat.params import (Geometry, LinearSymbol, PhysicalParams,
                                    wall_distances)
 
@@ -37,6 +38,31 @@ def test_rhs_linearization_one_phase():
     expected = -(2.0 ** 5 + params.g * params.rho_minus * 2.0) \
         * a * np.cos(2.0 * grid.nodes)
     assert np.max(np.abs(out.values - expected)) < 1e-9
+
+
+@pytest.mark.parametrize("g", [0.0, 1.0])
+@pytest.mark.parametrize("geometry", [Geometry(),
+                                      Geometry("flat_bottom", h_minus=1.0)])
+def test_nonlinear_remainder_matches_duhamel_assembly(geometry, g):
+    # the paradifferential assembly of the Duhamel integrand: with G = |D| + R,
+    # R(eta)(sigma E) + sigma |D|(E - |D|^4 eta) + rho g R(eta) eta
+    # telescopes to -mu^- N(eta)
+    grid = PeriodicGrid(64)
+    params = PhysicalParams(sigma=1.3, g=g, mu_minus=0.7, rho_minus=1.1,
+                            geometry=geometry)
+    cfg = quick_cfg()
+    eta = Field(grid, 0.05 * np.cos(grid.nodes)
+                + 0.02 * np.sin(3.0 * grid.nodes))
+    lower, _ = dn_geometries(params)
+    el = elastic_E(eta)
+    r_el = dn_fixed_point(eta, el, cfg.dn, lower).require_converged().remainder
+    r_eta = dn_fixed_point(eta, eta, cfg.dn,
+                           lower).require_converged().remainder
+    ref = (r_el + abs_d(el - abs_d(eta, 4.0))) * params.sigma \
+        + r_eta * (params.rho_minus * params.g)
+    got = nonlinear_remainder(eta, params, cfg) * (-params.mu_minus)
+    err = np.linalg.norm((got - ref).values) / np.linalg.norm(ref.values)
+    assert err < 1e-10
 
 
 def test_nonlinear_remainder_quadratic_smallness():
@@ -151,7 +177,7 @@ def test_solve_aborts_on_unconverged_dn_solve(monkeypatch):
     assert traj.abort_reason.startswith("NotContracting")
     assert traj.states == [eta0]
     with pytest.raises(NotContracting, match="DN solve not converged"):
-        evolution._duhamel_integrand(eta0, PhysicalParams(), quick_cfg())
+        picard_solve(eta0, 0.1, PhysicalParams(), quick_cfg(), n_steps=2)
 
 
 def test_solve_raises_separation_lost_after_the_step(monkeypatch):
@@ -259,6 +285,53 @@ def test_picard_ends_at_T():
     traj = picard_solve(eta0, 0.5, PhysicalParams(), quick_cfg(), dt=0.3)
     assert traj.times == [0.0, 0.25, 0.5]
     assert traj.manifest["dt"] == 0.25
+
+
+def test_solve_runs_picard():
+    grid = PeriodicGrid(64)
+    eta0 = Field(grid, 1e-3 * np.cos(grid.nodes))
+    cfg = quick_cfg(scheme="picard")
+    direct = picard_solve(eta0, 0.2, PhysicalParams(), cfg, dt=0.05)
+    traj = solve(eta0, 0.2, 0.05, PhysicalParams(), cfg)
+    assert traj.abort_reason is None
+    assert traj.times == direct.times
+    for a, b in zip(traj.states, direct.states, strict=True):
+        np.testing.assert_array_equal(a.values, b.values)
+    assert traj.monitors == direct.monitors
+    assert traj.manifest == direct.manifest
+    assert traj.manifest["steps"] == 4
+
+
+def test_solve_picard_abort_is_recorded_like_etd():
+    # above the smallness gate the run ends at t = 0, recorded in the same
+    # shape as an ETD run
+    grid = PeriodicGrid(64)
+    eta0 = Field(grid, np.cos(grid.nodes))
+    traj = solve(eta0, 0.1, 0.05, PhysicalParams(), quick_cfg(scheme="picard"))
+    etd = solve(eta0, 0.05, 0.05, PhysicalParams(), quick_cfg())
+    assert traj.abort_reason.startswith("NotContracting")
+    assert "smallness gate" in traj.abort_reason
+    assert traj.states == [eta0]
+    assert traj.times == [0.0]
+    assert traj.monitors == etd.monitors[:1]
+    assert set(traj.manifest) == set(etd.manifest)
+    assert traj.manifest == {"scheme": "picard", "dt": 0.05, "T": 0.1,
+                             "steps": 0, "abort_reason": traj.abort_reason}
+
+
+def test_picard_sweep_solves_once_per_state(monkeypatch):
+    # one DN solve per state and sweep: the remainder is nonlinear_remainder
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return dn_fixed_point(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "dn_fixed_point", counted)
+    grid = PeriodicGrid(64)
+    eta0 = Field(grid, 1e-3 * np.cos(grid.nodes))
+    traj = picard_solve(eta0, 0.1, PhysicalParams(), quick_cfg(), n_steps=4)
+    assert len(calls) == traj.manifest["iterations"] * 5
 
 
 def test_picard_gate_rejects_large_data():

@@ -36,6 +36,17 @@ def test_grid_validation():
         PeriodicGrid(64, -1.0)
 
 
+def test_wavenumbers_are_computed_once_and_read_only():
+    grid = PeriodicGrid(64, 3.0)
+    for name, freq in (("wavenumbers", np.fft.fftfreq),
+                       ("rfft_wavenumbers", np.fft.rfftfreq)):
+        k = getattr(grid, name)
+        assert getattr(grid, name) is k
+        assert not k.flags.writeable
+        np.testing.assert_array_equal(
+            k, 2.0 * np.pi * freq(grid.n, d=grid.length / grid.n))
+
+
 def test_inverse_abs_derivative():
     f = Field(GRID, np.cos(2 * X))
     out = inv_abs_d(f)
