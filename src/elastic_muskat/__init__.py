@@ -17,7 +17,7 @@ from .dn import (DNConfig, DNResult, FlatStrip, InfiniteDepth, VerticalGrid,
 from .dn_oracle import oracle_dn
 from .pressure import (PressureConfig, PressurePair, pressure_fixed_point,
                        pressure_oracle)
-from .evolution import (SolveConfig, Trajectory, default_dt, etd_step,
+from .evolution import (SolveConfig, Trajectory, etd_step,
                         nonlinear_remainder, picard_solve, rhs,
                         scaling_experiment, smoothing_fit, solve,
                         stability_experiment)

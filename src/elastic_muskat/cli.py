@@ -3,9 +3,10 @@
 muskat simulate --config cfg.json [--output dir] [--quiet]
 muskat verify <suite> [--config cfg.json] [--output dir] [--quiet]
 
-Configs are flat JSON with a strict schema: every key has a default and
-unknown keys are rejected.  ``simulate`` runs every scheme (ETD1, ETDRK2,
-picard) through evolution.solve and writes its trajectory, aborted or not.
+Configs are flat JSON with a strict schema: unknown keys are rejected and
+every key has a default except ``dt``, which ``simulate`` requires.
+``simulate`` runs every scheme (ETD1, ETDRK2, picard) through
+evolution.solve and writes its trajectory, aborted or not.
 Exit codes: 0 success, 1 invalid input (before any output) or failed
 verification, 2 clean solver abort (separation or contraction loss).
 """
@@ -19,7 +20,7 @@ import numpy as np
 from . import __version__
 from .dn import DNConfig
 from .errors import ConfigError, MuskatError
-from .evolution import SCHEMES, SolveConfig, default_dt, solve
+from .evolution import SCHEMES, SolveConfig, solve
 from .grid import Field, PeriodicGrid
 from .params import Geometry, PhysicalParams, wall_distances
 from .pressure import PressureConfig
@@ -41,7 +42,7 @@ CONFIG_DEFAULTS = {
     "h_plus": 0.0,
     "allow_unstable": False,
     "scheme": "ETDRK2",        # ETD1, ETDRK2 or picard
-    "dt": None,                # None: stiffness-based default
+    "dt": None,                # required: simulate has no default step
     "T": 1.0,
     "dn_tol": 1e-10,
     "dn_levels": 64,
@@ -120,7 +121,7 @@ def check_run_settings(cfg: dict, params: PhysicalParams):
                           % (", ".join(SCHEMES), cfg["scheme"]))
     if cfg["scheme"] == "picard" and params.phase != "one":
         raise ConfigError("scheme picard is one-phase only")
-    for key in ("T", "dt") if cfg["dt"] is not None else ("T",):
+    for key in ("T", "dt"):
         if not isinstance(cfg[key], (int, float)) or not cfg[key] > 0:
             raise ConfigError("%s must be a positive number, not %r"
                               % (key, cfg[key]))
@@ -141,8 +142,7 @@ def cmd_simulate(cfg: dict, quiet=False) -> int:
                 "initial boundary distance %.3g below half depth %.3g"
                 % (dist, depths[side] / 2.0))
     scfg = build_solve_config(cfg)
-    dt = cfg["dt"] if cfg["dt"] is not None else default_dt(grid, params)
-    traj = solve(eta0, cfg["T"], dt, params, scfg)
+    traj = solve(eta0, cfg["T"], cfg["dt"], params, scfg)
     write_trajectory(cfg["output_dir"], traj, cfg, __version__,
                      cfg["snapshot_stride"])
     if traj.abort_reason is not None:

@@ -34,6 +34,13 @@ that allocated its own (levels, n//2 + 1) temporaries, about 1 MB at
 n = 128, would have them handed back to the OS by the C heap's trimming
 when it ends and faulted in again by the next solve.  Nothing a solve
 returns is a view of these arrays.
+
+The sweep itself lives in one private object per interface: it does the
+per-interface set-up (gate, flattening map, Jacobian check), lifts a datum,
+applies T once per call and extracts G f.  dn_fixed_point sweeps it to
+convergence; the two-phase pressure solve sweeps a lower and an upper one in
+turn, changing their data between sweeps, so the upper one keeps its
+working arrays in a second slot.
 """
 
 import functools
@@ -344,66 +351,93 @@ class _DNWorkspace:
 _thread = threading.local()
 
 
-def _workspace(n, n_levels):
-    """This thread's working arrays for solves on n nodes and n_levels levels."""
+def _workspace(n, n_levels, slot=0):
+    """This thread's working arrays in ``slot`` for n nodes and n_levels levels.
+
+    Slot 0 serves dn_fixed_point and the lower problem of the pressure
+    solve; slot 1 serves its upper problem, which is swept alongside.
+    """
     cache = getattr(_thread, "workspaces", None)
     if cache is None:
-        cache = _thread.workspaces = functools.lru_cache(maxsize=4)(_DNWorkspace)
-    return cache(n, n_levels)
+        @functools.lru_cache(maxsize=4)
+        def cache(n, n_levels, slot):
+            return _DNWorkspace(n, n_levels)
+        _thread.workspaces = cache
+    return cache(n, n_levels, slot)
 
 
-def dn_fixed_point(eta: Field, f: Field, cfg: DNConfig = DNConfig(),
-                   geometry=InfiniteDepth()) -> DNResult:
-    """G^-(eta) f for the lower fluid by Picard iteration on T[v].
+class _Sweeper:
+    """The Picard map T[v] of one interface, applied one sweep at a time.
 
-    Raises NotContracting when the interface is outside the contraction
-    regime (gate on the W^{1+1/2,inf} proxy, or growing residuals) and
-    DegenerateJacobian when the flattening change of variables degenerates.
+    Construction does a solve's per-interface work: the Lipschitz gate, the
+    grid-constant arrays, H_x, H_z, the Jacobian check and the Q_a
+    coefficient of v_z.  ``set_datum`` lifts a datum, ``sweep`` applies T
+    once, ``extract`` reads G f and its remainder off the iterate and
+    ``remainder_hat`` the remainder's spectrum alone.  The iterate and the
+    prepared arrays live in the working arrays of ``slot``, so a sweeper is
+    spent once another one is made on the same slot.
     """
-    if eta.grid != f.grid:
-        raise ValueError("eta and f live on different grids")
-    grid = eta.grid
-    n = grid.n
-    _, proxy = lipschitz_norms(eta)
-    if proxy >= cfg.lipschitz_gate:
-        raise NotContracting(
-            f"W^(1+eps) proxy {proxy:.3g} at or above gate {cfg.lipschitz_gate}")
-    strip = isinstance(geometry, FlatStrip)
-    depth = geometry.h if strip else default_depth(grid)
-    ops = _level_operators(grid, geometry, float(depth), cfg.n_levels)
-    ws = _workspace(n, cfg.n_levels)
-    absk, tmp, prod, prod2 = ops.absk, ws.tmp_hat, ws.prod, ws.prod2
 
-    eta_hat = np.fft.rfft(eta.values)
-    np.multiply(ops.lift, eta_hat, out=tmp)
-    Hx = np.fft.irfft(np.multiply(ops.ik, tmp, out=tmp), n, axis=1, out=ws.Hx)
-    Hz = np.fft.irfft(np.multiply(ops.lift_dz, eta_hat, out=tmp), n, axis=1,
-                      out=ws.Hz)
-    jac = np.add(1.0, Hz, out=ws.jac)
-    if np.min(jac) < JACOBIAN_FLOOR:
-        raise DegenerateJacobian(
-            f"min(1 + dH/dz) = {np.min(jac):.3g} below floor {JACOBIAN_FLOOR}")
-    # Q_a = Hx vx - qa_vz vz
-    qa_vz = np.multiply(Hx, Hx, out=ws.qa_vz)
-    np.subtract(qa_vz, Hz, out=qa_vz)
-    np.divide(qa_vz, jac, out=qa_vz)
+    def __init__(self, eta: Field, cfg: DNConfig, geometry, slot=0):
+        grid = eta.grid
+        n = self.n = grid.n
+        self.grid = grid
+        _, proxy = lipschitz_norms(eta)
+        if proxy >= cfg.lipschitz_gate:
+            raise NotContracting(
+                f"W^(1+eps) proxy {proxy:.3g} at or above gate {cfg.lipschitz_gate}")
+        self.strip = isinstance(geometry, FlatStrip)
+        depth = geometry.h if self.strip else default_depth(grid)
+        ops = self.ops = _level_operators(grid, geometry, float(depth),
+                                          cfg.n_levels)
+        ws = self.ws = _workspace(n, cfg.n_levels, slot)
+        tmp = ws.tmp_hat
 
-    f_hat = np.fft.rfft(f.values)
-    v0_hat = np.multiply(ops.lift, f_hat, out=ws.v0_hat)
-    v0z_hat = np.multiply(ops.lift_dz, f_hat, out=ws.v0z_hat) if strip \
-        else np.multiply(absk, v0_hat, out=ws.v0z_hat)
-    # the lifted datum is the first iterate; each sweep writes the next
-    # iterate into the spare pair of arrays and the two pairs swap
-    v_hat, vz_hat = ws.v_hat, ws.vz_hat
-    v_new, vz_new = ws.v_next, ws.vz_next
-    np.copyto(v_hat, v0_hat)
-    np.copyto(vz_hat, v0z_hat)
-    scale = max(np.max(np.abs(v_hat, out=ws.mag)), 1e-300)
-    residuals = []
-    converged = False
-    grow = 0
-    it = 0
-    for it in range(1, MAX_ITER + 1):
+        eta_hat = self.eta_hat = np.fft.rfft(eta.values)
+        np.multiply(ops.lift, eta_hat, out=tmp)
+        Hx = np.fft.irfft(np.multiply(ops.ik, tmp, out=tmp), n, axis=1, out=ws.Hx)
+        Hz = np.fft.irfft(np.multiply(ops.lift_dz, eta_hat, out=tmp), n, axis=1,
+                          out=ws.Hz)
+        jac = np.add(1.0, Hz, out=ws.jac)
+        if np.min(jac) < JACOBIAN_FLOOR:
+            raise DegenerateJacobian(
+                f"min(1 + dH/dz) = {np.min(jac):.3g} below floor {JACOBIAN_FLOOR}")
+        # Q_a = Hx vx - qa_vz vz
+        qa_vz = np.multiply(Hx, Hx, out=ws.qa_vz)
+        np.subtract(qa_vz, Hz, out=qa_vz)
+        np.divide(qa_vz, jac, out=qa_vz)
+        # each sweep writes the next iterate into the spare pair of arrays
+        # and the two pairs swap
+        self.v_hat, self.vz_hat = ws.v_hat, ws.vz_hat
+        self.v_new, self.vz_new = ws.v_next, ws.vz_next
+        self.f = self.f_hat = None
+        self.scale = None
+
+    def set_datum(self, f: Field, restart=True):
+        """Lift the datum f.
+
+        With ``restart`` the lift also becomes the iterate, and its largest
+        coefficient the scale of every later sweep change; without, the
+        iterate is kept and only the datum of the next sweep changes.
+        """
+        ops, ws = self.ops, self.ws
+        self.f = f
+        f_hat = self.f_hat = np.fft.rfft(f.values)
+        v0_hat = np.multiply(ops.lift, f_hat, out=ws.v0_hat)
+        v0z_hat = np.multiply(ops.lift_dz, f_hat, out=ws.v0z_hat) if self.strip \
+            else np.multiply(ops.absk, v0_hat, out=ws.v0z_hat)
+        if restart:
+            np.copyto(self.v_hat, v0_hat)
+            np.copyto(self.vz_hat, v0z_hat)
+            self.scale = max(np.max(np.abs(self.v_hat, out=ws.mag)), 1e-300)
+
+    def sweep(self) -> float:
+        """Apply T once; returns max|v_new - v| over the scale."""
+        ops, ws, n = self.ops, self.ws, self.n
+        absk, tmp, prod, prod2 = ops.absk, ws.tmp_hat, ws.prod, ws.prod2
+        Hx, Hz, qa_vz = ws.Hx, ws.Hz, ws.qa_vz
+        v_hat, vz_hat, v_new, vz_new = (self.v_hat, self.vz_hat,
+                                        self.v_new, self.vz_new)
         vx = np.fft.irfft(np.multiply(ops.ik, v_hat, out=tmp), n, axis=1,
                           out=ws.vx)
         vz = np.fft.irfft(vz_hat, n, axis=1, out=ws.vz)
@@ -422,10 +456,10 @@ def dn_fixed_point(eta: Field, f: Field, cfg: DNConfig = DNConfig(),
         w_hat = ops.upward_w(rho_hat, ws.w_hat, tmp)
         src_hat = np.add(qa_hat, w_hat, out=qa_hat)
         K_hat = ops.downward_K(src_hat, ws.K_hat, tmp)
-        np.add(v0_hat, K_hat, out=v_new)
-        np.add(v0z_hat, np.multiply(absk, K_hat, out=K_hat), out=vz_new)
+        np.add(ws.v0_hat, K_hat, out=v_new)
+        np.add(ws.v0z_hat, np.multiply(absk, K_hat, out=K_hat), out=vz_new)
         np.add(vz_new, src_hat, out=vz_new)
-        if strip:
+        if self.strip:
             # remove the d_z v defect at the flat bottom
             kz_bottom = vz_new[0].copy()
             np.subtract(v_new, np.multiply(kz_bottom, ops.strip_v, out=tmp),
@@ -433,10 +467,64 @@ def dn_fixed_point(eta: Field, f: Field, cfg: DNConfig = DNConfig(),
             np.subtract(vz_new, np.multiply(kz_bottom, ops.strip_vz, out=tmp),
                         out=vz_new)
         change = np.abs(np.subtract(v_new, v_hat, out=tmp), out=ws.mag)
-        res = float(np.max(change) / scale)
+        self.v_hat, self.v_new = v_new, v_hat
+        self.vz_hat, self.vz_new = vz_new, vz_hat
+        return float(np.max(change) / self.scale)
+
+    def extract(self):
+        """(G f, G f - |D| f) for the datum f, read off the iterate.
+
+        Infinite depth takes the remainder w(0) of the iterate last swept,
+        the strip the flattened normal derivative of the newest iterate.
+        Both are fresh Fields, never views of the working arrays.
+        """
+        if self.strip:
+            n, ops = self.n, self.ops
+            eta_x = np.fft.irfft(ops.ik * self.eta_hat, n)
+            vz_top = np.fft.irfft(self.vz_hat[-1], n)
+            vx_top = np.fft.irfft(ops.ik * self.v_hat[-1], n)
+            jac_top = self.ws.jac[-1]
+            gvals = (1.0 + eta_x ** 2) / jac_top * vz_top - eta_x * vx_top
+            gf = Field(self.grid, gvals)
+            return gf, gf - abs_d(self.f)
+        remainder = Field(self.grid, np.fft.irfft(self.ws.w_hat[-1], self.n))
+        return abs_d(self.f) + remainder, remainder
+
+    def remainder_hat(self) -> np.ndarray:
+        """rfft of G f - |D| f as extract finds it, as a fresh array."""
+        if self.strip:
+            gf = self.extract()[0]
+            return np.fft.rfft(gf.values) - self.ops.absk * self.f_hat
+        return self.ws.w_hat[-1].copy()
+
+    def result(self, iterations, converged, residuals) -> DNResult:
+        gf, remainder = self.extract()
+        # the strip is solved whole: no depth is truncated
+        tail = 0.0 if self.strip \
+            else np.exp(-self.ops.zgrid.depth * self.grid.k_min)
+        return DNResult(gf, remainder, iterations, converged, residuals, tail)
+
+
+def dn_fixed_point(eta: Field, f: Field, cfg: DNConfig = DNConfig(),
+                   geometry=InfiniteDepth()) -> DNResult:
+    """G^-(eta) f for the lower fluid by Picard iteration on T[v].
+
+    Raises NotContracting when the interface is outside the contraction
+    regime (gate on the W^{1+1/2,inf} proxy, or growing residuals) and
+    DegenerateJacobian when the flattening change of variables degenerates.
+    """
+    if eta.grid != f.grid:
+        raise ValueError("eta and f live on different grids")
+    sweeper = _Sweeper(eta, cfg, geometry)
+    # the lifted datum is the first iterate
+    sweeper.set_datum(f)
+    residuals = []
+    converged = False
+    grow = 0
+    it = 0
+    for it in range(1, MAX_ITER + 1):
+        res = sweeper.sweep()
         residuals.append(res)
-        v_hat, v_new = v_new, v_hat
-        vz_hat, vz_new = vz_new, vz_hat
         if res < cfg.tol:
             converged = True
             break
@@ -447,24 +535,7 @@ def dn_fixed_point(eta: Field, f: Field, cfg: DNConfig = DNConfig(),
                     "fixed-point residuals non-decreasing for 5 iterations")
         else:
             grow = 0
-
-    # everything below is built from copies, never views of the workspace
-    if strip:
-        # extraction through the flattened normal derivative at z = 0
-        eta_x = np.fft.irfft(ops.ik * eta_hat, n)
-        vz_top = np.fft.irfft(vz_hat[-1], n)
-        vx_top = np.fft.irfft(ops.ik * v_hat[-1], n)
-        jac_top = jac[-1]
-        gvals = (1.0 + eta_x ** 2) / jac_top * vz_top - eta_x * vx_top
-        gf = Field(grid, gvals)
-        remainder = gf - abs_d(f)
-        # the strip is solved whole: no depth is truncated
-        tail = 0.0
-    else:
-        remainder = Field(grid, np.fft.irfft(ws.w_hat[-1], n))
-        gf = abs_d(f) + remainder
-        tail = np.exp(-ops.zgrid.depth * grid.k_min)
-    return DNResult(gf, remainder, it, converged, residuals, tail)
+    return sweeper.result(it, converged, residuals)
 
 
 def dn_upper(eta: Field, f: Field, cfg: DNConfig = DNConfig(),

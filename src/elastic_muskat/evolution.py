@@ -64,13 +64,6 @@ def linear_multiplier(grid: PeriodicGrid, params: PhysicalParams):
     return LinearSymbol.from_params(params).rate(grid.wavenumbers)
 
 
-def default_dt(grid: PeriodicGrid, params: PhysicalParams) -> float:
-    # the literal stiffness bound; far smaller than ETD needs, override in
-    # practice (the exponential integrator is not CFL-limited)
-    m = linear_multiplier(grid, params)
-    return 0.05 * float(np.min(1.0 / (m + 1.0)))
-
-
 def rhs(eta: Field, params: PhysicalParams,
         cfg: SolveConfig = SolveConfig()) -> Field:
     """Interface velocity -(1/mu^-) G^-(eta) f^-.

@@ -4,40 +4,47 @@ The trace pressures f^- and f^+ satisfy a jump condition
 f^- - f^+ = J = sigma E(eta) + g (rho^- - rho^+) eta together with continuity
 of the normal velocity (1/mu^+) G^+ f^+ = (1/mu^-) G^- f^-.  Splitting the DN
 operators into their flat parts -+|D| plus remainders R^+- turns this into a
-fixed-point equation for f^-,
+fixed-point equation for phi = f^-,
 
-    phi = u0 + |D|^{-1} (mu^- R^+ phi - mu^+ R^- phi) / (mu^+ + mu^-),
-    u0  = -mu^- |D|^{-1} G^+ J / (mu^+ + mu^-),
+    phi = [mu^- J + |D|^{-1} (mu^- R^+ (phi - J) - mu^+ R^- phi)] / (mu^+ + mu^-),
 
-contractive for small interfaces.  G^+- are linear in their datum, which the
-solve uses three times:
+taken mean-free and contractive for small interfaces.  Each remainder is read
+off the iterate of a DN Picard map (see dn), and the three fixed points are
+linear in their unknowns, so one joint Picard iteration solves them together.
+Each sweep makes
 
-- forcing: u0 takes one DN solve, G^+ J;
-- increments: sweep k solves only delta_k = phi_k - phi_{k-1} and adds its
-  remainders to running sums R^+- (delta_0 = u0).  Each increment is solved
-  to the absolute accuracy a full solve of phi_k would get, so a small
-  increment needs few Picard sweeps;
-- upper flux: G^+ f^+ = -|D| f^- + R^+ - G^+ J from the sums, with no solve.
+- one DN sweep of the lower problem: eta, datum phi;
+- one DN sweep of the upper problem: -eta, datum phi - J, by the reflection
+  G^+(eta) = -G^-(-eta) that dn_upper uses;
+- the update of phi above from the two sweeps' remainders.
 
-G^- f^- is a fresh solve, so the flux residual checks the iteration against
-an independent application of G^-, which the velocity reuses.  A solve that
-does not converge raises NotContracting.  A dense collocation solve over a
-truncated Fourier basis serves as the referee.
+It starts from the flat-interface pressure phi_0 = mu^- J / (mu^+ + mu^-).
+It stops once the phi change, relative to max|phi_0|, is below TOL and both
+DN sweep changes are below the DN tolerance.  After MAX_ITER sweeps, or 5
+non-decreasing residuals in a row, it raises NotContracting.  This is an
+inexact inner solve (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19,
+1982) at its limit of one inner sweep per outer step, so each DN problem pays
+its per-interface set-up once.
+
+G^+ f^+ comes from one more upper sweep at the final phi.  G^- f^- is a fresh
+DN solve, so the flux residual checks the iteration against an independent
+application of G^-, which the velocity reuses.  A dense collocation solve
+over a truncated Fourier basis serves as the referee.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dn import DNConfig, dn_fixed_point, dn_geometries, dn_upper
+from .dn import DNConfig, _Sweeper, dn_fixed_point, dn_geometries, dn_upper
 from .elastic import elastic_E
 from .errors import NotContracting
-from .grid import Field, abs_d, inv_abs_d, mean, sobolev_norm, zero_field
+from .grid import Field, mean, sobolev_norm
 from .params import PhysicalParams
 
 
-# fixed-point sweeps before the solve gives up, and the sweep residual
-# (relative to max|u0|) at which it stops
+# joint sweeps before the solve gives up, and the phi change (relative to
+# max|phi_0|) below which it may stop
 MAX_ITER = 80
 TOL = 1e-12
 
@@ -56,7 +63,7 @@ class PressurePair:
     iterations: int
     # G^-(eta) f^- from the flux check, reused by the velocity
     g_minus: Field
-    # G^+(eta) f^+ of the flux check (from the remainder sums, no solve)
+    # G^+(eta) f^+ of the flux check (from the closing upper sweep)
     g_plus: Field
 
     def report(self) -> dict:
@@ -70,27 +77,13 @@ def pressure_jump(eta: Field, params: PhysicalParams) -> Field:
     return elastic_E(eta) * params.sigma + eta * (params.g * params.delta_rho)
 
 
-def _increment_dn(dn_cfg: DNConfig, phi: Field, delta: Field) -> DNConfig:
-    """DN config that solves delta to the absolute accuracy of a solve of phi.
-
-    A DN solve stops on residuals relative to max|rfft(datum)|, so the
-    tolerance grows by the ratio of the two scales; it is never tighter than
-    dn_cfg.tol.
-    """
-    s_delta = np.max(np.abs(np.fft.rfft(delta.values)))
-    if s_delta == 0.0:
-        return dn_cfg
-    s_phi = np.max(np.abs(np.fft.rfft(phi.values)))
-    return replace(dn_cfg, tol=dn_cfg.tol * max(1.0, s_phi / s_delta))
-
-
 def pressure_fixed_point(eta: Field, params: PhysicalParams,
                          cfg: PressureConfig = PressureConfig(),
                          dn_cfg: DNConfig = DNConfig()) -> PressurePair:
-    """Solve for the trace pressures by Picard iteration on f^-.
+    """Solve for the trace pressures by one joint Picard iteration.
 
-    Makes 2 + 2 * iterations DN solves with ``dn_cfg``: G^+ J, one upper
-    and one lower solve per sweep on its increment, and G^- f^-.
+    ``iterations`` counts joint sweeps.  Of DN solves with ``dn_cfg`` it makes
+    one, G^- f^-; the sweeps run on private sweepers with the same config.
     """
     if params.phase != "two":
         raise ValueError("pressure solve is a two-phase operation")
@@ -99,51 +92,63 @@ def pressure_fixed_point(eta: Field, params: PhysicalParams,
         raise NotContracting(
             "||eta||_H2 = %.3g at or above pressure gate %.3g"
             % (h2, cfg.smallness_gate))
-    lower, upper = dn_geometries(params)
-    mu_sum = params.mu_plus + params.mu_minus
+    lower_geometry, upper_geometry = dn_geometries(params)
+    w_minus = params.mu_minus / (params.mu_plus + params.mu_minus)
+    w_plus = params.mu_plus / (params.mu_plus + params.mu_minus)
     jump = pressure_jump(eta, params)
-    g_jump = dn_upper(eta, jump, dn_cfg, upper).require_converged().gf
-    u0 = inv_abs_d(g_jump) * (-params.mu_minus / mu_sum)
-
-    phi = delta = u0
-    r_plus = r_minus = zero_field(eta.grid)
+    # G^+(eta) = -G^-(-eta), so the upper problem is a lower one on -eta
+    # with datum f^+ = phi - J, and R^+ is minus its remainder
+    lower = _Sweeper(eta, dn_cfg, lower_geometry, slot=0)
+    upper = _Sweeper(-eta, dn_cfg, upper_geometry, slot=1)
+    # the update runs on rfft half spectra; |D|^{-1} maps the mean to 0
+    grid = eta.grid
+    absk = np.abs(grid.rfft_wavenumbers)
+    inv_absk = np.divide(1.0, absk, out=np.zeros_like(absk), where=absk > 0)
+    # the flat-interface pressure; every update is mean-free
+    phi0_hat = np.fft.rfft(jump.values * w_minus)
+    phi0_hat[0] = 0.0
+    phi = Field(grid, np.fft.irfft(phi0_hat, grid.n))
+    lower.set_datum(phi)
+    upper.set_datum(phi - jump)
+    scale = max(np.max(np.abs(phi.values)), 1e-300)
     prev = np.inf
     grow = 0
-    scale = max(np.max(np.abs(u0.values)), 1e-300)
     for iters in range(1, MAX_ITER + 1):
-        inc_cfg = _increment_dn(dn_cfg, phi, delta)
-        r_plus = r_plus + dn_upper(
-            eta, delta, inc_cfg, upper).require_converged().remainder
-        r_minus = r_minus + dn_fixed_point(
-            eta, delta, inc_cfg, lower).require_converged().remainder
-        phi_new = u0 + inv_abs_d(r_plus) * (params.mu_minus / mu_sum) \
-            - inv_abs_d(r_minus) * (params.mu_plus / mu_sum)
-        delta = phi_new - phi
-        res = float(np.max(np.abs(delta.values)) / scale)
+        dn_res = max(lower.sweep(), upper.sweep())
+        # mu^- R^+ - mu^+ R^- over mu^+ + mu^-, with R^+ = -(upper remainder)
+        r_hat = upper.remainder_hat() * -w_minus - lower.remainder_hat() * w_plus
+        phi_new = Field(grid, np.fft.irfft(phi0_hat + inv_absk * r_hat, grid.n))
+        res = float(np.max(np.abs(phi_new.values - phi.values)) / scale)
         phi = phi_new
-        if res < TOL:
+        # err < 1 once both tolerances hold; the growth rule watches it too
+        err = max(res / TOL, dn_res / dn_cfg.tol)
+        if err < 1.0:
             break
-        if res >= prev:
+        if err >= prev:
             grow += 1
             if grow >= 5:
                 raise NotContracting(
                     "pressure iteration residuals non-decreasing")
         else:
             grow = 0
-        prev = res
+        prev = err
+        lower.set_datum(phi, restart=False)
+        upper.set_datum(phi - jump, restart=False)
     else:
         raise NotContracting(
-            "pressure iteration not converged after %d sweeps (residual %.3g)"
-            % (MAX_ITER, res))
+            "pressure iteration not converged after %d sweeps (residual %.3g,"
+            " DN sweep change %.3g)" % (MAX_ITER, res, dn_res))
 
-    f_minus = Field(phi.grid, phi.values - mean(phi))
+    f_minus = Field(grid, phi.values - mean(phi))
     f_plus = f_minus - jump
     jres = np.linalg.norm((f_minus - f_plus - jump).values)
     jscale = max(np.linalg.norm(jump.values), 1e-300)
-    gm = dn_fixed_point(eta, f_minus, dn_cfg, lower).require_converged().gf
-    # G^+ f^+ = -|D| f^- + R^+ f^- - G^+ J with R^+ f^- from the sums: R^+
-    # of the mean is zero, and the unsolved last increment is below tol
-    gp = r_plus - abs_d(f_minus) - g_jump
+    # G^+ f^+ = -G^-(-eta) f^+ from one more upper sweep at the final phi
+    upper.set_datum(f_plus, restart=False)
+    upper.sweep()
+    gp = -upper.extract()[0]
+    gm = dn_fixed_point(eta, f_minus, dn_cfg,
+                        lower_geometry).require_converged().gf
     flux = gp * (1.0 / params.mu_plus) - gm * (1.0 / params.mu_minus)
     fscale = max(np.linalg.norm(gm.values) / params.mu_minus, 1e-300)
     return PressurePair(f_minus=f_minus, f_plus=f_plus,

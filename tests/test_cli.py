@@ -139,6 +139,15 @@ def test_invalid_run_settings_are_exit_one(tmp_path, capsys, bad):
     assert not (tmp_path / "out").exists()
 
 
+def test_missing_dt_is_exit_one(tmp_path, capsys):
+    # there is no default step: the stiffness bound took billions of steps
+    cfg = write_cfg(tmp_path, n=64, T=0.05, modes=[[1, 0.01, 0.0]],
+                    output_dir=str(tmp_path / "out"))
+    assert main(["simulate", "--config", cfg, "--quiet"]) == 1
+    assert "dt must be a positive number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_every_solver_failure_is_exit_two(tmp_path, monkeypatch):
     def fail(*args, **kwargs):
         raise DegenerateJacobian("min(1 + dH/dz) below floor")

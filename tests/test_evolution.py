@@ -5,7 +5,7 @@ from elastic_muskat import dn, evolution
 from elastic_muskat.dn import DNConfig, dn_fixed_point, dn_geometries
 from elastic_muskat.elastic import elastic_E
 from elastic_muskat.errors import ConfigError, NonFiniteState, NotContracting
-from elastic_muskat.evolution import (SolveConfig, default_dt, etd_step,
+from elastic_muskat.evolution import (SolveConfig, etd_step,
                                       linear_multiplier, nonlinear_remainder,
                                       picard_solve, rhs, scaling_experiment,
                                       smoothing_fit, solve,
@@ -411,8 +411,3 @@ def test_smoothing_fit_recovers_exact_rate():
     eta_t = Field(grid, decayed)
     fit = smoothing_fit(eta0, eta_t, t, kmin=2)
     assert abs(fit - c) < 1e-4
-
-
-def test_default_dt_positive():
-    grid = PeriodicGrid(64)
-    assert default_dt(grid, PhysicalParams()) > 0
