@@ -114,6 +114,11 @@ def build_solve_config(cfg: dict) -> SolveConfig:
                        picard_gate=cfg["picard_gate"])
 
 
+def _is_number(val) -> bool:
+    # JSON true and false load as bool, which is an int subclass
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
 def check_run_settings(cfg: dict, params: PhysicalParams):
     """Reject settings the time loop would fail on, before any output."""
     if cfg["scheme"] not in SCHEMES:
@@ -121,17 +126,31 @@ def check_run_settings(cfg: dict, params: PhysicalParams):
                           % (", ".join(SCHEMES), cfg["scheme"]))
     if cfg["scheme"] == "picard" and params.phase != "one":
         raise ConfigError("scheme picard is one-phase only")
-    for key in ("T", "dt"):
-        if not isinstance(cfg[key], (int, float)) or not cfg[key] > 0:
+    for key in ("T", "dt", "dn_tol"):
+        if not _is_number(cfg[key]) or not cfg[key] > 0:
             raise ConfigError("%s must be a positive number, not %r"
                               % (key, cfg[key]))
+    for key in ("n", "dn_levels", "snapshot_stride"):
+        if not (_is_number(cfg[key]) and isinstance(cfg[key], int)):
+            raise ConfigError("%s must be an integer, not %r"
+                              % (key, cfg[key]))
+    # PeriodicGrid checks the range of n
+    for key, least in (("dn_levels", 2), ("snapshot_stride", 1)):
+        if cfg[key] < least:
+            raise ConfigError("%s must be at least %d, not %r"
+                              % (key, least, cfg[key]))
+    monitor_s = cfg["monitor_s"]
+    if not (isinstance(monitor_s, list) and monitor_s
+            and all(_is_number(s) for s in monitor_s)):
+        raise ConfigError("monitor_s must be a non-empty list of numbers,"
+                          " not %r" % (monitor_s,))
 
 
 def cmd_simulate(cfg: dict, quiet=False) -> int:
     params = build_params(cfg)
     check_run_settings(cfg, params)
     try:
-        grid = PeriodicGrid(int(cfg["n"]), float(cfg["length"]))
+        grid = PeriodicGrid(cfg["n"], float(cfg["length"]))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc))
     eta0 = build_initial_data(cfg, grid)

@@ -131,6 +131,13 @@ def test_picard_abort_writes_the_etd_record(tmp_path):
     {"dt": 0.0},
     {"dt": -0.01},
     {"n": 63},
+    {"n": 128.5},
+    {"T": True},
+    {"dn_tol": 0},
+    {"dn_levels": 1},
+    {"dn_levels": 64.5},
+    {"monitor_s": []},
+    {"snapshot_stride": 0},
 ])
 def test_invalid_run_settings_are_exit_one(tmp_path, capsys, bad):
     cfg = base_run_cfg(tmp_path, **bad)

@@ -5,12 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from elastic_muskat.dn import (DNConfig, FlatStrip, InfiniteDepth,
                                _level_operators, default_depth,
                                dn_fixed_point, dn_shape_difference, dn_upper,
                                harmonic_lift, make_vertical_grid)
-from elastic_muskat.dn_oracle import oracle_dn
+from elastic_muskat.dn_oracle import _defect_correction, _stencil, oracle_dn
 from elastic_muskat.errors import DegenerateJacobian, NotContracting
 from elastic_muskat.grid import Field, PeriodicGrid, mean
 
@@ -232,9 +234,9 @@ def test_cache_isolation():
 
 
 # oracle_pin_n32.npz holds eta = 0.05 sin x + 0.02 cos 3x, f = cos x +
-# 0.5 cos(2x + 2) and the FD referee's G(eta) f at n = 32, as computed by the
-# entry-by-entry assembly that the array assembly replaced.  The referee is
-# held to the DN solver only to 1e-3, which would hide a small assembly error.
+# 0.5 cos(2x + 2) and the FD referee's G(eta) f at n = 32.  The referee is
+# held to the DN solver only to 1e-3, which would hide a small assembly error;
+# test_oracle_solve_matches_sparse_lu holds its solve to a direct LU.
 
 ORACLE_PIN = np.load(os.path.join(os.path.dirname(__file__),
                                   "oracle_pin_n32.npz"))
@@ -247,6 +249,45 @@ def test_oracle_matches_pinned_output(name, geometry):
     ref = oracle_dn(Field(grid, ORACLE_PIN["eta"]),
                     Field(grid, ORACLE_PIN["f"]), geometry=geometry)
     assert _rel(ref.values, ORACLE_PIN[name]) < 1e-12
+
+
+def _dense_robin(A, nx, length):
+    # -|D| on the bottom row's nodes, as a dense block of the full matrix
+    k = np.abs(2.0 * np.pi * np.fft.fftfreq(nx, d=length / nx))
+    D = np.real(np.fft.ifft(k[:, None] * np.fft.fft(np.eye(nx), axis=0),
+                            axis=0))
+    rows, cols = np.divmod(np.arange(nx * nx), nx)
+    return A + sp.coo_matrix((-D.ravel(), (rows, cols)), shape=A.shape)
+
+
+# measured max gaps relative to max|v|: 2.7e-14 bottomless, 2.1e-12 strip;
+# the bounds leave a factor 10
+@pytest.mark.parametrize("geometry, bound", [(InfiniteDepth(), 3e-13),
+                                             (FlatStrip(1.0), 2e-11)])
+def test_oracle_solve_matches_sparse_lu(geometry, bound):
+    # the fine system of oracle_dn at n = 32, solved by a direct LU of the
+    # same stencil with the Robin |D| as dense rows
+    nx, length = 64, 2.0 * np.pi
+    nz, dxs = nx + 1, length / nx
+    x = np.arange(nx) * dxs
+    eta = 0.05 * np.sin(x) + 0.02 * np.cos(3 * x)
+    robin = isinstance(geometry, InfiniteDepth)
+    Z = 2.5 * length if robin else geometry.h
+    A, _, _ = _stencil(eta, nx, nz, Z, length)
+    rhs = np.zeros(nz * nx)
+    rhs[-nx:] = np.cos(x) + 0.5 * np.cos(2 * x + 2)
+    k = 2.0 * np.pi * np.fft.rfftfreq(nx, d=dxs)
+    v = _defect_correction(A, rhs, nx, nz, Z / (nz - 1), dxs,
+                           k if robin else np.zeros_like(k)).ravel()
+    direct = spla.spsolve((_dense_robin(A, nx, length) if robin
+                           else A).tocsc(), rhs)
+    assert np.max(np.abs(v - direct)) < bound * np.max(np.abs(direct))
+
+
+def test_oracle_raises_when_not_converged(monkeypatch):
+    monkeypatch.setattr("elastic_muskat.dn_oracle.MAX_ITER", 1)
+    with pytest.raises(NotContracting):
+        oracle_dn(Field(GRID, 0.05 * np.sin(X)), Field(GRID, np.cos(X)))
 
 
 # --- the doubling scans against the sequential recurrences -----------------
