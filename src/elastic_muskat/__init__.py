@@ -2,18 +2,18 @@
 
 from .errors import (ConfigError, DegenerateJacobian, MuskatError,
                      NonFiniteState, NotContracting, SeparationLost)
-from .grid import (Field, PeriodicGrid, abs_d, dx, inv_abs_d, lipschitz_norms,
-                   lp_project, mean, semigroup_apply, sobolev_norm, to_field,
-                   to_spectrum, zero_field, zygmund_norm)
+from .grid import (Field, PeriodicGrid, abs_d, dx, lipschitz_norms, lp_project,
+                   mean, sobolev_norm, to_field, to_spectrum, zero_field,
+                   zygmund_norm)
 from .paracalc import OrderedSymbol, SymbolTerm, para_apply, paraproduct
-from .elastic import ElasticSplit, curvature, elastic_E, elastic_split, gateaux_dE, symbol_ell
+from .elastic import (ElasticSplit, elastic_E, elastic_split, gateaux_dE,
+                      symbol_ell)
 
 __version__ = "0.1.0"
 
 from .params import Geometry, LinearSymbol, PhysicalParams
 from .dn import (DNConfig, DNResult, FlatStrip, InfiniteDepth, VerticalGrid,
-                 dn_fixed_point, dn_shape_difference, dn_upper, harmonic_lift,
-                 make_vertical_grid)
+                 dn_fixed_point, dn_upper, make_vertical_grid)
 from .dn_oracle import oracle_dn
 from .pressure import (PressureConfig, PressurePair, pressure_fixed_point,
                        pressure_oracle)

@@ -56,7 +56,6 @@ CONFIG_DEFAULTS = {
     "seed": 0,
     "output_dir": "out",
     "snapshot_stride": 1,
-    "experiment": "simulate",
 }
 
 

@@ -40,7 +40,9 @@ per-interface set-up (gate, flattening map, Jacobian check), lifts a datum,
 applies T once per call and extracts G f.  dn_fixed_point sweeps it to
 convergence; the two-phase pressure solve sweeps a lower and an upper one in
 turn, changing their data between sweeps, so the upper one keeps its
-working arrays in a second slot.
+working arrays in a second slot.  The sweeper takes eta and its data as node
+arrays and returns arrays; only dn_fixed_point and dn_upper build Fields,
+for the DNResult they return.
 """
 
 import functools
@@ -50,8 +52,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateJacobian, NotContracting
-from .grid import (Field, PeriodicGrid, abs_d, exp_linear_weights,
-                   lipschitz_norms, sobolev_norm)
+from .grid import (Field, PeriodicGrid, _abs_d, _lipschitz_norms,
+                   exp_linear_weights)
 from .params import wall_distances
 
 
@@ -201,15 +203,6 @@ class DNConfig:
     tol: float = 1e-10
     n_levels: int = 64
     lipschitz_gate: float = 0.3
-
-
-# --- harmonic lift -----------------------------------------------------------
-
-
-def harmonic_lift(f: Field, zgrid: VerticalGrid, geometry=InfiniteDepth()):
-    """Values of the harmonic extension of f at every (level, node)."""
-    kern = geometry.lift_kernel(zgrid.levels, np.abs(f.grid.rfft_wavenumbers))
-    return np.fft.irfft(kern * np.fft.rfft(f.values), f.grid.n, axis=1)
 
 
 # --- grid-constant arrays ----------------------------------------------------
@@ -373,16 +366,16 @@ class _Sweeper:
     grid-constant arrays, H_x, H_z, the Jacobian check and the Q_a
     coefficient of v_z.  ``set_datum`` lifts a datum, ``sweep`` applies T
     once, ``extract`` reads G f and its remainder off the iterate and
-    ``remainder_hat`` the remainder's spectrum alone.  The iterate and the
-    prepared arrays live in the working arrays of ``slot``, so a sweeper is
-    spent once another one is made on the same slot.
+    ``remainder_hat`` the remainder's spectrum alone.  The interface eta and
+    every datum are node values on ``grid``.  The iterate and the prepared
+    arrays live in the working arrays of ``slot``, so a sweeper is spent
+    once another one is made on the same slot.
     """
 
-    def __init__(self, eta: Field, cfg: DNConfig, geometry, slot=0):
-        grid = eta.grid
+    def __init__(self, grid, eta, cfg: DNConfig, geometry, slot=0):
         n = self.n = grid.n
         self.grid = grid
-        _, proxy = lipschitz_norms(eta)
+        _, proxy = _lipschitz_norms(grid, eta)
         if proxy >= cfg.lipschitz_gate:
             raise NotContracting(
                 f"W^(1+eps) proxy {proxy:.3g} at or above gate {cfg.lipschitz_gate}")
@@ -393,7 +386,7 @@ class _Sweeper:
         ws = self.ws = _workspace(n, cfg.n_levels, slot)
         tmp = ws.tmp_hat
 
-        eta_hat = self.eta_hat = np.fft.rfft(eta.values)
+        eta_hat = self.eta_hat = np.fft.rfft(eta)
         np.multiply(ops.lift, eta_hat, out=tmp)
         Hx = np.fft.irfft(np.multiply(ops.ik, tmp, out=tmp), n, axis=1, out=ws.Hx)
         Hz = np.fft.irfft(np.multiply(ops.lift_dz, eta_hat, out=tmp), n, axis=1,
@@ -413,7 +406,7 @@ class _Sweeper:
         self.f = self.f_hat = None
         self.scale = None
 
-    def set_datum(self, f: Field, restart=True):
+    def set_datum(self, f, restart=True):
         """Lift the datum f.
 
         With ``restart`` the lift also becomes the iterate, and its largest
@@ -422,7 +415,7 @@ class _Sweeper:
         """
         ops, ws = self.ops, self.ws
         self.f = f
-        f_hat = self.f_hat = np.fft.rfft(f.values)
+        f_hat = self.f_hat = np.fft.rfft(f)
         v0_hat = np.multiply(ops.lift, f_hat, out=ws.v0_hat)
         v0z_hat = np.multiply(ops.lift_dz, f_hat, out=ws.v0z_hat) if self.strip \
             else np.multiply(ops.absk, v0_hat, out=ws.v0z_hat)
@@ -476,7 +469,7 @@ class _Sweeper:
 
         Infinite depth takes the remainder w(0) of the iterate last swept,
         the strip the flattened normal derivative of the newest iterate.
-        Both are fresh Fields, never views of the working arrays.
+        Both are fresh node arrays, never views of the working arrays.
         """
         if self.strip:
             n, ops = self.n, self.ops
@@ -484,17 +477,16 @@ class _Sweeper:
             vz_top = np.fft.irfft(self.vz_hat[-1], n)
             vx_top = np.fft.irfft(ops.ik * self.v_hat[-1], n)
             jac_top = self.ws.jac[-1]
-            gvals = (1.0 + eta_x ** 2) / jac_top * vz_top - eta_x * vx_top
-            gf = Field(self.grid, gvals)
-            return gf, gf - abs_d(self.f)
-        remainder = Field(self.grid, np.fft.irfft(self.ws.w_hat[-1], self.n))
-        return abs_d(self.f) + remainder, remainder
+            gf = (1.0 + eta_x ** 2) / jac_top * vz_top - eta_x * vx_top
+            return gf, gf - _abs_d(self.grid, self.f)
+        remainder = np.fft.irfft(self.ws.w_hat[-1], self.n)
+        return _abs_d(self.grid, self.f) + remainder, remainder
 
     def remainder_hat(self) -> np.ndarray:
         """rfft of G f - |D| f as extract finds it, as a fresh array."""
         if self.strip:
             gf = self.extract()[0]
-            return np.fft.rfft(gf.values) - self.ops.absk * self.f_hat
+            return np.fft.rfft(gf) - self.ops.absk * self.f_hat
         return self.ws.w_hat[-1].copy()
 
     def result(self, iterations, converged, residuals) -> DNResult:
@@ -502,7 +494,8 @@ class _Sweeper:
         # the strip is solved whole: no depth is truncated
         tail = 0.0 if self.strip \
             else np.exp(-self.ops.zgrid.depth * self.grid.k_min)
-        return DNResult(gf, remainder, iterations, converged, residuals, tail)
+        return DNResult(Field(self.grid, gf), Field(self.grid, remainder),
+                        iterations, converged, residuals, tail)
 
 
 def dn_fixed_point(eta: Field, f: Field, cfg: DNConfig = DNConfig(),
@@ -515,9 +508,9 @@ def dn_fixed_point(eta: Field, f: Field, cfg: DNConfig = DNConfig(),
     """
     if eta.grid != f.grid:
         raise ValueError("eta and f live on different grids")
-    sweeper = _Sweeper(eta, cfg, geometry)
+    sweeper = _Sweeper(eta.grid, eta.values, cfg, geometry)
     # the lifted datum is the first iterate
-    sweeper.set_datum(f)
+    sweeper.set_datum(f.values)
     residuals = []
     converged = False
     grow = 0
@@ -548,18 +541,6 @@ def dn_upper(eta: Field, f: Field, cfg: DNConfig = DNConfig(),
     """
     lower = dn_fixed_point(-eta, f, cfg, geometry)
     gf = -lower.gf
-    remainder = gf + abs_d(f)
+    remainder = Field(f.grid, gf.values + _abs_d(f.grid, f.values))
     return DNResult(gf, remainder, lower.iterations, lower.converged,
                     lower.residuals, lower.tail_bound)
-
-
-def dn_shape_difference(eta1: Field, eta2: Field, f: Field,
-                        cfg: DNConfig = DNConfig(), geometry=InfiniteDepth()):
-    """G^-(eta1)f - G^-(eta2)f and the contraction ratio report."""
-    g1 = dn_fixed_point(eta1, f, cfg, geometry)
-    g2 = dn_fixed_point(eta2, f, cfg, geometry)
-    diff = g1.gf - g2.gf
-    denom = sobolev_norm(eta1 - eta2, 2.0)
-    ratio = sobolev_norm(diff, 0.0) / denom if denom > 0 else 0.0
-    return diff, {"ratio": ratio, "eta_distance_h2": denom,
-                  "difference_h0": sobolev_norm(diff, 0.0)}

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, dx, refine, truncate
+from .grid import Field, _dx, _refine, _truncate
 from .paracalc import OrderedSymbol, SymbolTerm, para_apply
 
 
@@ -27,16 +27,8 @@ def _fine_derivatives(eta: Field, orders=(1, 2)):
     The mean is removed first so constant shifts are exactly invisible
     (a large zero mode otherwise leaks roundoff through the multipliers).
     """
-    base = Field(eta.grid, eta.values - np.mean(eta.values))
-    return [refine(dx(base, m)).values for m in orders]
-
-
-def curvature(eta: Field) -> Field:
-    """eta_xx / (1 + eta_x^2)^(3/2), dealiased."""
-    ex, exx = _fine_derivatives(eta)
-    kappa = exx / (1.0 + ex * ex) ** 1.5
-    fine = refine(eta).grid
-    return truncate(Field(fine, kappa), eta.grid)
+    base = eta.values - np.mean(eta.values)
+    return [_refine(_dx(eta.grid, base, m)) for m in orders]
 
 
 def elastic_E(eta: Field, form: str = "A") -> Field:
@@ -46,7 +38,6 @@ def elastic_E(eta: Field, form: str = "A") -> Field:
     s = sqrt(1+eta_x^2).  Form B is the equivalent divergence form
     ((1/(1+eta_x^2))(eta_x/s)_x)_xx + (5/2)(eta_x eta_xx^2/(1+eta_x^2)^{7/2})_x.
     """
-    fine = refine(eta).grid
     e1, e2, e3, e4 = _fine_derivatives(eta, orders=(1, 2, 3, 4))
     one = 1.0 + e1 * e1
     # outer derivatives expanded by the product rule so no spectral
@@ -64,22 +55,22 @@ def elastic_E(eta: Field, form: str = "A") -> Field:
             + 17.5 * e1 * e1 * e2 ** 3 * one ** -4.5
     else:
         raise ValueError("form must be 'A' or 'B'")
-    return truncate(Field(fine, total), eta.grid)
+    return Field(eta.grid, _truncate(total, eta.grid.n))
 
 
 def _symbol_coefficients(eta: Field):
-    """The base fields c4, A, B2 entering the symbol and the derivative.
+    """Node values of c4, A, B2 entering the symbol and the derivative.
 
     c4 = (1+eta_x^2)^{-5/2}
     A  = eta_xx eta_x (1+eta_x^2)^{-7/2}
     B2 = eta_xx^2 (1-6 eta_x^2) (1+eta_x^2)^{-9/2}
     """
-    fine = refine(eta).grid
+    n = eta.grid.n
     ex, exx = _fine_derivatives(eta)
     one = 1.0 + ex * ex
-    c4 = truncate(Field(fine, one ** -2.5), eta.grid)
-    a = truncate(Field(fine, exx * ex * one ** -3.5), eta.grid)
-    b2 = truncate(Field(fine, exx * exx * (1.0 - 6.0 * ex * ex) * one ** -4.5), eta.grid)
+    c4 = _truncate(one ** -2.5, n)
+    a = _truncate(exx * ex * one ** -3.5, n)
+    b2 = _truncate(exx * exx * (1.0 - 6.0 * ex * ex) * one ** -4.5, n)
     return c4, a, b2
 
 
@@ -90,12 +81,15 @@ def symbol_ell(eta: Field) -> OrderedSymbol:
                 - ((c4)_xx - 5 A_x + (5/2) B2) xi^2
                 + i ((5/2)(B2)_x - 5 A_xx) xi
     """
+    grid = eta.grid
     c4, a, b2 = _symbol_coefficients(eta)
     return OrderedSymbol((
-        SymbolTerm(4, c4, "xi"),
-        SymbolTerm(3, -2.0 * dx(c4), "ixi"),
-        SymbolTerm(2, -1.0 * (dx(c4, 2) - 5.0 * dx(a) + 2.5 * b2), "xi"),
-        SymbolTerm(1, 2.5 * dx(b2) - 5.0 * dx(a, 2), "ixi"),
+        SymbolTerm(4, Field(grid, c4), "xi"),
+        SymbolTerm(3, Field(grid, -2.0 * _dx(grid, c4)), "ixi"),
+        SymbolTerm(2, Field(grid, -1.0 * (_dx(grid, c4, 2) - 5.0 * _dx(grid, a)
+                                          + 2.5 * b2)), "xi"),
+        SymbolTerm(1, Field(grid, 2.5 * _dx(grid, b2) - 5.0 * _dx(grid, a, 2)),
+                   "ixi"),
     ))
 
 
@@ -116,12 +110,12 @@ def gateaux_dE(eta: Field, etadot: Field) -> Field:
     """
     if eta.grid != etadot.grid:
         raise ValueError("eta and etadot live on different grids")
+    grid, d = eta.grid, etadot.values
     c4, a, b2 = _symbol_coefficients(eta)
-    coeff2 = dx(c4, 2) - 5.0 * dx(a) + 2.5 * b2
-    coeff1 = 5.0 * dx(a, 2) - 2.5 * dx(b2)
-    fine = refine(eta).grid
-    out = (refine(c4).values * refine(dx(etadot, 4)).values
-           + 2.0 * refine(dx(c4)).values * refine(dx(etadot, 3)).values
-           + refine(coeff2).values * refine(dx(etadot, 2)).values
-           - refine(coeff1).values * refine(dx(etadot)).values)
-    return truncate(Field(fine, out), eta.grid)
+    coeff2 = _dx(grid, c4, 2) - 5.0 * _dx(grid, a) + 2.5 * b2
+    coeff1 = 5.0 * _dx(grid, a, 2) - 2.5 * _dx(grid, b2)
+    out = (_refine(c4) * _refine(_dx(grid, d, 4))
+           + 2.0 * _refine(_dx(grid, c4)) * _refine(_dx(grid, d, 3))
+           + _refine(coeff2) * _refine(_dx(grid, d, 2))
+           - _refine(coeff1) * _refine(_dx(grid, d)))
+    return Field(grid, _truncate(out, grid.n))

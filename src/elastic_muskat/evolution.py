@@ -17,12 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dn import DNConfig, dn_fixed_point, dn_geometries
-from .elastic import elastic_E
 from .errors import MuskatError, NotContracting, SeparationLost
-from .grid import (Field, PeriodicGrid, abs_d, exp_linear_weights,
-                   lipschitz_norms, mean, sobolev_norm, to_field, to_spectrum)
+from .grid import (Field, PeriodicGrid, _abs_d, _sobolev_norm,
+                   exp_linear_weights, lipschitz_norms, mean, sobolev_norm,
+                   to_field, to_spectrum)
 from .params import LinearSymbol, PhysicalParams, wall_distances
-from .pressure import PressureConfig, pressure_fixed_point
+from .pressure import PressureConfig, _jump_values, pressure_fixed_point
 
 
 # stopping rule of the integral-equation solver: sweep distance and count
@@ -69,24 +69,26 @@ def rhs(eta: Field, params: PhysicalParams,
     """Interface velocity -(1/mu^-) G^-(eta) f^-.
 
     In the two-phase case G^-(eta) f^- is the one the pressure solve applied
-    for its flux check.  Raises NotContracting when that solve fails.
+    for its flux check.  In one phase f^+ = 0, so f^- is the pressure jump
+    sigma E(eta) + g rho^- eta.  Raises NotContracting when a solve fails.
     """
     if params.phase == "two":
-        pair = pressure_fixed_point(eta, params, cfg.pressure, cfg.dn)
-        return pair.g_minus * (-1.0 / params.mu_minus)
-    geometry, _ = dn_geometries(params)
-    f_minus = elastic_E(eta) * params.sigma \
-        + eta * (params.rho_minus * params.g)
-    gf = dn_fixed_point(eta, f_minus, cfg.dn, geometry).require_converged().gf
-    return gf * (-1.0 / params.mu_minus)
+        gf = pressure_fixed_point(eta, params, cfg.pressure, cfg.dn).g_minus
+    else:
+        geometry, _ = dn_geometries(params)
+        f_minus = Field(eta.grid, _jump_values(eta, params))
+        gf = dn_fixed_point(eta, f_minus, cfg.dn,
+                            geometry).require_converged().gf
+    return Field(eta.grid, gf.values * (-1.0 / params.mu_minus))
 
 
 def nonlinear_remainder(eta: Field, params: PhysicalParams,
                         cfg: SolveConfig = SolveConfig()) -> Field:
     """rhs with the flat linear part added back: N = rhs + nu1|D|^5 + nu2|D|."""
     sym = LinearSymbol.from_params(params)
-    lin = abs_d(eta, 5.0) * sym.nu1 + abs_d(eta) * sym.nu2
-    return rhs(eta, params, cfg) + lin
+    lin = _abs_d(eta.grid, eta.values, 5.0) * sym.nu1 \
+        + _abs_d(eta.grid, eta.values) * sym.nu2
+    return Field(eta.grid, rhs(eta, params, cfg).values + lin)
 
 
 def etd_step(eta: Field, dt: float, params: PhysicalParams,
@@ -231,11 +233,10 @@ def picard_solve(eta0: Field, T: float, params: PhysicalParams,
             integral = decay * integral + w_old * g_hat[j - 1] + w_new * g_hat[j]
             new.append(to_field(grid, free[j] + integral))
         # X^s-proxy distance between sweeps
-        dist = max(sobolev_norm(new[j] - iterates[j], s0)
-                   for j in range(nsteps + 1))
+        diffs = [a.values - b.values for a, b in zip(new, iterates)]
+        dist = max(_sobolev_norm(grid, d, s0) for d in diffs)
         dist += params.sigma / params.mu_minus * sum(
-            dt * sobolev_norm(new[j] - iterates[j], s0 + 5.0)
-            for j in range(nsteps + 1))
+            dt * _sobolev_norm(grid, d, s0 + 5.0) for d in diffs)
         iterates = new
         if dist < PICARD_TOL:
             break
@@ -308,7 +309,7 @@ def scaling_experiment(eta0: Field, lam: int, T: float, dt: float,
     ref = solve(eta0, lam ** 5 * T, lam ** 5 * dt, params, cfg)
     run = solve(rescaled(eta0), T, dt, params, cfg)
     scaled_ref = rescaled(ref.states[-1])
-    defect = np.linalg.norm((run.states[-1] - scaled_ref).values)
+    defect = np.linalg.norm(run.states[-1].values - scaled_ref.values)
     scale = max(np.linalg.norm(scaled_ref.values), 1e-300)
     return {"defect": float(defect / scale), "lambda": lam}
 

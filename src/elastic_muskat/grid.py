@@ -110,9 +110,12 @@ def mean(f: Field) -> float:
     return float(np.mean(f.values))
 
 
-def _apply_multiplier(f: Field, symbol: np.ndarray) -> Field:
-    c = np.fft.fft(f.values) * symbol
-    return Field(f.grid, np.fft.ifft(c).real)
+# The array kernels below take and return node values, so the solver's
+# intermediates build no Field; each public Field helper wraps its kernel.
+
+
+def _apply_multiplier(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    return np.fft.ifft(np.fft.fft(values) * symbol).real
 
 
 def _nyquist_mask(grid):
@@ -122,16 +125,28 @@ def _nyquist_mask(grid):
     return m
 
 
-def abs_d(f: Field, alpha: float = 1.0) -> Field:
-    """|D|^alpha f; the zero mode is mapped to 0 unless alpha = 0."""
+def _abs_d(grid, values, alpha=1.0):
     alpha = float(alpha)
-    absk = np.abs(f.grid.wavenumbers)
-    sym = np.zeros(f.grid.n)
+    absk = np.abs(grid.wavenumbers)
+    sym = np.zeros(grid.n)
     nz = absk > 0
     sym[nz] = absk[nz] ** alpha
     if alpha == 0.0:
         sym[~nz] = 1.0
-    return _apply_multiplier(f, sym)
+    return _apply_multiplier(values, sym)
+
+
+def abs_d(f: Field, alpha: float = 1.0) -> Field:
+    """|D|^alpha f; the zero mode is mapped to 0 unless alpha = 0."""
+    return Field(f.grid, _abs_d(f.grid, f.values, alpha))
+
+
+def _dx(grid, values, m=1):
+    m = int(m)
+    sym = (1j * grid.wavenumbers) ** m
+    if m % 2 == 1:
+        sym = sym * _nyquist_mask(grid)
+    return _apply_multiplier(values, sym)
 
 
 def dx(f: Field, m: int = 1) -> Field:
@@ -139,38 +154,7 @@ def dx(f: Field, m: int = 1) -> Field:
 
     Odd orders zero the Nyquist mode, whose sign is ambiguous.
     """
-    m = int(m)
-    sym = (1j * f.grid.wavenumbers) ** m
-    if m % 2 == 1:
-        sym = sym * _nyquist_mask(f.grid)
-    return _apply_multiplier(f, sym)
-
-
-def inv_abs_d(f: Field) -> Field:
-    """|D|^{-1} f with the zero mode mapped to 0."""
-    k = f.grid.wavenumbers
-    sym = np.zeros(f.grid.n)
-    nz = k != 0
-    sym[nz] = 1.0 / np.abs(k[nz])
-    return _apply_multiplier(f, sym)
-
-
-def semigroup_symbol(grid, t, nu1, alpha1, nu2=0.0, alpha2=0.0):
-    k = np.abs(grid.wavenumbers)
-    rate = np.zeros(grid.n)
-    if nu1 != 0.0:
-        rate = rate + nu1 * np.where(k > 0, k, 1.0) ** alpha1 * (k > 0)
-    if nu2 != 0.0:
-        rate = rate + nu2 * np.where(k > 0, k, 1.0) ** alpha2 * (k > 0)
-    return np.exp(-t * rate)
-
-
-def semigroup_apply(f: Field, t: float, nu1: float, alpha1: float,
-                    nu2: float = 0.0, alpha2: float = 0.0) -> Field:
-    """exp(-t (nu1 |D|^a1 + nu2 |D|^a2)) f.  Rejects t < 0 (anti-diffusion)."""
-    if t < 0:
-        raise ValueError("semigroup_apply requires t >= 0")
-    return _apply_multiplier(f, semigroup_symbol(f.grid, t, nu1, alpha1, nu2, alpha2))
+    return Field(f.grid, _dx(f.grid, f.values, m))
 
 
 # |z| below which exp_linear_weights sums Taylor series; above it the closed
@@ -204,11 +188,15 @@ def exp_linear_weights(z):
     return np.where(small, series0, closed0), np.where(small, series1, closed1)
 
 
+def _sobolev_norm(grid, values, s):
+    k = grid.wavenumbers
+    c = np.fft.fft(values) / grid.n
+    return float(np.sqrt(np.sum((1.0 + k * k) ** s * np.abs(c) ** 2)))
+
+
 def sobolev_norm(f: Field, s: float) -> float:
     """(sum_k (1+k^2)^s |f_hat(k)|^2)^(1/2)."""
-    k = f.grid.wavenumbers
-    c = to_spectrum(f)
-    return float(np.sqrt(np.sum((1.0 + k * k) ** s * np.abs(c) ** 2)))
+    return _sobolev_norm(f.grid, f.values, s)
 
 
 # --- Littlewood-Paley decomposition -----------------------------------------
@@ -250,12 +238,8 @@ def lp_block_symbol(grid, j):
 
 def lp_project(f: Field, j: int) -> Field:
     """The dyadic block P_j f."""
-    return _apply_multiplier(f, lp_block_symbol(f.grid, j))
-
-
-def lp_lowpass(f: Field, j: int) -> Field:
-    """S_j f = sum_{i<=j} P_i f.  S_{-1} = 0."""
-    return _apply_multiplier(f, lp_lowpass_symbol(f.grid, j))
+    symbol = lp_block_symbol(f.grid, j)
+    return Field(f.grid, _apply_multiplier(f.values, symbol))
 
 
 @functools.lru_cache(maxsize=8)
@@ -267,13 +251,8 @@ def _lp_block_symbols(grid):
     return symbols
 
 
-def zygmund_norm(f: Field, s: float) -> float:
-    """sup_j 2^{js} ||P_j f||_inf over the grid's dyadic blocks.
-
-    One forward transform of f and one batched inverse transform give every
-    block P_j f at once.
-    """
-    blocks = np.fft.ifft(np.fft.fft(f.values) * _lp_block_symbols(f.grid),
+def _zygmund_norm(grid, values, s):
+    blocks = np.fft.ifft(np.fft.fft(values) * _lp_block_symbols(grid),
                          axis=1).real
     peaks = np.max(np.abs(blocks), axis=1)
     best = 0.0
@@ -282,30 +261,56 @@ def zygmund_norm(f: Field, s: float) -> float:
     return best
 
 
+def zygmund_norm(f: Field, s: float) -> float:
+    """sup_j 2^{js} ||P_j f||_inf over the grid's dyadic blocks.
+
+    One forward transform of f and one batched inverse transform give every
+    block P_j f at once.
+    """
+    return _zygmund_norm(f.grid, f.values, s)
+
+
 # Holder exponent of the Lipschitz proxy: the W^{1+1/2,inf} norm
 LIPSCHITZ_EPS = 0.5
 
 
+def _lipschitz_norms(grid, values):
+    fx = _dx(grid, values)
+    lip = float(np.max(np.abs(fx)))
+    return lip, lip + _zygmund_norm(grid, fx, LIPSCHITZ_EPS)
+
+
 def lipschitz_norms(f: Field):
     """(||f_x||_inf, W^{1+eps,inf} proxy ||f_x||_inf + |f_x|_{C^eps_*})."""
-    fx = dx(f)
-    lip = float(np.max(np.abs(fx.values)))
-    return lip, lip + zygmund_norm(fx, LIPSCHITZ_EPS)
+    return _lipschitz_norms(f.grid, f.values)
 
 
-def refine(f: Field) -> Field:
-    """Spectrally interpolate onto a grid with twice the nodes."""
-    n = f.grid.n
-    fine = PeriodicGrid(2 * n, f.grid.length)
-    c = to_spectrum(f)
-    cf = np.zeros(fine.n, dtype=complex)
+def _refine(values):
+    n = len(values)
+    c = np.fft.fft(values) / n
+    cf = np.zeros(2 * n, dtype=complex)
     half = n // 2
     cf[:half] = c[:half]
     cf[-half + 1:] = c[-half + 1:]
     # split the unpaired Nyquist coefficient symmetrically
     cf[half] = 0.5 * c[half]
     cf[-half] = 0.5 * c[half]
-    return to_field(fine, cf)
+    return np.fft.ifft(cf * (2 * n)).real
+
+
+def refine(f: Field) -> Field:
+    """Spectrally interpolate onto a grid with twice the nodes."""
+    return Field(PeriodicGrid(2 * f.grid.n, f.grid.length), _refine(f.values))
+
+
+def _truncate(values, n):
+    c = np.fft.fft(values) / len(values)
+    half = n // 2
+    cc = np.zeros(n, dtype=complex)
+    cc[:half] = c[:half]
+    cc[half + 1:] = c[-half + 1:]
+    cc[half] = c[half] + c[-half]
+    return np.fft.ifft(cc * n).real
 
 
 def truncate(f: Field, grid: PeriodicGrid) -> Field:
@@ -313,10 +318,4 @@ def truncate(f: Field, grid: PeriodicGrid) -> Field:
     factor = f.grid.n // grid.n
     if grid.n * factor != f.grid.n or abs(f.grid.length - grid.length) > 0:
         raise ValueError("grids are not nested")
-    c = to_spectrum(f)
-    half = grid.n // 2
-    cc = np.zeros(grid.n, dtype=complex)
-    cc[:half] = c[:half]
-    cc[half + 1:] = c[-half + 1:]
-    cc[half] = c[half] + c[-half]
-    return to_field(grid, cc)
+    return Field(grid, _truncate(f.values, grid.n))

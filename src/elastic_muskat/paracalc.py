@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (Field, _apply_multiplier, _check_same_grid, _nyquist_mask,
-                   lp_block_count, lp_block_symbol, lp_lowpass_symbol, zero_field)
+                   lp_block_count, lp_block_symbol, lp_lowpass_symbol)
 
 SYMBOL_UNITS = ("xi", "ixi", "absxi")
 
@@ -51,35 +51,21 @@ class OrderedSymbol:
         return self.terms[0].coeff.grid
 
 
-def paraproduct(a: Field, u: Field) -> Field:
-    """T_a u = sum_{j>=2} S_{j-2}(a) P_j(u)."""
-    _check_same_grid(a, u)
-    grid = a.grid
-    ahat = np.fft.fft(a.values)
-    uhat = np.fft.fft(u.values)
+def _paraproduct(grid, a, u):
+    ahat = np.fft.fft(a)
+    uhat = np.fft.fft(u)
     out = np.zeros(grid.n)
     for j in range(2, lp_block_count(grid)):
         low = np.fft.ifft(lp_lowpass_symbol(grid, j - 2) * ahat).real
         blk = np.fft.ifft(lp_block_symbol(grid, j) * uhat).real
         out += low * blk
-    return Field(grid, out)
+    return out
 
 
-def diagonal_remainder(a: Field, u: Field) -> Field:
-    """R(a,u) = sum_{|j-j'|<=1} P_j(a) P_j'(u), the Bony diagonal part."""
+def paraproduct(a: Field, u: Field) -> Field:
+    """T_a u = sum_{j>=2} S_{j-2}(a) P_j(u)."""
     _check_same_grid(a, u)
-    grid = a.grid
-    nblocks = lp_block_count(grid)
-    ahat = np.fft.fft(a.values)
-    uhat = np.fft.fft(u.values)
-    ablk = [np.fft.ifft(lp_block_symbol(grid, j) * ahat).real for j in range(nblocks)]
-    ublk = [np.fft.ifft(lp_block_symbol(grid, j) * uhat).real for j in range(nblocks)]
-    out = np.zeros(grid.n)
-    for j in range(nblocks):
-        for jp in (j - 1, j, j + 1):
-            if 0 <= jp < nblocks:
-                out += ablk[j] * ublk[jp]
-    return Field(grid, out)
+    return Field(a.grid, _paraproduct(a.grid, a.values, u.values))
 
 
 def _unit_symbol(grid, power, unit):
@@ -98,10 +84,6 @@ def _unit_symbol(grid, power, unit):
     return sym
 
 
-def _drop_mean(u: Field) -> Field:
-    return Field(u.grid, u.values - np.mean(u.values))
-
-
 def para_apply(sym: OrderedSymbol, u: Field) -> Field:
     """Apply the paradifferential operator T_sym to u.
 
@@ -113,12 +95,11 @@ def para_apply(sym: OrderedSymbol, u: Field) -> Field:
     blocks of u and the paralinearization remainder would only be first
     order in amplitude.
     """
-    out = zero_field(u.grid)
-    u0 = _drop_mean(u)
+    grid = u.grid
+    out = np.zeros(grid.n)
+    u0 = u.values - np.mean(u.values)
     for t in sym.terms:
-        mu = _apply_multiplier(u0, _unit_symbol(u.grid, t.power, t.unit))
+        mu = _apply_multiplier(u0, _unit_symbol(grid, t.power, t.unit))
         cbar = float(np.mean(t.coeff.values))
-        fluct = Field(u.grid, t.coeff.values - cbar)
-        out = out + Field(u.grid, cbar * mu.values) + paraproduct(fluct, mu)
-    return out
-
+        out = out + cbar * mu + _paraproduct(grid, t.coeff.values - cbar, mu)
+    return Field(grid, out)

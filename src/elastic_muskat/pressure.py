@@ -28,8 +28,11 @@ its per-interface set-up once.
 
 G^+ f^+ comes from one more upper sweep at the final phi.  G^- f^- is a fresh
 DN solve, so the flux residual checks the iteration against an independent
-application of G^-, which the velocity reuses.  A dense collocation solve
-over a truncated Fourier basis serves as the referee.
+application of G^-, which the velocity reuses.  J, phi and the sweepers'
+data are node arrays and the phi update runs on rfft half spectra; Fields
+are built only for the returned PressurePair and the datum of that fresh
+solve.  A dense collocation solve over a truncated Fourier basis serves as
+the referee.
 """
 
 from dataclasses import dataclass
@@ -39,7 +42,7 @@ import numpy as np
 from .dn import DNConfig, _Sweeper, dn_fixed_point, dn_geometries, dn_upper
 from .elastic import elastic_E
 from .errors import NotContracting
-from .grid import Field, mean, sobolev_norm
+from .grid import Field, sobolev_norm
 from .params import PhysicalParams
 
 
@@ -72,9 +75,14 @@ class PressurePair:
                 "iterations": self.iterations}
 
 
+def _jump_values(eta: Field, params: PhysicalParams) -> np.ndarray:
+    return elastic_E(eta).values * params.sigma \
+        + eta.values * (params.g * params.delta_rho)
+
+
 def pressure_jump(eta: Field, params: PhysicalParams) -> Field:
     """sigma E(eta) + g (rho^- - rho^+) eta."""
-    return elastic_E(eta) * params.sigma + eta * (params.g * params.delta_rho)
+    return Field(eta.grid, _jump_values(eta, params))
 
 
 def pressure_fixed_point(eta: Field, params: PhysicalParams,
@@ -95,30 +103,30 @@ def pressure_fixed_point(eta: Field, params: PhysicalParams,
     lower_geometry, upper_geometry = dn_geometries(params)
     w_minus = params.mu_minus / (params.mu_plus + params.mu_minus)
     w_plus = params.mu_plus / (params.mu_plus + params.mu_minus)
-    jump = pressure_jump(eta, params)
+    jump = _jump_values(eta, params)
     # G^+(eta) = -G^-(-eta), so the upper problem is a lower one on -eta
     # with datum f^+ = phi - J, and R^+ is minus its remainder
-    lower = _Sweeper(eta, dn_cfg, lower_geometry, slot=0)
-    upper = _Sweeper(-eta, dn_cfg, upper_geometry, slot=1)
-    # the update runs on rfft half spectra; |D|^{-1} maps the mean to 0
     grid = eta.grid
+    lower = _Sweeper(grid, eta.values, dn_cfg, lower_geometry, slot=0)
+    upper = _Sweeper(grid, -eta.values, dn_cfg, upper_geometry, slot=1)
+    # the update runs on rfft half spectra; |D|^{-1} maps the mean to 0
     absk = np.abs(grid.rfft_wavenumbers)
     inv_absk = np.divide(1.0, absk, out=np.zeros_like(absk), where=absk > 0)
     # the flat-interface pressure; every update is mean-free
-    phi0_hat = np.fft.rfft(jump.values * w_minus)
+    phi0_hat = np.fft.rfft(jump * w_minus)
     phi0_hat[0] = 0.0
-    phi = Field(grid, np.fft.irfft(phi0_hat, grid.n))
+    phi = np.fft.irfft(phi0_hat, grid.n)
     lower.set_datum(phi)
     upper.set_datum(phi - jump)
-    scale = max(np.max(np.abs(phi.values)), 1e-300)
+    scale = max(np.max(np.abs(phi)), 1e-300)
     prev = np.inf
     grow = 0
     for iters in range(1, MAX_ITER + 1):
         dn_res = max(lower.sweep(), upper.sweep())
         # mu^- R^+ - mu^+ R^- over mu^+ + mu^-, with R^+ = -(upper remainder)
         r_hat = upper.remainder_hat() * -w_minus - lower.remainder_hat() * w_plus
-        phi_new = Field(grid, np.fft.irfft(phi0_hat + inv_absk * r_hat, grid.n))
-        res = float(np.max(np.abs(phi_new.values - phi.values)) / scale)
+        phi_new = np.fft.irfft(phi0_hat + inv_absk * r_hat, grid.n)
+        res = float(np.max(np.abs(phi_new - phi)) / scale)
         phi = phi_new
         # err < 1 once both tolerances hold; the growth rule watches it too
         err = max(res / TOL, dn_res / dn_cfg.tol)
@@ -139,22 +147,22 @@ def pressure_fixed_point(eta: Field, params: PhysicalParams,
             "pressure iteration not converged after %d sweeps (residual %.3g,"
             " DN sweep change %.3g)" % (MAX_ITER, res, dn_res))
 
-    f_minus = Field(grid, phi.values - mean(phi))
-    f_plus = f_minus - jump
-    jres = np.linalg.norm((f_minus - f_plus - jump).values)
-    jscale = max(np.linalg.norm(jump.values), 1e-300)
+    f_minus = Field(grid, phi - np.mean(phi))
+    f_plus = f_minus.values - jump
+    jres = np.linalg.norm(f_minus.values - f_plus - jump)
+    jscale = max(np.linalg.norm(jump), 1e-300)
     # G^+ f^+ = -G^-(-eta) f^+ from one more upper sweep at the final phi
     upper.set_datum(f_plus, restart=False)
     upper.sweep()
     gp = -upper.extract()[0]
     gm = dn_fixed_point(eta, f_minus, dn_cfg,
                         lower_geometry).require_converged().gf
-    flux = gp * (1.0 / params.mu_plus) - gm * (1.0 / params.mu_minus)
+    flux = gp * (1.0 / params.mu_plus) - gm.values * (1.0 / params.mu_minus)
     fscale = max(np.linalg.norm(gm.values) / params.mu_minus, 1e-300)
-    return PressurePair(f_minus=f_minus, f_plus=f_plus,
+    return PressurePair(f_minus=f_minus, f_plus=Field(grid, f_plus),
                         jump_residual=float(jres / jscale),
-                        flux_residual=float(np.linalg.norm(flux.values) / fscale),
-                        iterations=iters, g_minus=gm, g_plus=gp)
+                        flux_residual=float(np.linalg.norm(flux) / fscale),
+                        iterations=iters, g_minus=gm, g_plus=Field(grid, gp))
 
 
 def pressure_oracle(eta: Field, params: PhysicalParams, n_modes: int = 16,
@@ -201,14 +209,13 @@ def pressure_oracle(eta: Field, params: PhysicalParams, n_modes: int = 16,
             "dense pressure system ill conditioned (estimate %.3g)" % cond)
 
     fm_vals = np.stack(basis, axis=1) @ coef
-    f_minus = Field(grid, fm_vals)
-    f_minus = Field(grid, f_minus.values - mean(f_minus))
+    f_minus = Field(grid, fm_vals - np.mean(fm_vals))
     f_plus = f_minus - jump
     gm = dn_fixed_point(eta, f_minus, dn_cfg, lower).require_converged().gf
     gp = dn_upper(eta, f_plus, dn_cfg, upper).require_converged().gf
-    flux = gp * mu_sum_inv_p - gm * mu_sum_inv_m
+    flux = gp.values * mu_sum_inv_p - gm.values * mu_sum_inv_m
     fscale = max(np.linalg.norm(gm.values) * mu_sum_inv_m, 1e-300)
     return PressurePair(f_minus=f_minus, f_plus=f_plus,
                         jump_residual=0.0,
-                        flux_residual=float(np.linalg.norm(flux.values) / fscale),
+                        flux_residual=float(np.linalg.norm(flux) / fscale),
                         iterations=1, g_minus=gm, g_plus=gp)

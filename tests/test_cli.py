@@ -53,9 +53,11 @@ def test_simulate_reruns_are_byte_identical(tmp_path):
 
 
 def test_unknown_config_key_is_exit_one(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, n=64, no_such_key=1)
-    assert main(["simulate", "--config", cfg, "--quiet"]) == 1
-    assert "no_such_key" in capsys.readouterr().err
+    # "experiment" selects nothing: simulate is the only run there is
+    for key, value in (("no_such_key", 1), ("experiment", "stability")):
+        cfg = write_cfg(tmp_path, n=64, **{key: value})
+        assert main(["simulate", "--config", cfg, "--quiet"]) == 1
+        assert "unknown config key %r" % key in capsys.readouterr().err
 
 
 def test_malformed_json_is_exit_one(tmp_path):

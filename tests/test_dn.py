@@ -10,15 +10,38 @@ import scipy.sparse.linalg as spla
 
 from elastic_muskat.dn import (DNConfig, FlatStrip, InfiniteDepth,
                                _level_operators, default_depth,
-                               dn_fixed_point, dn_shape_difference, dn_upper,
-                               harmonic_lift, make_vertical_grid)
+                               dn_fixed_point, dn_upper, make_vertical_grid)
 from elastic_muskat.dn_oracle import _defect_correction, _stencil, oracle_dn
 from elastic_muskat.errors import DegenerateJacobian, NotContracting
-from elastic_muskat.grid import Field, PeriodicGrid, mean
+from elastic_muskat.grid import Field, PeriodicGrid, lipschitz_norms, mean
 
 
 GRID = PeriodicGrid(64, 2.0 * np.pi)
 X = GRID.nodes
+
+# seeds of the random interfaces that the exact identities also run on
+PROPERTY_SEEDS = (1, 2, 3)
+
+
+def random_interface(grid, seed):
+    """A seeded smooth interface with Lipschitz proxy 0.25 and a datum f."""
+    rng = np.random.default_rng(seed)
+    x = grid.nodes
+    eta = sum(rng.normal() / k ** 3 * np.cos(k * x + rng.uniform(0, 2 * np.pi))
+              for k in range(1, 9))
+    f = sum(rng.normal() / k ** 2 * np.cos(k * x + rng.uniform(0, 2 * np.pi))
+            for k in range(1, 17))
+    eta *= 0.25 / lipschitz_norms(Field(grid, eta))[1]
+    return Field(grid, eta), Field(grid, f)
+
+
+def fixed_or_random(seed, eta, f):
+    """The test's fixed (eta, f) for seed None, else random_interface."""
+    return (eta, f) if seed is None else random_interface(eta.grid, seed)
+
+
+def seed_id(seed):
+    return "fixed" if seed is None else "seed%d" % seed
 
 
 def test_flat_interface_infinite_depth():
@@ -40,15 +63,18 @@ def test_flat_strip_exact_multiplier():
         assert np.max(np.abs(res.gf.values - exact)) < 1e-12
 
 
-def test_mean_of_gf_vanishes():
-    eta = Field(GRID, 0.1 * np.sin(X))
-    res = dn_fixed_point(eta, Field(GRID, np.cos(2 * X)))
+@pytest.mark.parametrize("seed", (None,) + PROPERTY_SEEDS, ids=seed_id)
+def test_mean_of_gf_vanishes(seed):
+    eta, f = fixed_or_random(seed, Field(GRID, 0.1 * np.sin(X)),
+                             Field(GRID, np.cos(2 * X)))
+    res = dn_fixed_point(eta, f)
     assert abs(mean(res.gf)) < 1e-13
 
 
-def test_positivity():
-    eta = Field(GRID, 0.1 * np.sin(X))
-    f = Field(GRID, np.cos(X) + 0.3 * np.sin(2 * X))
+@pytest.mark.parametrize("seed", (None,) + PROPERTY_SEEDS, ids=seed_id)
+def test_positivity(seed):
+    eta, f = fixed_or_random(seed, Field(GRID, 0.1 * np.sin(X)),
+                             Field(GRID, np.cos(X) + 0.3 * np.sin(2 * X)))
     res = dn_fixed_point(eta, f)
     assert np.sum(res.gf.values * f.values) > 0
 
@@ -108,13 +134,19 @@ def test_upper_reflection_identity():
     assert np.max(np.abs(up.values + lo.values)) < 1e-12
 
 
+def dn_shape_difference(eta1, eta2, f):
+    """G^-(eta1) f - G^-(eta2) f."""
+    return (dn_fixed_point(eta1, f).gf.values
+            - dn_fixed_point(eta2, f).gf.values)
+
+
 def test_shape_difference_antisymmetry():
     e1 = Field(GRID, 0.05 * np.sin(X))
     e2 = Field(GRID, 0.05 * np.cos(X))
     f = Field(GRID, np.cos(2 * X))
-    d12, rep12 = dn_shape_difference(e1, e2, f)
-    d21, _ = dn_shape_difference(e2, e1, f)
-    assert np.max(np.abs(d12.values + d21.values)) < 1e-12
+    d12 = dn_shape_difference(e1, e2, f)
+    d21 = dn_shape_difference(e2, e1, f)
+    assert np.max(np.abs(d12 + d21)) < 1e-12
 
 
 def test_degenerate_jacobian():
@@ -129,6 +161,12 @@ def test_vertical_grid_shape():
     assert vg.levels[0] == -10.0
     assert vg.levels[-1] == 0.0
     assert np.all(np.diff(vg.levels) > 0)
+
+
+def harmonic_lift(f, zgrid, geometry):
+    """Values of the harmonic extension of f at every (level, node)."""
+    kern = geometry.lift_kernel(zgrid.levels, np.abs(f.grid.rfft_wavenumbers))
+    return np.fft.irfft(kern * np.fft.rfft(f.values), f.grid.n, axis=1)
 
 
 def test_harmonic_lift_matches_boundary():
@@ -180,9 +218,15 @@ def test_matches_pinned_output(name, geometry):
     assert _rel(res.gf.values, PIN[name]) < 1e-12
 
 
-@pytest.mark.parametrize("geometry", [InfiniteDepth(), FlatStrip(1.0)])
-def test_shift_covariance(geometry):
-    eta, f = Field(GRID128, PIN["eta"]), Field(GRID128, PIN["f"])
+@pytest.mark.parametrize("geometry, seed", [
+    # the pinned input keeps the geometry's own id
+    *(pytest.param(g, None, id="geometry%d" % i)
+      for i, g in enumerate((InfiniteDepth(), FlatStrip(1.0)))),
+    *(pytest.param(g, s, id="%s-seed%d" % (type(g).__name__, s))
+      for g in (InfiniteDepth(), FlatStrip(1.0)) for s in PROPERTY_SEEDS)])
+def test_shift_covariance(geometry, seed):
+    eta, f = fixed_or_random(seed, Field(GRID128, PIN["eta"]),
+                             Field(GRID128, PIN["f"]))
     gf = dn_fixed_point(eta, f, geometry=geometry).gf.values
     shifted = dn_fixed_point(Field(GRID128, np.roll(eta.values, 5)),
                              Field(GRID128, np.roll(f.values, 5)),

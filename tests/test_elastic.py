@@ -1,14 +1,21 @@
 import numpy as np
 import pytest
 
-from elastic_muskat.grid import Field, PeriodicGrid, dx, sobolev_norm
-from elastic_muskat.elastic import (curvature, elastic_E, elastic_split,
-                                    gateaux_dE, symbol_ell)
+from elastic_muskat.grid import (Field, PeriodicGrid, _truncate, dx,
+                                 sobolev_norm)
+from elastic_muskat.elastic import (_fine_derivatives, elastic_E,
+                                    elastic_split, gateaux_dE, symbol_ell)
 from elastic_muskat.paracalc import para_apply
 
 
 GRID = PeriodicGrid(128, 2.0 * np.pi)
 X = GRID.nodes
+
+
+def curvature(eta):
+    """eta_xx / (1 + eta_x^2)^(3/2), dealiased as E(eta) is."""
+    ex, exx = _fine_derivatives(eta)
+    return Field(eta.grid, _truncate(exx / (1.0 + ex * ex) ** 1.5, eta.grid.n))
 
 
 def test_curvature_zero():

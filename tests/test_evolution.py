@@ -154,18 +154,28 @@ def test_solve_aborts_cleanly_on_solver_failure():
     assert traj.states == [eta0]
 
 
-def test_solve_aborts_cleanly_on_non_finite_state(monkeypatch):
+@pytest.mark.parametrize("overflow_call", [1, 2],
+                         ids=["predictor", "corrector"])
+def test_solve_aborts_cleanly_on_non_finite_state(overflow_call, monkeypatch):
     # a remainder whose spectrum overflows makes the next state non-finite;
-    # the run stops with the trajectory so far instead of raising
+    # the run stops with the trajectory so far instead of raising.  When
+    # only the second remainder of a step overflows, the ETDRK2 predictor
+    # state is finite and the corrected state is the one that fails
     grid = PeriodicGrid(64)
     eta0 = Field(grid, 1e-3 * np.cos(grid.nodes))
-    monkeypatch.setattr(evolution, "nonlinear_remainder",
-                        lambda eta, *args, **kwargs:
-                        Field(grid, np.full(grid.n, 1e308)))
+    calls = []
+
+    def remainder(eta, *args, **kwargs):
+        calls.append(eta)
+        overflow = len(calls) % 2 == overflow_call % 2
+        return Field(grid, np.full(grid.n, 1e308 if overflow else 0.0))
+
+    monkeypatch.setattr(evolution, "nonlinear_remainder", remainder)
     with np.errstate(over="ignore", invalid="ignore"):
         traj = solve(eta0, 0.1, 0.05, PhysicalParams(), quick_cfg())
     assert traj.abort_reason.startswith("NonFiniteState")
     assert traj.states == [eta0]
+    assert len(calls) == overflow_call
 
 
 def test_solve_aborts_on_unconverged_dn_solve(monkeypatch):
@@ -226,6 +236,32 @@ def test_non_finite_field_is_a_value_error():
         Field(PeriodicGrid(8), np.full(8, np.nan))
     with pytest.raises(NonFiniteState):
         Field(PeriodicGrid(8), np.full(8, np.inf))
+
+
+# Fields one ETDRK2 step builds: its two stage states, and per remainder
+# evaluation the returns of nonlinear_remainder, rhs and elastic_E plus the
+# DN solve's datum, G f and remainder (one phase, 6) or the pressure pair's
+# f^-, f^+ and G^+ f^+ with the G^- f^- solve's G f and remainder (two
+# phases, 8).  The bounds allow one Field more per evaluation.
+@pytest.mark.parametrize("params, bound", [
+    (PhysicalParams(g=1.0), 2 + 2 * 6 + 2),
+    (PhysicalParams(g=1.0, mu_plus=1.0, rho_minus=2.0, rho_plus=1.0,
+                    phase="two"), 2 + 2 * 8 + 2),
+], ids=["one_phase", "two_phase"])
+def test_etd_step_builds_fields_only_at_the_api(params, bound, monkeypatch):
+    grid = PeriodicGrid(64)
+    eta = Field(grid, 0.02 * np.cos(grid.nodes)
+                + 0.01 * np.sin(2.0 * grid.nodes))
+    built = []
+    post_init = Field.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Field, "__post_init__", counted)
+    etd_step(eta, 1e-3, params, SolveConfig())
+    assert len(built) <= bound
 
 
 def test_solve_single_mode_decay():

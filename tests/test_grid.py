@@ -3,12 +3,13 @@ import pytest
 from scipy.integrate import quad
 
 from elastic_muskat.grid import (Field, PeriodicGrid, abs_d, dx,
-                                 exp_linear_weights, inv_abs_d,
-                                 lipschitz_norms, lp_block_count,
-                                 lp_lowpass, lp_project, mean,
-                                 refine, semigroup_apply, sobolev_norm,
+                                 exp_linear_weights, lipschitz_norms,
+                                 lp_block_count, lp_lowpass_symbol,
+                                 lp_project, mean, refine, sobolev_norm,
                                  to_field, to_spectrum, truncate,
                                  zygmund_norm, zero_field)
+
+from helpers import inv_abs_d, multiplier
 
 
 GRID = PeriodicGrid(128, 2.0 * np.pi)
@@ -70,6 +71,15 @@ def test_fractional_power():
     assert np.max(np.abs(out.values - 2 ** 2.5 * np.cos(2 * X))) < 1e-10
 
 
+def semigroup_apply(f, t, nu1, alpha1):
+    """exp(-t nu1 |D|^alpha1) f.  Rejects t < 0 (anti-diffusion)."""
+    if t < 0:
+        raise ValueError("semigroup_apply requires t >= 0")
+    k = np.abs(f.grid.wavenumbers)
+    rate = nu1 * np.where(k > 0, k, 1.0) ** alpha1 * (k > 0)
+    return multiplier(f, np.exp(-t * rate))
+
+
 def test_semigroup_single_mode():
     # fifth-order heat flow on cos x over unit time
     f = Field(GRID, np.cos(X))
@@ -117,7 +127,7 @@ def test_lp_block_localization():
 
 def test_lowpass_keeps_low_modes():
     f = Field(GRID, np.cos(X) + np.cos(40 * X))
-    low = lp_lowpass(f, 0)
+    low = multiplier(f, lp_lowpass_symbol(GRID, 0))
     assert np.max(np.abs(low.values - np.cos(X))) < 1e-12
 
 

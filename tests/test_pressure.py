@@ -6,10 +6,12 @@ from elastic_muskat.dn import DNConfig, dn_fixed_point, dn_geometries
 from elastic_muskat.elastic import elastic_E
 from elastic_muskat.errors import NotContracting
 from elastic_muskat.evolution import SolveConfig, rhs, solve
-from elastic_muskat.grid import Field, PeriodicGrid, inv_abs_d, mean
+from elastic_muskat.grid import Field, PeriodicGrid, mean
 from elastic_muskat.params import Geometry, PhysicalParams
 from elastic_muskat.pressure import (pressure_fixed_point, pressure_jump,
                                      pressure_oracle)
+
+from helpers import inv_abs_d
 
 
 def two_phase_params(g=0.0, rho_plus=0.5, geometry=Geometry()):
