@@ -23,7 +23,6 @@ from .errors import ConfigError, MuskatError
 from .evolution import SCHEMES, SolveConfig, solve
 from .grid import Field, PeriodicGrid
 from .params import Geometry, PhysicalParams, wall_distances
-from .pressure import PressureConfig
 from .serialization import write_report_csv, write_trajectory
 from .verify import SUITES
 
@@ -47,9 +46,6 @@ CONFIG_DEFAULTS = {
     "dn_tol": 1e-10,
     "dn_levels": 64,
     "lipschitz_gate": 0.3,
-    "pressure_gate": 0.1,
-    "picard_gate": 0.5,
-    "monitor_s": [2.0],
     "modes": [],               # list of [k, amplitude, phase]
     "tail_amplitude": 0.0,
     "tail_decay": 2.0,
@@ -89,8 +85,10 @@ def build_initial_data(cfg: dict, grid: PeriodicGrid) -> Field:
     vals = np.zeros(grid.n)
     base = 2.0 * np.pi / grid.length
     for entry in cfg["modes"]:
-        if len(entry) != 3:
-            raise ConfigError("each mode entry must be [k, amplitude, phase]")
+        if not (isinstance(entry, list) and len(entry) == 3
+                and all(map(_is_number, entry))):
+            raise ConfigError("each mode entry must be [k, amplitude, phase],"
+                              " three numbers, not %r" % (entry,))
         k, amp, phase = entry
         if int(k) != k or not 0 <= k < grid.n // 2:
             raise ConfigError("mode index %r out of range" % (k,))
@@ -107,10 +105,7 @@ def build_initial_data(cfg: dict, grid: PeriodicGrid) -> Field:
 def build_solve_config(cfg: dict) -> SolveConfig:
     dn = DNConfig(tol=cfg["dn_tol"], n_levels=cfg["dn_levels"],
                   lipschitz_gate=cfg["lipschitz_gate"])
-    pressure = PressureConfig(smallness_gate=cfg["pressure_gate"])
-    return SolveConfig(scheme=cfg["scheme"], monitor_s=tuple(cfg["monitor_s"]),
-                       dn=dn, pressure=pressure,
-                       picard_gate=cfg["picard_gate"])
+    return SolveConfig(scheme=cfg["scheme"], dn=dn)
 
 
 def _is_number(val) -> bool:
@@ -118,39 +113,46 @@ def _is_number(val) -> bool:
     return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
-def check_run_settings(cfg: dict, params: PhysicalParams):
-    """Reject settings the time loop would fail on, before any output."""
+_TYPE_NAMES = {float: "a number", int: "an integer", bool: "true or false",
+               str: "a string", list: "a list"}
+
+
+def check_run_settings(cfg: dict):
+    """Reject settings the time loop would fail on, before anything is built.
+
+    Every key but ``dt`` takes its default's type; a float key also takes
+    an integer, and no number key takes true or false.
+    """
+    for key, default in CONFIG_DEFAULTS.items():
+        if default is None:
+            continue
+        val, kind = cfg[key], type(default)
+        ok = isinstance(val, (int, float) if kind is float else kind)
+        if not ok or isinstance(val, bool) != isinstance(default, bool):
+            raise ConfigError("%s must be %s, not %r"
+                              % (key, _TYPE_NAMES[kind], val))
     if cfg["scheme"] not in SCHEMES:
         raise ConfigError("scheme must be one of %s, not %r"
                           % (", ".join(SCHEMES), cfg["scheme"]))
-    if cfg["scheme"] == "picard" and params.phase != "one":
+    if cfg["scheme"] == "picard" and cfg["phase"] != "one":
         raise ConfigError("scheme picard is one-phase only")
     for key in ("T", "dt", "dn_tol"):
         if not _is_number(cfg[key]) or not cfg[key] > 0:
             raise ConfigError("%s must be a positive number, not %r"
                               % (key, cfg[key]))
-    for key in ("n", "dn_levels", "snapshot_stride"):
-        if not (_is_number(cfg[key]) and isinstance(cfg[key], int)):
-            raise ConfigError("%s must be an integer, not %r"
-                              % (key, cfg[key]))
     # PeriodicGrid checks the range of n
-    for key, least in (("dn_levels", 2), ("snapshot_stride", 1)):
+    for key, least in (("dn_levels", 2), ("snapshot_stride", 1), ("seed", 0)):
         if cfg[key] < least:
             raise ConfigError("%s must be at least %d, not %r"
                               % (key, least, cfg[key]))
-    monitor_s = cfg["monitor_s"]
-    if not (isinstance(monitor_s, list) and monitor_s
-            and all(_is_number(s) for s in monitor_s)):
-        raise ConfigError("monitor_s must be a non-empty list of numbers,"
-                          " not %r" % (monitor_s,))
 
 
 def cmd_simulate(cfg: dict, quiet=False) -> int:
+    check_run_settings(cfg)
     params = build_params(cfg)
-    check_run_settings(cfg, params)
     try:
         grid = PeriodicGrid(cfg["n"], float(cfg["length"]))
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc))
     eta0 = build_initial_data(cfg, grid)
     depths = wall_distances(params.geometry)

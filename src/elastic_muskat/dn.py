@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateJacobian, NotContracting
+from .errors import DegenerateJacobian, NotContracting, iterate
 from .grid import (Field, PeriodicGrid, _abs_d, _lipschitz_norms,
                    exp_linear_weights)
 from .params import wall_distances
@@ -472,12 +472,7 @@ class _Sweeper:
         Both are fresh node arrays, never views of the working arrays.
         """
         if self.strip:
-            n, ops = self.n, self.ops
-            eta_x = np.fft.irfft(ops.ik * self.eta_hat, n)
-            vz_top = np.fft.irfft(self.vz_hat[-1], n)
-            vx_top = np.fft.irfft(ops.ik * self.v_hat[-1], n)
-            jac_top = self.ws.jac[-1]
-            gf = (1.0 + eta_x ** 2) / jac_top * vz_top - eta_x * vx_top
+            gf = self._strip_gf()
             return gf, gf - _abs_d(self.grid, self.f)
         remainder = np.fft.irfft(self.ws.w_hat[-1], self.n)
         return _abs_d(self.grid, self.f) + remainder, remainder
@@ -485,9 +480,17 @@ class _Sweeper:
     def remainder_hat(self) -> np.ndarray:
         """rfft of G f - |D| f as extract finds it, as a fresh array."""
         if self.strip:
-            gf = self.extract()[0]
-            return np.fft.rfft(gf) - self.ops.absk * self.f_hat
+            return np.fft.rfft(self._strip_gf()) - self.ops.absk * self.f_hat
         return self.ws.w_hat[-1].copy()
+
+    def _strip_gf(self) -> np.ndarray:
+        """The strip's G f: the flattened normal derivative of the iterate."""
+        n, ops = self.n, self.ops
+        eta_x = np.fft.irfft(ops.ik * self.eta_hat, n)
+        vz_top = np.fft.irfft(self.vz_hat[-1], n)
+        vx_top = np.fft.irfft(ops.ik * self.v_hat[-1], n)
+        jac_top = self.ws.jac[-1]
+        return (1.0 + eta_x ** 2) / jac_top * vz_top - eta_x * vx_top
 
     def result(self, iterations, converged, residuals) -> DNResult:
         gf, remainder = self.extract()
@@ -511,24 +514,9 @@ def dn_fixed_point(eta: Field, f: Field, cfg: DNConfig = DNConfig(),
     sweeper = _Sweeper(eta.grid, eta.values, cfg, geometry)
     # the lifted datum is the first iterate
     sweeper.set_datum(f.values)
-    residuals = []
-    converged = False
-    grow = 0
-    it = 0
-    for it in range(1, MAX_ITER + 1):
-        res = sweeper.sweep()
-        residuals.append(res)
-        if res < cfg.tol:
-            converged = True
-            break
-        if len(residuals) >= 2 and res >= residuals[-2]:
-            grow += 1
-            if grow >= 5:
-                raise NotContracting(
-                    "fixed-point residuals non-decreasing for 5 iterations")
-        else:
-            grow = 0
-    return sweeper.result(it, converged, residuals)
+    residuals, converged = iterate(sweeper.sweep, cfg.tol, MAX_ITER, 5,
+                                   "DN solve")
+    return sweeper.result(len(residuals), converged, residuals)
 
 
 def dn_upper(eta: Field, f: Field, cfg: DNConfig = DNConfig(),

@@ -19,9 +19,9 @@ separable part of the problem (Concus & Golub, SIAM J. Numer. Anal. 10,
 1973).  P has constant coefficients in x, so in rfft modes it is one banded
 z-system per mode; all of them are factored once per solve as one
 block-diagonal sparse LU, and the real and imaginary parts of a correction
-are its two right-hand sides.  The iteration stops once max|dv| is below
-TOL max|v|, after 11-25 corrections for bottomless slopes up to 0.4, and
-raises NotContracting after MAX_ITER corrections or when the corrections
+are its two right-hand sides.  By errors.iterate it stops once
+max|dv| / max|v| is below TOL, after 11-25 corrections for bottomless slopes
+up to 0.4, and raises NotContracting after MAX_ITER corrections or when they
 stop shrinking: over a strip the contraction is lost near eta/h = 0.3.
 """
 
@@ -30,7 +30,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .dn import FlatStrip, InfiniteDepth
-from .errors import NotContracting
+from .errors import NotContracting, iterate
 from .grid import Field
 
 TOL = 1e-13
@@ -149,24 +149,17 @@ def _defect_correction(A, rhs, nx, nz, dz, dxs, bottom_k):
 
     rhs = rhs.reshape(nz, nx)
     v = np.zeros((nz, nx))
-    prev = np.inf
-    grow = 0
-    for _ in range(MAX_ITER):
+
+    def correct():
         dv = flat_solve(rhs - apply(v))
-        v += dv
-        change = np.max(np.abs(dv))
-        if change < TOL * np.max(np.abs(v)):
-            return v
-        if change >= prev:
-            grow += 1
-            if grow >= 5:
-                raise NotContracting(
-                    "FD referee corrections non-decreasing for 5 iterations")
-        else:
-            grow = 0
-        prev = change
-    raise NotContracting("FD referee not converged after %d corrections"
-                         % MAX_ITER)
+        np.add(v, dv, out=v)
+        return np.max(np.abs(dv)) / max(np.max(np.abs(v)), 1e-300)
+
+    _, converged = iterate(correct, TOL, MAX_ITER, 5, "FD referee")
+    if not converged:
+        raise NotContracting("FD referee not converged after %d corrections"
+                             % MAX_ITER)
+    return v
 
 
 def _oracle_solve(eta_vals, f_vals, geometry, nx, nz, depth, length):

@@ -8,8 +8,9 @@ small data, by Picard iteration on the Duhamel integral equation; both
 integrate the one remainder nonlinear_remainder and take their exponential
 weights from grid.exp_linear_weights.  solve runs every scheme.  A run ends
 cleanly, with the trajectory so far, on any solver failure (an unconverged
-pressure solve included) and when the interface closes half its initial
-distance to a wall.
+pressure solve included) and when a state of any scheme closes half its
+initial distance to a wall.  The integral-equation solver stops by
+errors.iterate, the package's one stop rule.
 """
 
 from dataclasses import dataclass, field
@@ -17,15 +18,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dn import DNConfig, dn_fixed_point, dn_geometries
-from .errors import MuskatError, NotContracting, SeparationLost
+from .errors import MuskatError, NotContracting, SeparationLost, iterate
 from .grid import (Field, PeriodicGrid, _abs_d, _sobolev_norm,
                    exp_linear_weights, lipschitz_norms, mean, sobolev_norm,
                    to_field, to_spectrum)
 from .params import LinearSymbol, PhysicalParams, wall_distances
-from .pressure import PressureConfig, _jump_values, pressure_fixed_point
+from .pressure import _jump_values, pressure_fixed_point
 
 
-# stopping rule of the integral-equation solver: sweep distance and count
+# the s of the H^s monitor, the dissipation (of H^{s+5/2}), the Picard gate
+# and sweep norm, and the stability experiment's Z^s functional
+SOBOLEV_S = 2.0
+
+# the integral-equation solver's gate on ||eta0||_{H^s} and its stop rule
+PICARD_GATE = 0.5
 PICARD_TOL = 1e-10
 PICARD_MAX_ITER = 40
 
@@ -36,10 +42,7 @@ SCHEMES = ("ETD1", "ETDRK2", "picard")
 @dataclass(frozen=True)
 class SolveConfig:
     scheme: str = "ETDRK2"
-    monitor_s: tuple = (2.0,)
     dn: DNConfig = DNConfig()
-    pressure: PressureConfig = PressureConfig()
-    picard_gate: float = 0.5         # on ||eta0||_{H^s}, s = monitor_s[0]
 
 
 @dataclass
@@ -73,7 +76,7 @@ def rhs(eta: Field, params: PhysicalParams,
     sigma E(eta) + g rho^- eta.  Raises NotContracting when a solve fails.
     """
     if params.phase == "two":
-        gf = pressure_fixed_point(eta, params, cfg.pressure, cfg.dn).g_minus
+        gf = pressure_fixed_point(eta, params, cfg.dn).g_minus
     else:
         geometry, _ = dn_geometries(params)
         f_minus = Field(eta.grid, _jump_values(eta, params))
@@ -120,15 +123,14 @@ def etd_step(eta: Field, dt: float, params: PhysicalParams,
 
 
 def _monitors(eta: Field, t: float, params: PhysicalParams,
-              cfg: SolveConfig, diss_acc: float) -> dict:
+              diss_acc: float) -> dict:
     lip, lip_proxy = lipschitz_norms(eta)
-    mon = {"t": t, "mean": mean(eta), "lipschitz": lip,
-           "lipschitz_proxy": lip_proxy, "dissipation": diss_acc}
-    for s in cfg.monitor_s:
-        mon["H%g" % s] = sobolev_norm(eta, s)
-    mon["boundary_distance"] = min(
-        wall_distances(params.geometry, eta.values).values(), default=np.inf)
-    return mon
+    return {"t": t, "mean": mean(eta), "lipschitz": lip,
+            "lipschitz_proxy": lip_proxy, "dissipation": diss_acc,
+            "H%g" % SOBOLEV_S: sobolev_norm(eta, SOBOLEV_S),
+            "boundary_distance": min(
+                wall_distances(params.geometry, eta.values).values(),
+                default=np.inf)}
 
 
 def solve(eta0: Field, T: float, dt: float, params: PhysicalParams,
@@ -136,38 +138,31 @@ def solve(eta0: Field, T: float, dt: float, params: PhysicalParams,
     """Time loop of scheme ``cfg.scheme`` with monitors and clean aborts.
 
     ETD1 and ETDRK2 take fixed steps of etd_step; "picard" hands the run to
-    picard_solve, and its failure ends the run at the initial state.
+    picard_solve, and its failure ends the run at the initial state.  Every
+    state of either kind passes the same wall check.
     """
     if not T > 0 or not dt > 0:
         raise ValueError("T and dt must be positive")
-    s0 = cfg.monitor_s[0]
     # abort once the interface has closed half its initial distance to a wall
     floors = {side: 0.5 * dist for side, dist
               in wall_distances(params.geometry, eta0.values).items()}
-    times = [0.0]
-    diss = 0.0
-    states = [eta0]
-    monitors = [_monitors(eta0, 0.0, params, cfg, diss)]
+    times, states = [0.0], [eta0]
+    monitors = [_monitors(eta0, 0.0, params, 0.0)]
+    manifest = {"scheme": cfg.scheme, "dt": dt, "T": T}
     abort = None
-    eta = eta0
-    # whole steps of dt up to T; a final step is shortened to land on T
-    # only when T is not a multiple of dt up to rounding
-    nsteps = max(1, int(np.ceil(T / dt - 1e-9)))
-    last = T - dt * (nsteps - 1)
     try:
         if cfg.scheme == "picard":
-            return picard_solve(eta0, T, params, cfg, dt=dt)
-        for i in range(nsteps):
-            h, t = dt, dt * (i + 1)
-            if i == nsteps - 1 and dt - last > 1e-9 * dt:
-                h, t = last, T
-            diss += h * sobolev_norm(eta, s0 + 2.5) ** 2
-            eta = etd_step(eta, h, params, cfg)
-            mon = _monitors(eta, t, params, cfg, diss)
+            run = picard_solve(eta0, T, params, cfg, dt=dt)
+            times, states = run.times[:1], run.states[:1]
+            monitors, manifest = run.monitors[:1], run.manifest
+            steps = zip(run.times[1:], run.states[1:], run.monitors[1:])
+        else:
+            steps = _etd_steps(eta0, T, dt, params, cfg)
+        for t, eta, mon in steps:
             times.append(t)
             states.append(eta)
             monitors.append(mon)
-            # the offending step stays in the trajectory
+            # the offending state stays in the trajectory
             for side, dist in wall_distances(params.geometry,
                                              eta.values).items():
                 if dist <= floors[side]:
@@ -176,37 +171,50 @@ def solve(eta0: Field, T: float, dt: float, params: PhysicalParams,
                         % (dist, floors[side]))
     except MuskatError as exc:
         abort = "%s: %s" % (type(exc).__name__, exc)
-    manifest = {"scheme": cfg.scheme, "dt": dt, "T": T,
-                "steps": len(times) - 1, "abort_reason": abort}
+    manifest.update(steps=len(times) - 1, abort_reason=abort)
     return Trajectory(times=times, states=states, monitors=monitors,
                       abort_reason=abort, manifest=manifest)
+
+
+def _etd_steps(eta: Field, T: float, dt: float, params: PhysicalParams,
+               cfg: SolveConfig):
+    """(t, state, monitors) after each etd_step of a run from eta to T."""
+    # whole steps of dt up to T; a final step is shortened to land on T
+    # only when T is not a multiple of dt up to rounding
+    nsteps = max(1, int(np.ceil(T / dt - 1e-9)))
+    last = T - dt * (nsteps - 1)
+    diss = 0.0
+    for i in range(nsteps):
+        h, t = dt, dt * (i + 1)
+        if i == nsteps - 1 and dt - last > 1e-9 * dt:
+            h, t = last, T
+        diss += h * sobolev_norm(eta, SOBOLEV_S + 2.5) ** 2
+        eta = etd_step(eta, h, params, cfg)
+        yield t, eta, _monitors(eta, t, params, diss)
 
 
 # --- Duhamel / Picard small-data solver --------------------------------------
 
 
 def picard_solve(eta0: Field, T: float, params: PhysicalParams,
-                 cfg: SolveConfig = SolveConfig(), dt: float = None,
-                 n_steps: int = 32) -> Trajectory:
+                 cfg: SolveConfig = SolveConfig(), *,
+                 dt: float) -> Trajectory:
     """Small-data solver: fixed-point iteration on the integral equation.
 
     Each sweep evaluates eta(t) = e^{-t m} eta0 + int_0^t e^{-(t-s) m} g(s) ds
     with g = N the nonlinear remainder of the previous iterate, using an
     exponentially weighted trapezoid rule per mode.  Raises NotContracting
-    when the data is above the smallness gate or the sweeps do not converge;
+    when the data is at or above PICARD_GATE or the sweeps do not converge;
     solve turns that into an abort.
     """
     if params.phase != "one":
         raise ValueError("the integral-equation solver is one-phase only")
-    s0 = cfg.monitor_s[0]
-    h0 = sobolev_norm(eta0, s0)
-    if h0 >= cfg.picard_gate:
+    h0 = sobolev_norm(eta0, SOBOLEV_S)
+    if h0 >= PICARD_GATE:
         raise NotContracting(
             "||eta0||_H%g = %.3g at or above smallness gate %.3g"
-            % (s0, h0, cfg.picard_gate))
+            % (SOBOLEV_S, h0, PICARD_GATE))
     grid = eta0.grid
-    if dt is None:
-        dt = T / n_steps
     # the trapezoid weights need equal panels, so a dt that does not divide
     # T up to rounding is shrunk to the next one that does
     nsteps = max(1, int(np.ceil(T / dt - 1e-9)))
@@ -222,9 +230,9 @@ def picard_solve(eta0: Field, T: float, params: PhysicalParams,
     eta0_hat = to_spectrum(eta0)
     free = [np.exp(-t * m) * eta0_hat for t in times]
     iterates = [to_field(grid, c) for c in free]
-    prev_dist = np.inf
-    grow = 0
-    for n_iter in range(1, PICARD_MAX_ITER + 1):
+
+    def sweep():
+        nonlocal iterates
         g_hat = [to_spectrum(nonlinear_remainder(st, params, cfg))
                  for st in iterates]
         new = [iterates[0]]
@@ -234,31 +242,26 @@ def picard_solve(eta0: Field, T: float, params: PhysicalParams,
             new.append(to_field(grid, free[j] + integral))
         # X^s-proxy distance between sweeps
         diffs = [a.values - b.values for a, b in zip(new, iterates)]
-        dist = max(_sobolev_norm(grid, d, s0) for d in diffs)
+        dist = max(_sobolev_norm(grid, d, SOBOLEV_S) for d in diffs)
         dist += params.sigma / params.mu_minus * sum(
-            dt * _sobolev_norm(grid, d, s0 + 5.0) for d in diffs)
+            dt * _sobolev_norm(grid, d, SOBOLEV_S + 5.0) for d in diffs)
         iterates = new
-        if dist < PICARD_TOL:
-            break
-        if dist >= prev_dist:
-            grow += 1
-            if grow >= 3:
-                raise NotContracting(
-                    "integral-equation sweeps diverging (distance %.3g)" % dist)
-        else:
-            grow = 0
-        prev_dist = dist
-    else:
-        raise NotContracting("integral-equation iteration did not converge")
+        return dist
+
+    dists, converged = iterate(sweep, PICARD_TOL, PICARD_MAX_ITER, 3,
+                               "integral-equation iteration")
+    if not converged:
+        raise NotContracting("integral-equation iteration not converged after"
+                             " %d sweeps" % PICARD_MAX_ITER)
 
     monitors = []
     diss = 0.0
     for j, st in enumerate(iterates):
         if j > 0:
-            diss += dt * sobolev_norm(iterates[j - 1], s0 + 2.5) ** 2
-        monitors.append(_monitors(st, times[j], params, cfg, diss))
+            diss += dt * sobolev_norm(iterates[j - 1], SOBOLEV_S + 2.5) ** 2
+        monitors.append(_monitors(st, times[j], params, diss))
     manifest = {"scheme": "picard", "dt": dt, "T": T, "steps": nsteps,
-                "iterations": n_iter, "abort_reason": None}
+                "iterations": len(dists), "abort_reason": None}
     return Trajectory(times=times, states=iterates, monitors=monitors,
                       manifest=manifest)
 
@@ -270,8 +273,7 @@ def stability_experiment(eta0: Field, delta0: Field, T: float, dt: float,
                          params: PhysicalParams,
                          cfg: SolveConfig = SolveConfig()) -> dict:
     """Perturbation growth ratio ||eta1-eta2||_{Z^s}/||delta0||_{H^s}."""
-    s0 = cfg.monitor_s[0]
-    d0 = sobolev_norm(delta0, s0)
+    d0 = sobolev_norm(delta0, SOBOLEV_S)
     if d0 == 0.0:
         return {"ratio": None, "exact_match": True, "delta0": 0.0}
     t1 = solve(eta0, T, dt, params, cfg)
@@ -279,7 +281,7 @@ def stability_experiment(eta0: Field, delta0: Field, T: float, dt: float,
     diff = Trajectory(times=t1.times,
                       states=[a - b for a, b in zip(t2.states, t1.states)],
                       monitors=[])
-    return {"ratio": diff.zs_functional(s0) / d0, "exact_match": False,
+    return {"ratio": diff.zs_functional(SOBOLEV_S) / d0, "exact_match": False,
             "delta0": d0}
 
 

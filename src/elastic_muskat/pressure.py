@@ -19,12 +19,12 @@ Each sweep makes
 - the update of phi above from the two sweeps' remainders.
 
 It starts from the flat-interface pressure phi_0 = mu^- J / (mu^+ + mu^-).
-It stops once the phi change, relative to max|phi_0|, is below TOL and both
-DN sweep changes are below the DN tolerance.  After MAX_ITER sweeps, or 5
-non-decreasing residuals in a row, it raises NotContracting.  This is an
-inexact inner solve (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19,
-1982) at its limit of one inner sweep per outer step, so each DN problem pays
-its per-interface set-up once.
+By errors.iterate it stops once the phi change, relative to max|phi_0|, is
+below TOL and both DN sweep changes below the DN tolerance, and raises
+NotContracting after MAX_ITER sweeps or 5 non-decreasing changes in a row.
+This is an inexact inner solve (Dembo, Eisenstat & Steihaug, SIAM J. Numer.
+Anal. 19, 1982) at its limit of one inner sweep per outer step, so each DN
+problem pays its per-interface set-up once.
 
 G^+ f^+ comes from one more upper sweep at the final phi.  G^- f^- is a fresh
 DN solve, so the flux residual checks the iteration against an independent
@@ -41,7 +41,7 @@ import numpy as np
 
 from .dn import DNConfig, _Sweeper, dn_fixed_point, dn_geometries, dn_upper
 from .elastic import elastic_E
-from .errors import NotContracting
+from .errors import NotContracting, iterate
 from .grid import Field, sobolev_norm
 from .params import PhysicalParams
 
@@ -50,11 +50,7 @@ from .params import PhysicalParams
 # max|phi_0|) below which it may stop
 MAX_ITER = 80
 TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class PressureConfig:
-    smallness_gate: float = 0.1   # on ||eta||_{H^2}
+SMALLNESS_GATE = 0.1   # on ||eta||_{H^2}
 
 
 @dataclass(frozen=True)
@@ -86,7 +82,6 @@ def pressure_jump(eta: Field, params: PhysicalParams) -> Field:
 
 
 def pressure_fixed_point(eta: Field, params: PhysicalParams,
-                         cfg: PressureConfig = PressureConfig(),
                          dn_cfg: DNConfig = DNConfig()) -> PressurePair:
     """Solve for the trace pressures by one joint Picard iteration.
 
@@ -96,10 +91,10 @@ def pressure_fixed_point(eta: Field, params: PhysicalParams,
     if params.phase != "two":
         raise ValueError("pressure solve is a two-phase operation")
     h2 = sobolev_norm(eta, 2.0)
-    if h2 >= cfg.smallness_gate:
+    if h2 >= SMALLNESS_GATE:
         raise NotContracting(
             "||eta||_H2 = %.3g at or above pressure gate %.3g"
-            % (h2, cfg.smallness_gate))
+            % (h2, SMALLNESS_GATE))
     lower_geometry, upper_geometry = dn_geometries(params)
     w_minus = params.mu_minus / (params.mu_plus + params.mu_minus)
     w_plus = params.mu_plus / (params.mu_plus + params.mu_minus)
@@ -119,33 +114,24 @@ def pressure_fixed_point(eta: Field, params: PhysicalParams,
     lower.set_datum(phi)
     upper.set_datum(phi - jump)
     scale = max(np.max(np.abs(phi)), 1e-300)
-    prev = np.inf
-    grow = 0
-    for iters in range(1, MAX_ITER + 1):
+
+    def sweep():
+        nonlocal phi
         dn_res = max(lower.sweep(), upper.sweep())
         # mu^- R^+ - mu^+ R^- over mu^+ + mu^-, with R^+ = -(upper remainder)
         r_hat = upper.remainder_hat() * -w_minus - lower.remainder_hat() * w_plus
         phi_new = np.fft.irfft(phi0_hat + inv_absk * r_hat, grid.n)
         res = float(np.max(np.abs(phi_new - phi)) / scale)
         phi = phi_new
-        # err < 1 once both tolerances hold; the growth rule watches it too
-        err = max(res / TOL, dn_res / dn_cfg.tol)
-        if err < 1.0:
-            break
-        if err >= prev:
-            grow += 1
-            if grow >= 5:
-                raise NotContracting(
-                    "pressure iteration residuals non-decreasing")
-        else:
-            grow = 0
-        prev = err
         lower.set_datum(phi, restart=False)
         upper.set_datum(phi - jump, restart=False)
-    else:
-        raise NotContracting(
-            "pressure iteration not converged after %d sweeps (residual %.3g,"
-            " DN sweep change %.3g)" % (MAX_ITER, res, dn_res))
+        # below 1 once both tolerances hold
+        return max(res / TOL, dn_res / dn_cfg.tol)
+
+    errs, converged = iterate(sweep, 1.0, MAX_ITER, 5, "pressure iteration")
+    if not converged:
+        raise NotContracting("pressure iteration not converged after %d sweeps"
+                             " (at %.3g x tolerance)" % (MAX_ITER, errs[-1]))
 
     f_minus = Field(grid, phi - np.mean(phi))
     f_plus = f_minus.values - jump
@@ -162,7 +148,8 @@ def pressure_fixed_point(eta: Field, params: PhysicalParams,
     return PressurePair(f_minus=f_minus, f_plus=Field(grid, f_plus),
                         jump_residual=float(jres / jscale),
                         flux_residual=float(np.linalg.norm(flux) / fscale),
-                        iterations=iters, g_minus=gm, g_plus=Field(grid, gp))
+                        iterations=len(errs), g_minus=gm,
+                        g_plus=Field(grid, gp))
 
 
 def pressure_oracle(eta: Field, params: PhysicalParams, n_modes: int = 16,

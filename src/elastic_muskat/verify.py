@@ -73,7 +73,7 @@ def suite_dn():
              ("0.1cos_2x__sin_x", 0.1 * np.cos(2 * x), np.sin(x))]
     for name, ev, fv in pairs:
         eta, f = Field(grid, ev), Field(grid, fv)
-        gf = dn_fixed_point(eta, f, cfg).gf
+        gf = dn_fixed_point(eta, f, cfg).require_converged().gf
         ref = oracle_dn(eta, f)
         rel = np.linalg.norm(gf.values - ref.values) \
             / np.linalg.norm(ref.values)
@@ -81,7 +81,7 @@ def suite_dn():
     flat = Field(grid, np.zeros(grid.n))
     for k in (1, 2, 3):
         gf = dn_fixed_point(flat, Field(grid, np.cos(k * x)), cfg,
-                            FlatStrip(1.0)).gf
+                            FlatStrip(1.0)).require_converged().gf
         exact = k * np.tanh(k * 1.0) * np.cos(k * x)
         err = np.max(np.abs(gf.values - exact))
         rows.append(_row("strip_exact_k%d" % k, 0.0, err, 1e-6))

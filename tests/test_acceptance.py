@@ -102,11 +102,12 @@ def test_criterion_11_cross_solver():
     cfg = SolveConfig(dn=DNConfig(n_levels=48))
     T = 0.5
     eta0 = Field(grid, 1e-4 * np.cos(grid.nodes))
-    tp = picard_solve(eta0, T, params, cfg, n_steps=16)
+    tp = picard_solve(eta0, T, params, cfg, dt=T / 16)
     te = solve(eta0, T, T / 64, params, cfg)
     diff = sobolev_norm(tp.states[-1] - te.states[-1], 2.0)
     with pytest.raises(NotContracting):
-        picard_solve(Field(grid, np.cos(grid.nodes)), T, params, cfg)
+        picard_solve(Field(grid, np.cos(grid.nodes)), T, params, cfg,
+                     dt=T / 32)
     finish(11, "cross_solver", diff < 1e-6, "H2 diff %.2e" % diff)
 
 

@@ -140,6 +140,13 @@ def test_picard_abort_writes_the_etd_record(tmp_path):
     {"dn_levels": 64.5},
     {"monitor_s": []},
     {"snapshot_stride": 0},
+    {"sigma": "1"},
+    {"lipschitz_gate": "x"},
+    {"tail_decay": "a", "tail_amplitude": 1e-3},
+    {"modes": [[1, "0.01", 0.0]]},
+    {"seed": -1, "tail_amplitude": 1e-3},
+    {"allow_unstable": "no"},
+    {"modes": 5},
 ])
 def test_invalid_run_settings_are_exit_one(tmp_path, capsys, bad):
     cfg = base_run_cfg(tmp_path, **bad)

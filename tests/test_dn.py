@@ -8,12 +8,14 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from elastic_muskat import dn
 from elastic_muskat.dn import (DNConfig, FlatStrip, InfiniteDepth,
                                _level_operators, default_depth,
                                dn_fixed_point, dn_upper, make_vertical_grid)
 from elastic_muskat.dn_oracle import _defect_correction, _stencil, oracle_dn
 from elastic_muskat.errors import DegenerateJacobian, NotContracting
 from elastic_muskat.grid import Field, PeriodicGrid, lipschitz_norms, mean
+from elastic_muskat.verify import SUITES
 
 
 GRID = PeriodicGrid(64, 2.0 * np.pi)
@@ -326,6 +328,13 @@ def test_oracle_solve_matches_sparse_lu(geometry, bound):
     direct = spla.spsolve((_dense_robin(A, nx, length) if robin
                            else A).tocsc(), rhs)
     assert np.max(np.abs(v - direct)) < bound * np.max(np.abs(direct))
+
+
+def test_verify_suite_refuses_an_unconverged_solve(monkeypatch):
+    # a report row is never read off a DN solve that stopped at its cap
+    monkeypatch.setattr(dn, "MAX_ITER", 2)
+    with pytest.raises(NotContracting, match="DN solve not converged"):
+        SUITES["dn"]()
 
 
 def test_oracle_raises_when_not_converged(monkeypatch):

@@ -187,7 +187,7 @@ def test_solve_aborts_on_unconverged_dn_solve(monkeypatch):
     assert traj.abort_reason.startswith("NotContracting")
     assert traj.states == [eta0]
     with pytest.raises(NotContracting, match="DN solve not converged"):
-        picard_solve(eta0, 0.1, PhysicalParams(), quick_cfg(), n_steps=2)
+        picard_solve(eta0, 0.1, PhysicalParams(), quick_cfg(), dt=0.05)
 
 
 def test_solve_raises_separation_lost_after_the_step(monkeypatch):
@@ -229,6 +229,29 @@ def test_solve_watches_the_flat_top(geometry, monkeypatch):
     assert traj.monitors[0]["boundary_distance"] == 1.0 - np.max(eta0.values)
     assert traj.monitors[-1]["boundary_distance"] == \
         1.0 - np.max(lifted.values)
+
+
+def test_picard_stops_at_the_wall_floor_as_etd_does(monkeypatch):
+    # a constant remainder of -6 sinks the interface by 6 t; both schemes
+    # keep the states up to the first at or below half the initial
+    # distance to the flat bottom (t = 0.1) and record the abort
+    grid = PeriodicGrid(64)
+    eta0 = Field(grid, 0.01 * np.cos(grid.nodes))
+    params = PhysicalParams(geometry=Geometry("flat_bottom", h_minus=1.0))
+    monkeypatch.setattr(evolution, "nonlinear_remainder",
+                        lambda eta, *args: Field(eta.grid,
+                                                 np.full(eta.grid.n, -6.0)))
+    runs = {scheme: solve(eta0, 0.2, 0.025, params, quick_cfg(scheme=scheme))
+            for scheme in ("ETDRK2", "picard")}
+    for traj in runs.values():
+        assert traj.abort_reason == \
+            "SeparationLost: boundary distance 0.391 at or below 0.495"
+        assert traj.manifest["abort_reason"] == traj.abort_reason
+        assert traj.manifest["steps"] == 4
+        assert len(traj.states) == len(traj.monitors) == 5
+        assert traj.times == pytest.approx([0.0, 0.025, 0.05, 0.075, 0.1])
+        assert traj.monitors[-1]["boundary_distance"] <= 0.495
+    assert runs["picard"].manifest["iterations"] == 2
 
 
 def test_non_finite_field_is_a_value_error():
@@ -298,7 +321,7 @@ def test_solve_monitor_fields():
 def test_picard_trivial():
     grid = PeriodicGrid(64)
     traj = picard_solve(zero_field(grid), 0.1, PhysicalParams(),
-                        quick_cfg(), n_steps=4)
+                        quick_cfg(), dt=0.025)
     assert all(np.max(np.abs(st.values)) < 1e-13 for st in traj.states)
 
 
@@ -308,7 +331,7 @@ def test_picard_matches_etd():
     params = PhysicalParams()
     cfg = quick_cfg()
     T = 0.25
-    tp = picard_solve(eta0, T, params, cfg, n_steps=16)
+    tp = picard_solve(eta0, T, params, cfg, dt=T / 16)
     te = solve(eta0, T, T / 64, params, cfg)
     diff = sobolev_norm(tp.states[-1] - te.states[-1], 2.0)
     assert diff < 1e-7
@@ -366,7 +389,7 @@ def test_picard_sweep_solves_once_per_state(monkeypatch):
     monkeypatch.setattr(evolution, "dn_fixed_point", counted)
     grid = PeriodicGrid(64)
     eta0 = Field(grid, 1e-3 * np.cos(grid.nodes))
-    traj = picard_solve(eta0, 0.1, PhysicalParams(), quick_cfg(), n_steps=4)
+    traj = picard_solve(eta0, 0.1, PhysicalParams(), quick_cfg(), dt=0.025)
     assert len(calls) == traj.manifest["iterations"] * 5
 
 
@@ -374,7 +397,7 @@ def test_picard_gate_rejects_large_data():
     grid = PeriodicGrid(64)
     eta0 = Field(grid, np.cos(grid.nodes))
     with pytest.raises(NotContracting):
-        picard_solve(eta0, 0.1, PhysicalParams(), quick_cfg())
+        picard_solve(eta0, 0.1, PhysicalParams(), quick_cfg(), dt=0.1 / 32)
 
 
 def test_stability_zero_perturbation_sentinel():

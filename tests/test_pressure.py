@@ -137,7 +137,7 @@ def test_two_phase_velocity_reuses_pressure_solve(monkeypatch):
     params = PhysicalParams(sigma=1.0, g=1.0, mu_minus=1.0, mu_plus=1.0,
                             rho_minus=2.0, rho_plus=1.0, phase="two")
     cfg = SolveConfig()
-    pair = pressure_fixed_point(eta, params, cfg.pressure, cfg.dn)
+    pair = pressure_fixed_point(eta, params, cfg.dn)
     assert pair.iterations == 10
     expected = dn_fixed_point(eta, pair.f_minus, cfg.dn).gf \
         * (-1.0 / params.mu_minus)
