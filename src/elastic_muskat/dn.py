@@ -363,13 +363,14 @@ class _Sweeper:
     """The Picard map T[v] of one interface, applied one sweep at a time.
 
     Construction does a solve's per-interface work: the Lipschitz gate, the
-    grid-constant arrays, H_x, H_z, the Jacobian check and the Q_a
-    coefficient of v_z.  ``set_datum`` lifts a datum, ``sweep`` applies T
-    once, ``extract`` reads G f and its remainder off the iterate and
-    ``remainder_hat`` the remainder's spectrum alone.  The interface eta and
-    every datum are node values on ``grid``.  The iterate and the prepared
-    arrays live in the working arrays of ``slot``, so a sweeper is spent
-    once another one is made on the same slot.
+    grid-constant arrays, H_x, H_z, the Jacobian check, the Q_a coefficient
+    of v_z and, over a strip, the coefficients of G f.  ``set_datum`` lifts
+    a datum, ``sweep`` applies T once, ``extract`` reads G f and its
+    remainder off the iterate, ``gf`` G f alone and ``remainder_hat`` the
+    remainder's spectrum alone.  The interface eta and every datum are node
+    values on ``grid``.  The iterate and the prepared arrays live in the
+    working arrays of ``slot``, so a sweeper is spent once another one is
+    made on the same slot.
     """
 
     def __init__(self, grid, eta, cfg: DNConfig, geometry, slot=0):
@@ -399,6 +400,10 @@ class _Sweeper:
         qa_vz = np.multiply(Hx, Hx, out=ws.qa_vz)
         np.subtract(qa_vz, Hz, out=qa_vz)
         np.divide(qa_vz, jac, out=qa_vz)
+        if self.strip:
+            # the strip's G f = (1 + eta_x^2) / J v_z - eta_x v_x at z = 0
+            self.eta_x = np.fft.irfft(ops.ik * eta_hat, n)
+            self.vz_coef = (1.0 + self.eta_x ** 2) / jac[-1]
         # each sweep writes the next iterate into the spare pair of arrays
         # and the two pairs swap
         self.v_hat, self.vz_hat = ws.v_hat, ws.vz_hat
@@ -477,6 +482,10 @@ class _Sweeper:
         remainder = np.fft.irfft(self.ws.w_hat[-1], self.n)
         return _abs_d(self.grid, self.f) + remainder, remainder
 
+    def gf(self) -> np.ndarray:
+        """G f alone, as extract finds it."""
+        return self._strip_gf() if self.strip else self.extract()[0]
+
     def remainder_hat(self) -> np.ndarray:
         """rfft of G f - |D| f as extract finds it, as a fresh array."""
         if self.strip:
@@ -486,11 +495,9 @@ class _Sweeper:
     def _strip_gf(self) -> np.ndarray:
         """The strip's G f: the flattened normal derivative of the iterate."""
         n, ops = self.n, self.ops
-        eta_x = np.fft.irfft(ops.ik * self.eta_hat, n)
         vz_top = np.fft.irfft(self.vz_hat[-1], n)
         vx_top = np.fft.irfft(ops.ik * self.v_hat[-1], n)
-        jac_top = self.ws.jac[-1]
-        return (1.0 + eta_x ** 2) / jac_top * vz_top - eta_x * vx_top
+        return self.vz_coef * vz_top - self.eta_x * vx_top
 
     def result(self, iterations, converged, residuals) -> DNResult:
         gf, remainder = self.extract()

@@ -71,9 +71,10 @@ def rhs(eta: Field, params: PhysicalParams,
         cfg: SolveConfig = SolveConfig()) -> Field:
     """Interface velocity -(1/mu^-) G^-(eta) f^-.
 
-    In the two-phase case G^-(eta) f^- is the one the pressure solve applied
-    for its flux check.  In one phase f^+ = 0, so f^- is the pressure jump
-    sigma E(eta) + g rho^- eta.  Raises NotContracting when a solve fails.
+    In the two-phase case G^-(eta) f^- is read off the pressure solve's
+    closing lower sweep, so the velocity makes no DN solve.  In one phase
+    f^+ = 0, so f^- is the pressure jump sigma E(eta) + g rho^- eta.
+    Raises NotContracting when a solve fails.
     """
     if params.phase == "two":
         gf = pressure_fixed_point(eta, params, cfg.dn).g_minus

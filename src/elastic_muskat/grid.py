@@ -125,15 +125,21 @@ def _nyquist_mask(grid):
     return m
 
 
-def _abs_d(grid, values, alpha=1.0):
-    alpha = float(alpha)
+@functools.lru_cache(maxsize=16)
+def _abs_d_symbol(grid, alpha):
+    """Read-only symbol |k|^alpha, shared by every |D|^alpha on ``grid``."""
     absk = np.abs(grid.wavenumbers)
     sym = np.zeros(grid.n)
     nz = absk > 0
     sym[nz] = absk[nz] ** alpha
     if alpha == 0.0:
         sym[~nz] = 1.0
-    return _apply_multiplier(values, sym)
+    sym.setflags(write=False)
+    return sym
+
+
+def _abs_d(grid, values, alpha=1.0):
+    return _apply_multiplier(values, _abs_d_symbol(grid, float(alpha)))
 
 
 def abs_d(f: Field, alpha: float = 1.0) -> Field:
@@ -141,12 +147,18 @@ def abs_d(f: Field, alpha: float = 1.0) -> Field:
     return Field(f.grid, _abs_d(f.grid, f.values, alpha))
 
 
-def _dx(grid, values, m=1):
-    m = int(m)
+@functools.lru_cache(maxsize=16)
+def _dx_symbol(grid, m):
+    """Read-only symbol (ik)^m, shared by every m-th derivative on ``grid``."""
     sym = (1j * grid.wavenumbers) ** m
     if m % 2 == 1:
         sym = sym * _nyquist_mask(grid)
-    return _apply_multiplier(values, sym)
+    sym.setflags(write=False)
+    return sym
+
+
+def _dx(grid, values, m=1):
+    return _apply_multiplier(values, _dx_symbol(grid, int(m)))
 
 
 def dx(f: Field, m: int = 1) -> Field:

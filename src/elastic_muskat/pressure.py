@@ -26,13 +26,15 @@ This is an inexact inner solve (Dembo, Eisenstat & Steihaug, SIAM J. Numer.
 Anal. 19, 1982) at its limit of one inner sweep per outer step, so each DN
 problem pays its per-interface set-up once.
 
-G^+ f^+ comes from one more upper sweep at the final phi.  G^- f^- is a fresh
-DN solve, so the flux residual checks the iteration against an independent
-application of G^-, which the velocity reuses.  J, phi and the sweepers'
-data are node arrays and the phi update runs on rfft half spectra; Fields
-are built only for the returned PressurePair and the datum of that fresh
-solve.  A dense collocation solve over a truncated Fourier basis serves as
-the referee.
+The sweep that stops the iteration lifts no new data.  Instead each problem
+takes one closing sweep at the final data f^- and f^+, and G^- f^- and
+G^+ f^+ are read off those sweeps, so the solve makes no public DN solve.
+A closing sweep whose change is not below the DN tolerance raises
+NotContracting; it is never replaced by a fresh solve.  The velocity reuses
+G^- f^-.  J, phi and the sweepers' data are node arrays and the phi update
+runs on rfft half spectra; Fields are built only for the returned
+PressurePair.  A dense collocation solve over a truncated Fourier basis,
+which builds G^+- from public DN solves, serves as the referee.
 """
 
 from dataclasses import dataclass
@@ -58,11 +60,14 @@ class PressurePair:
     f_minus: Field
     f_plus: Field
     jump_residual: float
+    # flux continuity between the two closing sweeps; G^- is checked
+    # independently by verify two_phase's pressure_fp_vs_oracle and by the
+    # tests against fresh DN solves
     flux_residual: float
     iterations: int
-    # G^-(eta) f^- from the flux check, reused by the velocity
+    # G^-(eta) f^- from the closing lower sweep, reused by the velocity
     g_minus: Field
-    # G^+(eta) f^+ of the flux check (from the closing upper sweep)
+    # G^+(eta) f^+ from the closing upper sweep
     g_plus: Field
 
     def report(self) -> dict:
@@ -85,8 +90,9 @@ def pressure_fixed_point(eta: Field, params: PhysicalParams,
                          dn_cfg: DNConfig = DNConfig()) -> PressurePair:
     """Solve for the trace pressures by one joint Picard iteration.
 
-    ``iterations`` counts joint sweeps.  Of DN solves with ``dn_cfg`` it makes
-    one, G^- f^-; the sweeps run on private sweepers with the same config.
+    ``iterations`` counts joint sweeps; one closing sweep of each DN
+    problem follows them.  It makes no DN solve: every sweep runs on two
+    private sweepers with ``dn_cfg``.
     """
     if params.phase != "two":
         raise ValueError("pressure solve is a two-phase operation")
@@ -123,32 +129,43 @@ def pressure_fixed_point(eta: Field, params: PhysicalParams,
         phi_new = np.fft.irfft(phi0_hat + inv_absk * r_hat, grid.n)
         res = float(np.max(np.abs(phi_new - phi)) / scale)
         phi = phi_new
-        lower.set_datum(phi, restart=False)
-        upper.set_datum(phi - jump, restart=False)
         # below 1 once both tolerances hold
-        return max(res / TOL, dn_res / dn_cfg.tol)
+        change = max(res / TOL, dn_res / dn_cfg.tol)
+        # the sweep that stops the iteration leaves the closing data to lift
+        if not change < 1.0:
+            lower.set_datum(phi, restart=False)
+            upper.set_datum(phi - jump, restart=False)
+        return change
 
     errs, converged = iterate(sweep, 1.0, MAX_ITER, 5, "pressure iteration")
     if not converged:
         raise NotContracting("pressure iteration not converged after %d sweeps"
                              " (at %.3g x tolerance)" % (MAX_ITER, errs[-1]))
 
-    f_minus = Field(grid, phi - np.mean(phi))
-    f_plus = f_minus.values - jump
-    jres = np.linalg.norm(f_minus.values - f_plus - jump)
+    f_minus = phi - np.mean(phi)
+    f_plus = f_minus - jump
+    jres = np.linalg.norm(f_minus - f_plus - jump)
     jscale = max(np.linalg.norm(jump), 1e-300)
-    # G^+ f^+ = -G^-(-eta) f^+ from one more upper sweep at the final phi
+    # G^- f^- and G^+ f^+ = -G^-(-eta) f^+ from one closing sweep of each
+    # problem at the final data
+    lower.set_datum(f_minus, restart=False)
     upper.set_datum(f_plus, restart=False)
-    upper.sweep()
-    gp = -upper.extract()[0]
-    gm = dn_fixed_point(eta, f_minus, dn_cfg,
-                        lower_geometry).require_converged().gf
-    flux = gp * (1.0 / params.mu_plus) - gm.values * (1.0 / params.mu_minus)
-    fscale = max(np.linalg.norm(gm.values) / params.mu_minus, 1e-300)
-    return PressurePair(f_minus=f_minus, f_plus=Field(grid, f_plus),
+    for side, sweeper in (("lower", lower), ("upper", upper)):
+        change = sweeper.sweep()
+        if not change < dn_cfg.tol:
+            raise NotContracting(
+                "closing %s sweep of the pressure solve not converged"
+                " (change %.3g, DN tolerance %.3g)"
+                % (side, change, dn_cfg.tol))
+    gm = lower.gf()
+    gp = -upper.gf()
+    flux = gp * (1.0 / params.mu_plus) - gm * (1.0 / params.mu_minus)
+    fscale = max(np.linalg.norm(gm) / params.mu_minus, 1e-300)
+    return PressurePair(f_minus=Field(grid, f_minus),
+                        f_plus=Field(grid, f_plus),
                         jump_residual=float(jres / jscale),
                         flux_residual=float(np.linalg.norm(flux) / fscale),
-                        iterations=len(errs), g_minus=gm,
+                        iterations=len(errs), g_minus=Field(grid, gm),
                         g_plus=Field(grid, gp))
 
 

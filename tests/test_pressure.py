@@ -128,9 +128,9 @@ def test_jump_field_composition():
 
 
 def test_two_phase_velocity_reuses_pressure_solve(monkeypatch):
-    # the flux check of the pressure solve already applies G^- to f^-, so a
-    # two-phase velocity costs that one DN solve and not one more: the
-    # joint sweeps run on private sweepers
+    # the pressure solve reads G^- f^- off its closing lower sweep, so a
+    # two-phase velocity makes no public DN solve: every sweep runs on
+    # private sweepers
     grid = PeriodicGrid(128)
     eta = Field(grid, 0.02 * np.cos(grid.nodes)
                 + 0.01 * np.sin(2.0 * grid.nodes))
@@ -139,8 +139,7 @@ def test_two_phase_velocity_reuses_pressure_solve(monkeypatch):
     cfg = SolveConfig()
     pair = pressure_fixed_point(eta, params, cfg.dn)
     assert pair.iterations == 10
-    expected = dn_fixed_point(eta, pair.f_minus, cfg.dn).gf \
-        * (-1.0 / params.mu_minus)
+    expected = pair.g_minus * (-1.0 / params.mu_minus)
 
     calls = []
 
@@ -152,22 +151,45 @@ def test_two_phase_velocity_reuses_pressure_solve(monkeypatch):
             return inner(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    for module, name in ((pressure, "dn_fixed_point"), (pressure, "dn_upper"),
+    for module, name in ((dn, "dn_fixed_point"), (pressure, "dn_fixed_point"),
+                         (pressure, "dn_upper"),
                          (evolution, "dn_fixed_point")):
         counted(module, name)
     velocity = rhs(eta, params, cfg)
-    assert len(calls) == 1
+    assert calls == []
     assert np.array_equal(velocity.values, expected.values)
 
 
-
-@pytest.mark.parametrize("solver", [pressure_fixed_point, pressure_oracle])
+@pytest.mark.parametrize("solver", [pressure_oracle])
 def test_unconverged_dn_solve_raises(solver, monkeypatch):
     grid = PeriodicGrid(64)
     eta = Field(grid, 0.02 * np.sin(grid.nodes))
     monkeypatch.setattr(dn, "MAX_ITER", 2)
     with pytest.raises(NotContracting, match="DN solve not converged"):
         solver(eta, two_phase_params(), dn_cfg=DN48)
+
+
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_unconverged_closing_sweep_raises(side, monkeypatch):
+    # a closing sweep whose change is not below the DN tolerance raises and
+    # names itself; no fresh solve stands in for it
+    grid = PeriodicGrid(64)
+    eta = Field(grid, 0.02 * np.sin(grid.nodes))
+    iterations = pressure_fixed_point(eta, two_phase_params(),
+                                      dn_cfg=DN48).iterations
+    # two sweeps per joint sweep, then the lower and the upper closing one
+    spoiled = 2 * iterations + (1 if side == "lower" else 2)
+    count = [0]
+    inner = dn._Sweeper.sweep
+
+    def sweep(self):
+        count[0] += 1
+        change = inner(self)
+        return 1.0 if count[0] == spoiled else change
+    monkeypatch.setattr(dn._Sweeper, "sweep", sweep)
+    with pytest.raises(NotContracting, match="closing %s sweep" % side):
+        pressure_fixed_point(eta, two_phase_params(), dn_cfg=DN48)
+    assert count[0] == spoiled
 
 
 # --- the joint fixed point against full solves of every iterate ------------
@@ -240,10 +262,11 @@ def test_increment_solves_match_full_solves(wall, g, sweeps):
     pair = pressure_fixed_point(eta, params, dn_cfg=DN48)
     diff = np.max(np.abs(pair.f_minus.values - ref.values))
     assert diff / np.max(np.abs(ref.values)) < 1e-10
-    # one lower and one upper sweep per joint sweep, the closing upper
-    # sweep and the fresh G^- f^- solve: far fewer than full solves of the
+    # one lower and one upper sweep per joint sweep and one closing sweep
+    # of each, with no public solve: far fewer than full solves of the
     # iterate
-    assert sweeps[0] + 2 * pair.iterations + 1 <= 0.6 * ref_sweeps
+    assert sweeps[0] == 0
+    assert 2 * pair.iterations + 2 <= 0.6 * ref_sweeps
 
 
 @pytest.mark.parametrize("wall", sorted(WALLS))
@@ -257,6 +280,18 @@ def test_upper_flux_matches_a_fresh_solve(wall):
     diff = np.max(np.abs(pair.g_plus.values - fresh.values))
     assert diff / np.max(np.abs(fresh.values)) < 1e-10
     assert pair.flux_residual < 1e-10
+
+
+@pytest.mark.parametrize("wall", sorted(WALLS))
+def test_lower_flux_matches_a_fresh_solve(wall):
+    # G^- f^- comes from one closing lower sweep, not from a solve
+    eta = wall_eta()
+    params = two_phase_params(g=1.0, geometry=WALLS[wall])
+    pair = pressure_fixed_point(eta, params, dn_cfg=DN48)
+    lower, _ = dn_geometries(params)
+    fresh = dn_fixed_point(eta, pair.f_minus, DN48, lower).gf
+    diff = np.max(np.abs(pair.g_minus.values - fresh.values))
+    assert diff / np.max(np.abs(fresh.values)) < 1e-10
 
 
 @pytest.mark.parametrize("wall", ["bottomless", "both_walls"])
