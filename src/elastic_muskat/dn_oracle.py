@@ -11,19 +11,23 @@ the lift-matched Robin condition (d_z - |D|) v = 0 of a truncated infinite
 depth.  The discretization is deliberately different from the spectral fixed
 point so agreement between the two is evidence, not tautology.
 
-The 9-point stencil is assembled as a sparse matrix A without the Robin
-term; the Robin |D| acts on the bottom row through an rfft, so no matrix
-holds a dense block.  The system is solved by defect correction,
-v <- v + P^{-1}(rhs - A v), where P is the same stencil at eta = 0, the
-separable part of the problem (Concus & Golub, SIAM J. Numer. Anal. 10,
-1973).  P has constant coefficients in x, so in rfft modes it is one banded
-z-system per mode; all of them are factored once per solve as one
-block-diagonal sparse LU, and the real and imaginary parts of a correction
-are its two right-hand sides.  By errors.iterate it stops once
+The 9-point stencil A is never assembled: its coefficients are arrays over
+the interior nodes, and A v is formed from shifted copies of v (periodic
+rolls in x, slices in z).  The Robin term is left out of A; the Robin |D|
+acts on the bottom row through an rfft.  The system is solved by defect
+correction, v <- v + P^{-1}(rhs - A v), where P is the same stencil at
+eta = 0, the separable part of the problem (Concus & Golub, SIAM J. Numer.
+Anal. 10, 1973).  P has constant coefficients in x, so in rfft modes it is
+one banded z-system per mode; all of them are factored once per solve as
+one block-diagonal sparse LU, in their own mode-major order, which is
+already banded, and the real and imaginary parts of a correction are its
+two right-hand sides.  By errors.iterate it stops once
 max|dv| / max|v| is below TOL, after 11-25 corrections for bottomless slopes
 up to 0.4, and raises NotContracting after MAX_ITER corrections or when they
 stop shrinking: over a strip the contraction is lost near eta/h = 0.3.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,12 +56,48 @@ def _sparse(blocks, size):
     return sp.coo_matrix((data, (rows, cols)), shape=(size, size))
 
 
-def _stencil(eta_vals, nx, nz, Z, length):
-    """The sparse stencil on nz levels from z = -Z to 0, with eta_x and J.
+class _Stencil(NamedTuple):
+    """The 9-point stencil's coefficients on the interior levels.
 
-    Node (i, j), level i from the bottom and x-node j, is unknown i * nx + j.
-    The bottom row holds the one-sided d_z alone and the top row the
-    identity; the Robin |D| is left to the caller.
+    Each array is (nz - 2, nx): ``up`` and ``down`` multiply the level
+    above and below, ``centre`` the node itself and ``mixed`` the cross
+    difference; the x neighbours take ``dx2_inv``.
+    """
+
+    dx2_inv: float
+    dz: float
+    up: np.ndarray
+    down: np.ndarray
+    centre: np.ndarray
+    mixed: np.ndarray
+
+    def apply(self, v):
+        """The stencil times v, (nz, nx): the 9-point rows on the interior
+        levels, the one-sided d_z on the bottom row and v on the top row.
+        The x neighbours are periodic shifts and the z neighbours slices."""
+        east = np.roll(v, -1, axis=1)      # v at x-node j + 1
+        west = np.roll(v, 1, axis=1)       # v at x-node j - 1
+        out = np.empty_like(v)
+        inner = out[1:-1]
+        np.add(east[1:-1], west[1:-1], out=inner)
+        inner *= self.dx2_inv
+        inner += self.centre * v[1:-1]
+        inner += self.up * v[2:]
+        inner += self.down * v[:-2]
+        # v(i+1, j-1) + v(i-1, j+1) - v(i+1, j+1) - v(i-1, j-1)
+        west -= east
+        inner += self.mixed * (west[2:] - west[:-2])
+        out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2 * self.dz)
+        out[-1] = v[-1]
+        return out
+
+
+def _stencil(eta_vals, nx, nz, Z, length):
+    """The stencil on nz levels from z = -Z to 0, with eta_x and J.
+
+    Node (i, j) is level i from the bottom and x-node j.  The bottom row
+    holds the one-sided d_z alone and the top row the identity; the Robin
+    |D| is left to the caller.
     """
     dxs = length / nx
     dz = Z / (nz - 1)
@@ -75,33 +115,14 @@ def _stencil(eta_vals, nx, nz, Z, length):
     czz = beta ** 2 + 1.0 / J[None, :] ** 2
     cz = -(beta_x - beta * beta_z)
 
-    # each stencil entry is one block of (row, column, value), shifted in z
-    # by slicing and in x by rolling
-    node = np.arange(nz * nx).reshape(nz, nx)
-    east, west = np.roll(node, -1, axis=1), np.roll(node, 1, axis=1)
-    inner = node[1:-1]
     b, czz, cz = beta[1:-1], czz[1:-1], cz[1:-1]
-    mixed = 2.0 * b / (4 * dxs * dz)
-    blocks = [
-        # interior 9-point stencil
-        (inner, east[1:-1], 1.0 / dxs ** 2),
-        (inner, west[1:-1], 1.0 / dxs ** 2),
-        (inner, inner, -2.0 / dxs ** 2),
-        (inner, east[2:], -mixed),
-        (inner, west[:-2], -mixed),
-        (inner, west[2:], mixed),
-        (inner, east[:-2], mixed),
-        (inner, node[2:], czz / dz ** 2 + cz / (2 * dz)),
-        (inner, node[:-2], czz / dz ** 2 - cz / (2 * dz)),
-        (inner, inner, -2.0 * czz / dz ** 2),
-        # bottom: v_z, one-sided second order
-        (node[0], node[0], -3.0 / (2 * dz)),
-        (node[0], node[1], 4.0 / (2 * dz)),
-        (node[0], node[2], -1.0 / (2 * dz)),
-        # top: Dirichlet data
-        (node[-1], node[-1], 1.0),
-    ]
-    return _sparse(blocks, nz * nx).tocsr(), ex, J
+    stencil = _Stencil(
+        dx2_inv=1.0 / dxs ** 2, dz=dz,
+        up=czz / dz ** 2 + cz / (2 * dz),
+        down=czz / dz ** 2 - cz / (2 * dz),
+        centre=-2.0 / dxs ** 2 - 2.0 * czz / dz ** 2,
+        mixed=2.0 * b / (4 * dxs * dz))
+    return stencil, ex, J
 
 
 def _flat_lu(nx, nz, dz, dxs, bottom_k):
@@ -125,11 +146,16 @@ def _flat_lu(nx, nz, dz, dxs, bottom_k):
         (node[:, 0], node[:, 2], -1.0 / (2 * dz)),
         (node[:, -1], node[:, -1], 1.0),
     ]
-    return spla.splu(_sparse(blocks, nm * nz).tocsc())
+    # mode-major order is already banded, so the columns keep their order,
+    # and a band of width 4 has no supernodes worth relaxing or grouping
+    # into panels
+    return spla.splu(_sparse(blocks, nm * nz).tocsc(), permc_spec="NATURAL",
+                     relax=1, panel_size=1)
 
 
-def _defect_correction(A, rhs, nx, nz, dz, dxs, bottom_k):
-    """Solve (A - bottom_k(|D|) on the bottom row) v = rhs; v is (nz, nx).
+def _defect_correction(stencil, rhs, nx, nz, dz, dxs, bottom_k):
+    """Solve (A - bottom_k(|D|) on the bottom row) v = rhs, where A is the
+    stencil's action; v is (nz, nx).
 
     bottom_k holds the Robin multiplier per rfft mode, zero for Neumann.
     """
@@ -137,7 +163,7 @@ def _defect_correction(A, rhs, nx, nz, dz, dxs, bottom_k):
     lu = _flat_lu(nx, nz, dz, dxs, bottom_k)
 
     def apply(v):
-        out = (A @ v.ravel()).reshape(nz, nx)
+        out = stencil.apply(v)
         out[0] -= np.fft.irfft(bottom_k * np.fft.rfft(v[0]), nx)
         return out
 
@@ -171,10 +197,10 @@ def _oracle_solve(eta_vals, f_vals, geometry, nx, nz, depth, length):
         Z = depth
         bottom_k = 2.0 * np.pi * np.fft.rfftfreq(nx, d=dxs)
     dz = Z / (nz - 1)
-    A, ex, J = _stencil(eta_vals, nx, nz, Z, length)
+    stencil, ex, J = _stencil(eta_vals, nx, nz, Z, length)
     rhs = np.zeros(nz * nx)
     rhs[-nx:] = f_vals
-    v = _defect_correction(A, rhs, nx, nz, dz, dxs, bottom_k)
+    v = _defect_correction(stencil, rhs, nx, nz, dz, dxs, bottom_k)
 
     # G = -eta_x phi_x + phi_y at the interface, one-sided second order in z
     vz_top = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2 * dz)

@@ -33,15 +33,23 @@ A closing sweep whose change is not below the DN tolerance raises
 NotContracting; it is never replaced by a fresh solve.  The velocity reuses
 G^- f^-.  J, phi and the sweepers' data are node arrays and the phi update
 runs on rfft half spectra; Fields are built only for the returned
-PressurePair.  A dense collocation solve over a truncated Fourier basis,
-which builds G^+- from public DN solves, serves as the referee.
+PressurePair.
+
+A dense collocation solve over a truncated Fourier basis serves as the
+referee, pressure_oracle.  It builds the columns of G^+- by converged DN
+solves, not by the joint iteration: one lower and one upper sweeper are made
+for eta, and every solve of the call (each basis column, the jump and both
+closing fluxes) runs to the DN tolerance on them, stopped by the same
+errors.iterate rule as dn_fixed_point.  Its columns equal public
+dn_fixed_point and dn_upper solves bit for bit; an unconverged one raises
+NotContracting.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dn import DNConfig, _Sweeper, dn_fixed_point, dn_geometries, dn_upper
+from .dn import DNConfig, _Sweeper, dn_geometries
 from .elastic import elastic_E
 from .errors import NotContracting, iterate
 from .grid import Field, sobolev_norm
@@ -175,12 +183,16 @@ def pressure_oracle(eta: Field, params: PhysicalParams, n_modes: int = 16,
 
     Columns of G^+- are built by DN solves on each truncated Fourier basis
     field; the flux-match equation plus a zero-mean gauge row is solved by
-    least squares.
+    least squares.  Every DN solve, to ``dn_cfg``'s tolerance, runs on one
+    lower and one upper sweeper made for eta.
     """
     if params.phase != "two":
         raise ValueError("pressure solve is a two-phase operation")
     grid = eta.grid
-    lower, upper = dn_geometries(params)
+    lower_geometry, upper_geometry = dn_geometries(params)
+    # G^+(eta) = -G^-(-eta), so the upper solves run on a lower sweeper on -eta
+    lower = _Sweeper(grid, eta.values, dn_cfg, lower_geometry, slot=0)
+    upper = _Sweeper(grid, -eta.values, dn_cfg, upper_geometry, slot=1)
     mu_sum_inv_p = 1.0 / params.mu_plus
     mu_sum_inv_m = 1.0 / params.mu_minus
     basis = [np.ones(grid.n)]
@@ -191,17 +203,13 @@ def pressure_oracle(eta: Field, params: PhysicalParams, n_modes: int = 16,
     Gm = np.zeros((grid.n, nb))
     Gp = np.zeros((grid.n, nb))
     for j, b in enumerate(basis):
-        bf = Field(grid, b)
-        Gm[:, j] = dn_fixed_point(
-            eta, bf, dn_cfg, lower).require_converged().gf.values
-        Gp[:, j] = dn_upper(
-            eta, bf, dn_cfg, upper).require_converged().gf.values
+        Gm[:, j] = lower.converged_gf(b)
+        Gp[:, j] = -upper.converged_gf(b)
 
-    jump = pressure_jump(eta, params)
+    jump = _jump_values(eta, params)
     # [(1/mu+) G+ - (1/mu-) G-] c = (1/mu+) G+ jump,  mean gauge row appended
     A = mu_sum_inv_p * Gp - mu_sum_inv_m * Gm
-    rhs = mu_sum_inv_p * dn_upper(
-        eta, jump, dn_cfg, upper).require_converged().gf.values
+    rhs = mu_sum_inv_p * -upper.converged_gf(jump)
     gauge = np.zeros(nb)
     gauge[0] = 1.0
     A = np.vstack([A, gauge])
@@ -213,13 +221,14 @@ def pressure_oracle(eta: Field, params: PhysicalParams, n_modes: int = 16,
             "dense pressure system ill conditioned (estimate %.3g)" % cond)
 
     fm_vals = np.stack(basis, axis=1) @ coef
-    f_minus = Field(grid, fm_vals - np.mean(fm_vals))
+    f_minus = fm_vals - np.mean(fm_vals)
     f_plus = f_minus - jump
-    gm = dn_fixed_point(eta, f_minus, dn_cfg, lower).require_converged().gf
-    gp = dn_upper(eta, f_plus, dn_cfg, upper).require_converged().gf
-    flux = gp.values * mu_sum_inv_p - gm.values * mu_sum_inv_m
-    fscale = max(np.linalg.norm(gm.values) * mu_sum_inv_m, 1e-300)
-    return PressurePair(f_minus=f_minus, f_plus=f_plus,
+    gm = lower.converged_gf(f_minus)
+    gp = -upper.converged_gf(f_plus)
+    flux = gp * mu_sum_inv_p - gm * mu_sum_inv_m
+    fscale = max(np.linalg.norm(gm) * mu_sum_inv_m, 1e-300)
+    return PressurePair(f_minus=Field(grid, f_minus), f_plus=Field(grid, f_plus),
                         jump_residual=0.0,
                         flux_residual=float(np.linalg.norm(flux) / fscale),
-                        iterations=1, g_minus=gm, g_plus=gp)
+                        iterations=1, g_minus=Field(grid, gm),
+                        g_plus=Field(grid, gp))

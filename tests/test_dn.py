@@ -282,7 +282,8 @@ def test_cache_isolation():
 # oracle_pin_n32.npz holds eta = 0.05 sin x + 0.02 cos 3x, f = cos x +
 # 0.5 cos(2x + 2) and the FD referee's G(eta) f at n = 32.  The referee is
 # held to the DN solver only to 1e-3, which would hide a small assembly error;
-# test_oracle_solve_matches_sparse_lu holds its solve to a direct LU.
+# test_oracle_solve_matches_sparse_lu holds its solve to a direct LU of the
+# assembled stencil below.
 
 ORACLE_PIN = np.load(os.path.join(os.path.dirname(__file__),
                                   "oracle_pin_n32.npz"))
@@ -295,6 +296,74 @@ def test_oracle_matches_pinned_output(name, geometry):
     ref = oracle_dn(Field(grid, ORACLE_PIN["eta"]),
                     Field(grid, ORACLE_PIN["f"]), geometry=geometry)
     assert _rel(ref.values, ORACLE_PIN[name]) < 1e-12
+
+
+def _assembled_stencil(eta, nx, nz, Z, length):
+    """The referee's stencil as a sparse matrix, node (i, j) at unknown
+    i * nx + j: the coefficients from eta by the referee's formulas, one COO
+    block of (row, column, value) per stencil entry, shifted in z by slicing
+    and in x by rolling.  The referee applies the same stencil by array
+    shifts; this assembly is the independent check of that."""
+    dxs, dz = length / nx, Z / (nz - 1)
+    zs = -Z + dz * np.arange(nz)
+    ex = (np.roll(eta, -1) - np.roll(eta, 1)) / (2 * dxs)
+    exx = (np.roll(eta, -1) - 2 * eta + np.roll(eta, 1)) / dxs ** 2
+    J = (Z + eta) / Z
+    beta = ex[None, :] * (1.0 + zs[:, None] / Z) / J[None, :]
+    beta_z = ex[None, :] / (Z * J[None, :]) * np.ones((nz, 1))
+    beta_x = (1.0 + zs[:, None] / Z) * (exx[None, :] * J[None, :]
+                                        - ex[None, :] ** 2 / Z) / J[None, :] ** 2
+    czz = beta ** 2 + 1.0 / J[None, :] ** 2
+    cz = -(beta_x - beta * beta_z)
+
+    node = np.arange(nz * nx).reshape(nz, nx)
+    east, west = np.roll(node, -1, axis=1), np.roll(node, 1, axis=1)
+    inner = node[1:-1]
+    b, czz, cz = beta[1:-1], czz[1:-1], cz[1:-1]
+    mixed = 2.0 * b / (4 * dxs * dz)
+    blocks = [
+        (inner, east[1:-1], 1.0 / dxs ** 2),
+        (inner, west[1:-1], 1.0 / dxs ** 2),
+        (inner, inner, -2.0 / dxs ** 2),
+        (inner, east[2:], -mixed),
+        (inner, west[:-2], -mixed),
+        (inner, west[2:], mixed),
+        (inner, east[:-2], mixed),
+        (inner, node[2:], czz / dz ** 2 + cz / (2 * dz)),
+        (inner, node[:-2], czz / dz ** 2 - cz / (2 * dz)),
+        (inner, inner, -2.0 * czz / dz ** 2),
+        (node[0], node[0], -3.0 / (2 * dz)),
+        (node[0], node[1], 4.0 / (2 * dz)),
+        (node[0], node[2], -1.0 / (2 * dz)),
+        (node[-1], node[-1], 1.0),
+    ]
+    rows = np.concatenate([r.ravel() for r, _, _ in blocks])
+    cols = np.concatenate([c.ravel() for _, c, _ in blocks])
+    data = np.concatenate([np.broadcast_to(v, r.shape).ravel()
+                           for r, _, v in blocks])
+    return sp.coo_matrix((data, (rows, cols)), shape=(nz * nx, nz * nx)).tocsr()
+
+
+def _oracle_system(geometry):
+    """The fine system of oracle_dn at n = 32: (eta, nx, nz, Z, length)."""
+    nx, length = 64, 2.0 * np.pi
+    x = np.arange(nx) * (length / nx)
+    eta = 0.05 * np.sin(x) + 0.02 * np.cos(3 * x)
+    Z = 2.5 * length if isinstance(geometry, InfiniteDepth) else geometry.h
+    return eta, nx, nx + 1, Z, length
+
+
+@pytest.mark.parametrize("geometry", [InfiniteDepth(), FlatStrip(1.0)])
+def test_stencil_apply_matches_assembly(geometry):
+    eta, nx, nz, Z, length = _oracle_system(geometry)
+    stencil, _, _ = _stencil(eta, nx, nz, Z, length)
+    A = _assembled_stencil(eta, nx, nz, Z, length)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        v = rng.standard_normal((nz, nx))
+        ref = (A @ v.ravel()).reshape(nz, nx)
+        assert np.max(np.abs(stencil.apply(v) - ref)) \
+            < 1e-13 * np.max(np.abs(ref))
 
 
 def _dense_robin(A, nx, length):
@@ -312,18 +381,17 @@ def _dense_robin(A, nx, length):
                                              (FlatStrip(1.0), 2e-11)])
 def test_oracle_solve_matches_sparse_lu(geometry, bound):
     # the fine system of oracle_dn at n = 32, solved by a direct LU of the
-    # same stencil with the Robin |D| as dense rows
-    nx, length = 64, 2.0 * np.pi
-    nz, dxs = nx + 1, length / nx
+    # assembled stencil with the Robin |D| as dense rows
+    eta, nx, nz, Z, length = _oracle_system(geometry)
+    dxs = length / nx
     x = np.arange(nx) * dxs
-    eta = 0.05 * np.sin(x) + 0.02 * np.cos(3 * x)
     robin = isinstance(geometry, InfiniteDepth)
-    Z = 2.5 * length if robin else geometry.h
-    A, _, _ = _stencil(eta, nx, nz, Z, length)
+    stencil, _, _ = _stencil(eta, nx, nz, Z, length)
+    A = _assembled_stencil(eta, nx, nz, Z, length)
     rhs = np.zeros(nz * nx)
     rhs[-nx:] = np.cos(x) + 0.5 * np.cos(2 * x + 2)
     k = 2.0 * np.pi * np.fft.rfftfreq(nx, d=dxs)
-    v = _defect_correction(A, rhs, nx, nz, Z / (nz - 1), dxs,
+    v = _defect_correction(stencil, rhs, nx, nz, Z / (nz - 1), dxs,
                            k if robin else np.zeros_like(k)).ravel()
     direct = spla.spsolve((_dense_robin(A, nx, length) if robin
                            else A).tocsc(), rhs)

@@ -151,8 +151,7 @@ def test_two_phase_velocity_reuses_pressure_solve(monkeypatch):
             return inner(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    for module, name in ((dn, "dn_fixed_point"), (pressure, "dn_fixed_point"),
-                         (pressure, "dn_upper"),
+    for module, name in ((dn, "dn_fixed_point"), (dn, "dn_upper"),
                          (evolution, "dn_fixed_point")):
         counted(module, name)
     velocity = rhs(eta, params, cfg)
@@ -246,9 +245,8 @@ def sweeps(monkeypatch):
         res = inner(*args, **kwargs)
         count[0] += res.iterations
         return res
-    # dn_upper reaches dn.dn_fixed_point; pressure binds its own name
+    # dn_upper reaches dn.dn_fixed_point
     monkeypatch.setattr(dn, "dn_fixed_point", counted)
-    monkeypatch.setattr(pressure, "dn_fixed_point", counted)
     return count
 
 
@@ -313,3 +311,66 @@ def test_pressure_solve_leaves_dn_solves_unchanged(wall):
     for name in ("f_minus", "g_minus", "g_plus"):
         assert np.array_equal(getattr(pair, name).values,
                               getattr(again, name).values)
+
+
+# --- the dense referee against public solves ---------------------------------
+
+
+def public_solve_oracle(eta, params, n_modes, dn_cfg):
+    """pressure_oracle's dense system with every column, the jump and both
+    fluxes from public DN solves: (f^-, G^- f^-, G^+ f^+)."""
+    grid = eta.grid
+    lower, upper = dn_geometries(params)
+    basis = [np.ones(grid.n)]
+    for k in range(1, n_modes + 1):
+        basis.append(np.cos(k * 2.0 * np.pi / grid.length * grid.nodes))
+        basis.append(np.sin(k * 2.0 * np.pi / grid.length * grid.nodes))
+    Gm = np.zeros((grid.n, len(basis)))
+    Gp = np.zeros((grid.n, len(basis)))
+    for j, b in enumerate(basis):
+        bf = Field(grid, b)
+        Gm[:, j] = dn.dn_fixed_point(eta, bf, dn_cfg, lower).gf.values
+        Gp[:, j] = dn.dn_upper(eta, bf, dn_cfg, upper).gf.values
+    jump = pressure_jump(eta, params)
+    inv_mu_p, inv_mu_m = 1.0 / params.mu_plus, 1.0 / params.mu_minus
+    A = np.vstack([inv_mu_p * Gp - inv_mu_m * Gm, np.eye(1, len(basis))])
+    rhs = np.concatenate([inv_mu_p * dn.dn_upper(eta, jump, dn_cfg,
+                                                 upper).gf.values, [0.0]])
+    coef = np.linalg.lstsq(A, rhs, rcond=None)[0]
+    fm_vals = np.stack(basis, axis=1) @ coef
+    f_minus = Field(grid, fm_vals - np.mean(fm_vals))
+    return (f_minus, dn.dn_fixed_point(eta, f_minus, dn_cfg, lower).gf,
+            dn.dn_upper(eta, f_minus - jump, dn_cfg, upper).gf)
+
+
+@pytest.mark.parametrize("wall", sorted(WALLS))
+def test_oracle_matches_public_solves(wall, monkeypatch):
+    # the referee runs every solve on one lower and one upper sweeper; its
+    # columns are the public solves' bit for bit, so its answer is too
+    eta = wall_eta()
+    params = two_phase_params(g=1.0, geometry=WALLS[wall])
+    expected = public_solve_oracle(eta, params, 8, DN48)
+
+    made, public = [], []
+    init = dn._Sweeper.__init__
+
+    def counted_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(dn._Sweeper, "__init__", counted_init)
+
+    def counted(name):
+        inner = getattr(dn, name)
+
+        def wrapper(*args, **kwargs):
+            public.append(name)
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(dn, name, wrapper)
+    counted("dn_fixed_point")
+    counted("dn_upper")
+
+    ref = pressure_oracle(eta, params, n_modes=8, dn_cfg=DN48)
+    assert len(made) == 2
+    assert public == []
+    for got, want in zip((ref.f_minus, ref.g_minus, ref.g_plus), expected):
+        assert np.array_equal(got.values, want.values)
