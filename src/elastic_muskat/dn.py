@@ -10,9 +10,15 @@ and is the fixed point of the Picard map
     T[v](z) = lift(f)(z) + int_0^z e^{(z-z')|D|} (Q_a + w)(z') dz',
     w(z')   = int_{-Z}^{z'} e^{-(z'-tau)|D|} |D| (Q_b - Q_a)(tau) dtau,
 
-with the lower fluid's operator extracted as G(eta) f = |D| f + w(0) in
-infinite depth.  The |D|H factors in Q_a, Q_b are taken as the z-derivative
-of the lift (identical for the decaying lift; required for the strip lift).
+K the outer integral.  A flat bottom adds a correction that removes the
+bottom defect q of d_z v.  G(eta) f = v_z(0) - Q_a(0) and K(0) = 0, so both
+geometries read G f off a sweep by one rule,
+
+    G(eta) f - |D| f = (lift_dz(0) - |D|) f + w(0) - q u_z(0),
+
+w and Q_a of the iterate swept; the lift excess and q vanish bottomless.
+The |D|H factors in Q_a, Q_b are taken as the z-derivative of the lift
+(identical for the decaying lift; required for the strip lift).
 All z-integrals use an exponentially weighted trapezoid rule on a grid of
 levels graded toward z = 0, with the weights of grid.exp_linear_weights.
 The bottomless domain is truncated at default_depth, where the neglected
@@ -24,8 +30,8 @@ log2(levels) whole-array passes replace one pass per level.
 Fields are real, so every spectral array is a real-FFT half spectrum with
 n//2 + 1 modes per level.  The arrays that depend only on the grids (the
 vertical levels, stride decays and trapezoid weights, the lift kernels and
-the strip correction) are computed once per (grid, geometry, depth, levels)
-and shared read-only; a solve forms only the products with eta and f.
+the strip correction) are computed once per (grid, geometry, levels) and
+shared read-only; a solve forms only the products with eta and f.
 
 Those products are written into working arrays kept per (n, levels) and per
 thread, which every Picard sweep of every solve reuses: each ufunc and FFT
@@ -37,15 +43,16 @@ returns is a view of these arrays.
 
 The sweep itself lives in one private object per interface: it does the
 per-interface set-up (gate, flattening map, Jacobian check), lifts a datum,
-applies T once per call and extracts G f.  Its ``solve`` sweeps one datum to
-convergence through errors.iterate, and any number of data can be solved in
-turn on one set-up.  dn_fixed_point makes a sweeper for one solve; the dense
-pressure referee makes a lower and an upper one and solves every column on
-them; the two-phase pressure solve sweeps a lower and an upper one in turn,
-changing their data between sweeps.  In both pressure solves the upper one
-keeps its working arrays in a second slot.  The sweeper takes eta and its
-data as node arrays and returns arrays; only dn_fixed_point and dn_upper
-build Fields, for the DNResult they return.
+applies T once per call and reads G f off the last sweep; the geometry
+lives only in the grid-constant operators.  Its ``solve`` sweeps one datum
+to convergence through errors.iterate, and any number of data can be
+solved in turn on one set-up.  dn_fixed_point makes a sweeper for one
+solve; the dense pressure referee makes a lower and an upper one and
+solves every column on them; the two-phase pressure solve sweeps a lower
+and an upper one in turn, changing their data between sweeps.  In both
+pressure solves the upper one keeps its working arrays in a second slot.
+The sweeper takes eta and its data as node arrays and returns arrays; only
+dn_fixed_point and dn_upper build Fields, for the DNResult they return.
 """
 
 import functools
@@ -141,10 +148,6 @@ class VerticalGrid:
             raise ValueError("z = 0 must be a node")
         object.__setattr__(self, "levels", levels)
 
-    @property
-    def depth(self):
-        return -float(self.levels[0])
-
 
 def make_vertical_grid(depth, n_levels):
     """Levels on [-depth, 0] geometrically clustered toward z = 0.
@@ -211,10 +214,11 @@ class DNConfig:
 
     ``tol`` bounds the change of the last Picard sweep, relative to the
     largest coefficient of the lifted datum; it does not bound the error of
-    G f.  Over a strip that error can exceed it: at n = 128, on
-    eta = 0.02 cos x + 0.01 sin 2x + 0.003 cos(5x + 0.3) with the two-phase
-    f^- as datum, a tol-1e-10 solve is 1.06e-10 (max norm, relative) from a
-    tol-1e-15 solve over FlatStrip(1.0), and 4.3e-12 bottomless.
+    G f, which both geometries read off that sweep by one rule.  At
+    n = 128, on eta = 0.02 cos x + 0.01 sin 2x + 0.003 cos(5x + 0.3) with
+    the f^- of a flat-bottom (h = 1) two-phase pressure solve as datum, a
+    tol-1e-10 solve is 1.33e-11 (max norm, relative) from a tol-1e-15 solve
+    over FlatStrip(1.0), and 4.3e-12 bottomless.
     """
 
     tol: float = 1e-10
@@ -247,17 +251,25 @@ def _strip_kernels(z, absk, h):
 
 
 class _LevelOperators:
-    """Everything a solve needs that depends only on the grids.
+    """Everything a solve needs that depends only on the grids and geometry.
 
-    Spectral arrays are real-FFT half spectra: (levels, n//2 + 1), or
-    (levels - 1, n//2 + 1) per panel.  ``strides`` holds the scan strides
-    s = 1, 2, 4, ... below the level count and ``stride_decay`` the matching
-    (levels - s, n//2 + 1) arrays e^{-(z_{i+s} - z_i)|k|}; they and the panel
-    weights ``c0``, ``cd`` are complex with zero imaginary part.  Instances
-    are shared between solves, so every array is read-only.
+    The one place in the solver that tells a strip from a bottomless
+    domain: the depth, ``tail_bound``, the correction profiles ``bottom``
+    (None bottomless), the lift excess lift_dz(0) - |k| and the defect
+    gain of the G f read (both zero bottomless).  Spectral arrays are
+    real-FFT half spectra: (levels, n//2 + 1), or (levels - 1, n//2 + 1)
+    per panel.  ``strides`` holds the scan strides s = 1, 2, 4, ... below
+    the level count and ``stride_decay`` the matching (levels - s, n//2 + 1)
+    arrays e^{-(z_{i+s} - z_i)|k|}; they and the panel weights ``c0``,
+    ``cd`` are complex with zero imaginary part.  Instances are shared
+    between solves, so every array is read-only.
     """
 
-    def __init__(self, grid, geometry, depth, n_levels):
+    def __init__(self, grid, geometry, n_levels):
+        strip = isinstance(geometry, FlatStrip)
+        depth = geometry.h if strip else default_depth(grid)
+        # the strip is solved whole: no depth is truncated
+        self.tail_bound = 0.0 if strip else np.exp(-depth * grid.k_min)
         self.zgrid = make_vertical_grid(depth, n_levels)
         z = self.zgrid.levels
         gaps = np.diff(z)
@@ -283,13 +295,32 @@ class _LevelOperators:
         self.cd = (gaps[:, None] * w1).astype(complex)
         self.lift = geometry.lift_kernel(z, self.absk)
         self.lift_dz = geometry.lift_dz_kernel(z, self.absk)
-        self.strip_v = self.strip_vz = None
-        if isinstance(geometry, FlatStrip):
-            self.strip_v, self.strip_vz = _strip_kernels(z, self.absk, geometry.h)
-        for arr in (*vars(self).values(), *self.stride_decay):
+        self.lift_excess = self.lift_dz[-1] - self.absk
+        self.bottom = _strip_kernels(z, self.absk, depth) if strip else None
+        # G f's gain on the bottom defect, -u_z(0)
+        self.defect_gain = -self.bottom[1][-1] if strip else 0.0
+        for arr in (*vars(self).values(), *self.stride_decay,
+                    *(self.bottom or ())):
             if isinstance(arr, np.ndarray):
                 arr.setflags(write=False)
         self.zgrid.levels.setflags(write=False)
+
+    def lift_datum(self, f_hat, v0_hat, v0z_hat):
+        """The lift of f_hat and its z-derivative, into v0_hat and v0z_hat."""
+        np.multiply(self.lift, f_hat, out=v0_hat)
+        if self.bottom is None:
+            # the decaying lift's z-derivative is |k| times the lift
+            np.multiply(self.absk, v0_hat, out=v0z_hat)
+        else:
+            np.multiply(self.lift_dz, f_hat, out=v0z_hat)
+
+    def remove_bottom_defect(self, v_hat, vz_hat, defect, tmp):
+        """Over a strip, move the d_z v defect at the bottom from the
+        iterate into ``defect``; bottomless there is none."""
+        if self.bottom is not None:
+            np.copyto(defect, vz_hat[0])
+            for arr, profile in zip((v_hat, vz_hat), self.bottom):
+                np.subtract(arr, np.multiply(defect, profile, out=tmp), out=arr)
 
     def upward_w(self, rho_hat, w, tmp):
         """w(z_i) = int_{-Z}^{z_i} e^{-(z_i - tau)|k|} rho(tau) dtau, into w.
@@ -324,8 +355,8 @@ class _LevelOperators:
 
 
 @functools.lru_cache(maxsize=8)
-def _level_operators(grid, geometry, depth, n_levels):
-    return _LevelOperators(grid, geometry, depth, n_levels)
+def _level_operators(grid, geometry, n_levels):
+    return _LevelOperators(grid, geometry, n_levels)
 
 
 # --- the fixed point ---------------------------------------------------------
@@ -383,16 +414,16 @@ class _Sweeper:
     """The Picard map T[v] of one interface, applied one sweep at a time.
 
     Construction does a solve's per-interface work: the Lipschitz gate, the
-    grid-constant arrays, H_x, H_z, the Jacobian check, the Q_a coefficient
-    of v_z and, over a strip, the coefficients of G f.  ``set_datum`` lifts
-    a datum, ``sweep`` applies T once, ``extract`` reads G f and its
-    remainder off the iterate, ``gf`` G f alone and ``remainder_hat`` the
-    remainder's spectrum alone.  ``solve`` lifts a datum and sweeps it to
-    the tolerance, and ``converged_gf`` also requires convergence, so one
-    sweeper serves any number of solves on its interface.  The interface
-    eta and every datum are node values on ``grid``.  The iterate and the
-    prepared arrays live in the working arrays of ``slot``, so a sweeper is
-    spent once another one is made on the same slot.
+    grid-constant arrays, H_x, H_z, the Jacobian check and the Q_a
+    coefficient of v_z.  ``set_datum`` lifts a datum, ``sweep`` applies T
+    once, and ``remainder_hat`` reads the spectrum of G f - |D| f off the
+    last sweep by the module's one rule; ``gf`` and ``result`` derive from
+    it.  ``solve`` lifts a datum and sweeps it to the tolerance, and
+    ``converged_gf`` also requires convergence, so one sweeper serves any
+    number of solves on its interface.  The interface eta and every datum
+    are node values on ``grid``.  The iterate and the prepared arrays live
+    in the working arrays of ``slot``, so a sweeper is spent once another
+    one is made on the same slot.
     """
 
     def __init__(self, grid, eta, cfg: DNConfig, geometry, slot=0):
@@ -403,14 +434,11 @@ class _Sweeper:
         if proxy >= cfg.lipschitz_gate:
             raise NotContracting(
                 f"W^(1+eps) proxy {proxy:.3g} at or above gate {cfg.lipschitz_gate}")
-        self.strip = isinstance(geometry, FlatStrip)
-        depth = geometry.h if self.strip else default_depth(grid)
-        ops = self.ops = _level_operators(grid, geometry, float(depth),
-                                          cfg.n_levels)
+        ops = self.ops = _level_operators(grid, geometry, cfg.n_levels)
         ws = self.ws = _workspace(n, cfg.n_levels, slot)
         tmp = ws.tmp_hat
 
-        eta_hat = self.eta_hat = np.fft.rfft(eta)
+        eta_hat = np.fft.rfft(eta)
         np.multiply(ops.lift, eta_hat, out=tmp)
         Hx = np.fft.irfft(np.multiply(ops.ik, tmp, out=tmp), n, axis=1, out=ws.Hx)
         Hz = np.fft.irfft(np.multiply(ops.lift_dz, eta_hat, out=tmp), n, axis=1,
@@ -423,10 +451,8 @@ class _Sweeper:
         qa_vz = np.multiply(Hx, Hx, out=ws.qa_vz)
         np.subtract(qa_vz, Hz, out=qa_vz)
         np.divide(qa_vz, jac, out=qa_vz)
-        if self.strip:
-            # the strip's G f = (1 + eta_x^2) / J v_z - eta_x v_x at z = 0
-            self.eta_x = np.fft.irfft(ops.ik * eta_hat, n)
-            self.vz_coef = (1.0 + self.eta_x ** 2) / jac[-1]
+        # the bottom defect of d_z v that the last sweep removed
+        self.defect = np.zeros(n // 2 + 1, complex)
         # each sweep writes the next iterate into the spare pair of arrays
         # and the two pairs swap
         self.v_hat, self.vz_hat = ws.v_hat, ws.vz_hat
@@ -441,15 +467,13 @@ class _Sweeper:
         coefficient the scale of every later sweep change; without, the
         iterate is kept and only the datum of the next sweep changes.
         """
-        ops, ws = self.ops, self.ws
+        ws = self.ws
         self.f = f
-        f_hat = self.f_hat = np.fft.rfft(f)
-        v0_hat = np.multiply(ops.lift, f_hat, out=ws.v0_hat)
-        v0z_hat = np.multiply(ops.lift_dz, f_hat, out=ws.v0z_hat) if self.strip \
-            else np.multiply(ops.absk, v0_hat, out=ws.v0z_hat)
+        self.f_hat = np.fft.rfft(f)
+        self.ops.lift_datum(self.f_hat, ws.v0_hat, ws.v0z_hat)
         if restart:
-            np.copyto(self.v_hat, v0_hat)
-            np.copyto(self.vz_hat, v0z_hat)
+            np.copyto(self.v_hat, ws.v0_hat)
+            np.copyto(self.vz_hat, ws.v0z_hat)
             self.scale = max(np.max(np.abs(self.v_hat, out=ws.mag)), 1e-300)
 
     def solve(self, f):
@@ -493,55 +517,29 @@ class _Sweeper:
         np.add(ws.v0_hat, K_hat, out=v_new)
         np.add(ws.v0z_hat, np.multiply(absk, K_hat, out=K_hat), out=vz_new)
         np.add(vz_new, src_hat, out=vz_new)
-        if self.strip:
-            # remove the d_z v defect at the flat bottom
-            kz_bottom = vz_new[0].copy()
-            np.subtract(v_new, np.multiply(kz_bottom, ops.strip_v, out=tmp),
-                        out=v_new)
-            np.subtract(vz_new, np.multiply(kz_bottom, ops.strip_vz, out=tmp),
-                        out=vz_new)
+        ops.remove_bottom_defect(v_new, vz_new, self.defect, tmp)
         change = np.abs(np.subtract(v_new, v_hat, out=tmp), out=ws.mag)
         self.v_hat, self.v_new = v_new, v_hat
         self.vz_hat, self.vz_new = vz_new, vz_hat
         return float(np.max(change) / self.scale)
 
-    def extract(self):
-        """(G f, G f - |D| f) for the datum f, read off the iterate.
-
-        Infinite depth takes the remainder w(0) of the iterate last swept,
-        the strip the flattened normal derivative of the newest iterate.
-        Both are fresh node arrays, never views of the working arrays.
-        """
-        if self.strip:
-            gf = self._strip_gf()
-            return gf, gf - _abs_d(self.grid, self.f)
-        remainder = np.fft.irfft(self.ws.w_hat[-1], self.n)
-        return _abs_d(self.grid, self.f) + remainder, remainder
+    def remainder_hat(self) -> np.ndarray:
+        """rfft of G f - |D| f for the datum of the last sweep, read off
+        that sweep by the module's one rule, as a fresh array."""
+        ops = self.ops
+        return (ops.lift_excess * self.f_hat + self.ws.w_hat[-1]
+                + ops.defect_gain * self.defect)
 
     def gf(self) -> np.ndarray:
-        """G f alone, as extract finds it."""
-        return self._strip_gf() if self.strip else self.extract()[0]
-
-    def remainder_hat(self) -> np.ndarray:
-        """rfft of G f - |D| f as extract finds it, as a fresh array."""
-        if self.strip:
-            return np.fft.rfft(self._strip_gf()) - self.ops.absk * self.f_hat
-        return self.ws.w_hat[-1].copy()
-
-    def _strip_gf(self) -> np.ndarray:
-        """The strip's G f: the flattened normal derivative of the iterate."""
-        n, ops = self.n, self.ops
-        vz_top = np.fft.irfft(self.vz_hat[-1], n)
-        vx_top = np.fft.irfft(ops.ik * self.v_hat[-1], n)
-        return self.vz_coef * vz_top - self.eta_x * vx_top
+        """G f for the datum of the last sweep, as a fresh node array."""
+        return _abs_d(self.grid, self.f) + np.fft.irfft(self.remainder_hat(),
+                                                        self.n)
 
     def result(self, iterations, converged, residuals) -> DNResult:
-        gf, remainder = self.extract()
-        # the strip is solved whole: no depth is truncated
-        tail = 0.0 if self.strip \
-            else np.exp(-self.ops.zgrid.depth * self.grid.k_min)
+        remainder = np.fft.irfft(self.remainder_hat(), self.n)
+        gf = _abs_d(self.grid, self.f) + remainder
         return DNResult(Field(self.grid, gf), Field(self.grid, remainder),
-                        iterations, converged, residuals, tail)
+                        iterations, converged, residuals, self.ops.tail_bound)
 
 
 def dn_fixed_point(eta: Field, f: Field, cfg: DNConfig = DNConfig(),
@@ -550,7 +548,8 @@ def dn_fixed_point(eta: Field, f: Field, cfg: DNConfig = DNConfig(),
 
     It stops once a sweep changes the iterate by less than ``cfg.tol``
     relative to the lifted datum.  That bounds the last sweep's change, not
-    the error of G f, which over a strip can be larger (see DNConfig).
+    the error of G f, though in both geometries the error measured on a
+    test input stays below it (see DNConfig).
     Raises NotContracting when the interface is outside the contraction
     regime (gate on the W^{1+1/2,inf} proxy, or growing residuals) and
     DegenerateJacobian when the flattening change of variables degenerates.

@@ -226,20 +226,18 @@ def oracle_dn(eta: Field, f: Field, geometry=InfiniteDepth()) -> Field:
     depth = 2.5 * length
 
     def run(nx):
-        xs = np.arange(nx) * (length / nx)
-        return _oracle_solve(_sample(eta, xs), _sample(f, xs), geometry,
+        return _oracle_solve(_sample(eta, nx), _sample(f, nx), geometry,
                              nx, nx + 1, depth, length)
 
     fine, coarse = run(2 * grid.n), run(grid.n)
     return Field(grid, (4.0 * fine[::2] - coarse) / 3.0)
 
 
-def _sample(field: Field, xs):
-    """Evaluate a grid field at arbitrary points by its Fourier series."""
-    c = np.fft.fft(field.values) / field.grid.n
-    k = field.grid.wavenumbers
+def _sample(field: Field, nx):
+    """A grid field at nx >= n equispaced points of its period, by its
+    Fourier series zero-padded."""
+    c = np.fft.rfft(field.values)
     # drop the unpaired Nyquist mode for off-grid evaluation
-    c = c.copy()
-    c[field.grid.n // 2] = 0.0
-    return np.real(np.exp(1j * np.outer(xs, k)) @ c)
+    c[-1] = 0.0
+    return np.fft.irfft(c, nx) * (nx / field.grid.n)
 

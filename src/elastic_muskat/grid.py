@@ -1,9 +1,13 @@
 """Periodic grid, Fourier transforms, multipliers and norms.
 
-Coefficient convention, used everywhere in the package: the spectrum of a
-field f holds f_hat(k) = (1/L) * integral_0^L f(x) exp(-i k x) dx, so a
-single mode cos(k0 x) has coefficients 1/2 at k = +-k0.  Wavenumbers are
+Coefficient convention of this module's spectra (to_spectrum, to_field
+and the norms): the spectrum of a field f holds
+f_hat(k) = (1/L) * integral_0^L f(x) exp(-i k x) dx, so a single mode
+cos(k0 x) has coefficients 1/2 at k = +-k0.  Wavenumbers are
 k_m = 2*pi*m/L for m in {-n/2, ..., n/2 - 1}, stored in numpy fft order.
+Elsewhere spectra are numpy's unnormalised transforms of the node values:
+dn, dn_oracle and pressure use rfft half spectra (wavenumbers
+rfft_wavenumbers), paracalc and verify full fft spectra.
 """
 
 import functools

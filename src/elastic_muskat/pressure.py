@@ -85,13 +85,9 @@ class PressurePair:
 
 
 def _jump_values(eta: Field, params: PhysicalParams) -> np.ndarray:
+    """sigma E(eta) + g (rho^- - rho^+) eta at the nodes."""
     return elastic_E(eta).values * params.sigma \
         + eta.values * (params.g * params.delta_rho)
-
-
-def pressure_jump(eta: Field, params: PhysicalParams) -> Field:
-    """sigma E(eta) + g (rho^- - rho^+) eta."""
-    return Field(eta.grid, _jump_values(eta, params))
 
 
 def pressure_fixed_point(eta: Field, params: PhysicalParams,

@@ -10,8 +10,8 @@ import scipy.sparse.linalg as spla
 
 from elastic_muskat import dn
 from elastic_muskat.dn import (DNConfig, FlatStrip, InfiniteDepth,
-                               _level_operators, default_depth,
-                               dn_fixed_point, dn_upper, make_vertical_grid)
+                               _level_operators, dn_fixed_point, dn_upper,
+                               make_vertical_grid)
 from elastic_muskat.dn_oracle import _defect_correction, _stencil, oracle_dn
 from elastic_muskat.errors import DegenerateJacobian, NotContracting
 from elastic_muskat.grid import Field, PeriodicGrid, lipschitz_norms, mean
@@ -200,7 +200,10 @@ def test_strip_reports_no_truncation_tail():
 # dn_pin_n128.npz holds eta = 0.03 sin x + 0.01 cos 3x, a datum
 # f = cos 2x + 0.1 N(0,1) + 0.05 cos 64x (default_rng(20260), so it has
 # energy at the Nyquist mode) and G(eta) f at n = 128 with DNConfig()
-# defaults, as computed by the complex-FFT engine this one replaced.
+# defaults.  gf_infinite was computed by the complex-FFT engine this one
+# replaced; gf_strip by the one G f read of both geometries, which over the
+# strip is 4.8e-12 (2-norm, relative) from a tol-1e-15 solve, against
+# 5.1e-11 for the read it replaced.
 
 PIN = np.load(os.path.join(os.path.dirname(__file__), "dn_pin_n128.npz"))
 GRID128 = PeriodicGrid(128)
@@ -218,6 +221,20 @@ def test_matches_pinned_output(name, geometry):
     assert res.converged
     assert res.iterations == 7
     assert _rel(res.gf.values, PIN[name]) < 1e-12
+
+
+@pytest.mark.parametrize("geometry", [InfiniteDepth(), FlatStrip(1.0),
+                                      FlatStrip(0.5)])
+def test_default_solve_is_near_a_tight_solve(geometry):
+    # the G f read off the last sweep carries the error that tol leaves, and
+    # no more, in both geometries (measured 4.3e-12 bottomless, 1.1e-11 and
+    # 7.0e-12 over the strips)
+    eta, f = Field(GRID128, PIN["eta"]), Field(GRID128, PIN["f"])
+    gf = dn_fixed_point(eta, f, geometry=geometry).gf.values
+    tight = dn_fixed_point(eta, f, DNConfig(tol=1e-15), geometry)
+    assert tight.converged
+    ref = tight.gf.values
+    assert np.max(np.abs(gf - ref)) < 2e-11 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("geometry, seed", [
@@ -438,8 +455,7 @@ def _loop_downward_K(ops, src_hat):
 @pytest.mark.parametrize("geometry", [InfiniteDepth(), FlatStrip(1.0)])
 def test_scans_match_sequential_recurrences(n, geometry):
     grid = PeriodicGrid(n)
-    depth = geometry.h if isinstance(geometry, FlatStrip) else default_depth(grid)
-    ops = _level_operators(grid, geometry, float(depth), DNConfig().n_levels)
+    ops = _level_operators(grid, geometry, DNConfig().n_levels)
     rng = np.random.default_rng(n)
     shape = (DNConfig().n_levels, n // 2 + 1)
     data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -451,8 +467,7 @@ def test_scans_match_sequential_recurrences(n, geometry):
 
 
 def test_stride_decays_are_read_only():
-    ops = _level_operators(GRID128, InfiniteDepth(), default_depth(GRID128),
-                           DNConfig().n_levels)
+    ops = _level_operators(GRID128, InfiniteDepth(), DNConfig().n_levels)
     assert ops.strides == (1, 2, 4, 8, 16, 32)
     for s, decay in zip(ops.strides, ops.stride_decay):
         assert decay.shape == (DNConfig().n_levels - s, GRID128.n // 2 + 1)
