@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .params import Geometry, LinearSymbol, PhysicalParams
 from .dn import (DNConfig, DNResult, FlatStrip, InfiniteDepth, VerticalGrid,
                  dn_fixed_point, dn_upper, make_vertical_grid)
-from .dn_oracle import oracle_dn
 from .pressure import PressurePair, pressure_fixed_point, pressure_oracle
 from .evolution import (SolveConfig, Trajectory, etd_step,
                         nonlinear_remainder, picard_solve, rhs,

@@ -81,6 +81,21 @@ class InfiniteDepth:
         return absk * np.exp(np.multiply.outer(z, absk))
 
 
+def _hyperbolic_ratio(y, absk, h, num_sign, den_sign):
+    """Numerator and guarded denominator of a hyperbolic ratio over (y, |k|).
+
+    e^{(y-h)|k|} + num_sign e^{-(y+h)|k|} over 1 + den_sign e^{-2h|k|} is
+    sinh (sign -1) or cosh (sign +1) of y|k| over sinh or cosh of h|k|,
+    written with no positive exponent for -h <= y <= h.  The vanishing
+    sinh denominator at k = 0 is returned as 1; callers take k = 0 from
+    its limit.  Both arrays are (len(y), len(absk)).
+    """
+    yy = np.asarray(y, dtype=float)[:, None]
+    num = np.exp((yy - h) * absk) + num_sign * np.exp(-(yy + h) * absk)
+    den = 1.0 + den_sign * np.exp(-2.0 * h * absk)
+    return num, np.where(den > 0, den, 1.0)
+
+
 @dataclass(frozen=True)
 class FlatStrip:
     """Flat rigid bottom at depth h.
@@ -97,25 +112,16 @@ class FlatStrip:
             raise ValueError("strip depth must be positive")
 
     def lift_kernel(self, z, absk):
-        # sinh((z+h)k)/sinh(hk) with non-positive exponents; k=0 -> (z+h)/h
-        zp = np.add.outer(np.asarray(z, dtype=float), np.zeros_like(absk)) + self.h
-        k = np.broadcast_to(absk, zp.shape)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            num = np.exp((zp - self.h) * k) - np.exp((-zp - self.h) * k)
-            den = 1.0 - np.exp(-2.0 * self.h * k)
-            out = np.where(k > 0, num / np.where(den > 0, den, 1.0), zp / self.h)
-        return out
+        # sinh((z+h)k)/sinh(hk); k=0 -> (z+h)/h
+        zp = np.asarray(z, dtype=float) + self.h
+        num, den = _hyperbolic_ratio(zp, absk, self.h, -1.0, -1.0)
+        return np.where(absk > 0, num / den, (zp / self.h)[:, None])
 
     def lift_dz_kernel(self, z, absk):
         # k cosh((z+h)k)/sinh(hk); k=0 -> 1/h
-        zp = np.add.outer(np.asarray(z, dtype=float), np.zeros_like(absk)) + self.h
-        k = np.broadcast_to(absk, zp.shape)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            num = np.exp((zp - self.h) * k) + np.exp((-zp - self.h) * k)
-            den = 1.0 - np.exp(-2.0 * self.h * k)
-            out = np.where(k > 0, k * num / np.where(den > 0, den, 1.0),
-                           1.0 / self.h)
-        return out
+        zp = np.asarray(z, dtype=float) + self.h
+        num, den = _hyperbolic_ratio(zp, absk, self.h, 1.0, -1.0)
+        return np.where(absk > 0, absk * num / den, 1.0 / self.h)
 
 
 def dn_geometries(params):
@@ -236,18 +242,12 @@ def _strip_kernels(z, absk, h):
     (u = z for k = 0), so a bottom defect q of d_z v is removed by
     v -= q u, v_z -= q u_z.
     """
-    zz = z[:, None]
-    k = absk[None, :]
-    with np.errstate(over="ignore"):
-        sinh_ratio = np.where(
-            k > 0,
-            (np.exp(k * (zz - h)) - np.exp(-k * (zz + h))) / (1.0 + np.exp(-2.0 * k * h)),
-            zz * np.ones_like(k))
-        cosh_ratio = np.where(
-            k > 0,
-            (np.exp(k * (zz - h)) + np.exp(-k * (zz + h))) / (1.0 + np.exp(-2.0 * k * h)),
-            np.ones_like(zz * k))
-    return sinh_ratio / np.where(k > 0, k, 1.0), cosh_ratio
+    sinh_num, den = _hyperbolic_ratio(z, absk, h, -1.0, 1.0)
+    cosh_num, _ = _hyperbolic_ratio(z, absk, h, 1.0, 1.0)
+    positive = absk > 0
+    sinh_ratio = np.where(positive, sinh_num / den, z[:, None])
+    cosh_ratio = np.where(positive, cosh_num / den, 1.0)
+    return sinh_ratio / np.where(positive, absk, 1.0), cosh_ratio
 
 
 class _LevelOperators:

@@ -25,6 +25,9 @@ two right-hand sides.  By errors.iterate it stops once
 max|dv| / max|v| is below TOL, after 11-25 corrections for bottomless slopes
 up to 0.4, and raises NotContracting after MAX_ITER corrections or when they
 stop shrinking: over a strip the contraction is lost near eta/h = 0.3.
+
+This is the package's only scipy user, and nothing on a simulate run or
+in the package's top level imports it, so only the referee loads scipy.
 """
 
 from typing import NamedTuple

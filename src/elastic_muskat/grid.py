@@ -15,6 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# numpy loads np.fft on first use: load it with the package, so that its
+# import is paid in set-up and not by a run's first time step
+import numpy.fft  # noqa: F401
 
 from .errors import NonFiniteState
 
@@ -314,11 +317,6 @@ def _refine(values):
     return np.fft.ifft(cf * (2 * n)).real
 
 
-def refine(f: Field) -> Field:
-    """Spectrally interpolate onto a grid with twice the nodes."""
-    return Field(PeriodicGrid(2 * f.grid.n, f.grid.length), _refine(f.values))
-
-
 def _truncate(values, n):
     c = np.fft.fft(values) / len(values)
     half = n // 2
@@ -327,11 +325,3 @@ def _truncate(values, n):
     cc[half + 1:] = c[-half + 1:]
     cc[half] = c[half] + c[-half]
     return np.fft.ifft(cc * n).real
-
-
-def truncate(f: Field, grid: PeriodicGrid) -> Field:
-    """Project a fine-grid field back onto a coarser grid spectrally."""
-    factor = f.grid.n // grid.n
-    if grid.n * factor != f.grid.n or abs(f.grid.length - grid.length) > 0:
-        raise ValueError("grids are not nested")
-    return Field(grid, _truncate(f.values, grid.n))

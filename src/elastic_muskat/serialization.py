@@ -51,6 +51,9 @@ def write_trajectory(outdir, traj, config: dict, version: str,
         for mon in traj.monitors:
             w.writerow([fmt(mon[k]) if np.isfinite(mon[k]) else "inf"
                         for k in keys])
-    for i in range(0, len(traj.states), stride):
+    # every stride-th state, and always the last: the state at T, or the
+    # offending state of an abort
+    last = len(traj.states) - 1
+    for i in [*range(0, last, stride), last]:
         write_field_csv(os.path.join(outdir, "state_%06d.csv" % i),
                         traj.states[i])

@@ -1,13 +1,17 @@
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
+import numpy as np
 import pytest
 
 from elastic_muskat import evolution, pressure
 from elastic_muskat.cli import (CONFIG_DEFAULTS, build_initial_data,
                                 load_config, main)
 from elastic_muskat.errors import ConfigError, DegenerateJacobian
-from elastic_muskat.grid import PeriodicGrid
+from elastic_muskat.grid import Field, PeriodicGrid
 
 
 def write_cfg(tmp_path, **overrides):
@@ -33,6 +37,78 @@ def test_simulate_succeeds_and_writes_outputs(tmp_path):
     assert (out / "monitors.csv").exists()
     assert (out / "state_000000.csv").exists()
     assert (out / "state_000002.csv").exists()
+
+
+def test_snapshot_stride_keeps_the_final_state(tmp_path):
+    # 10 steps at stride 3: states 0, 3, 6, 9 and the state at T
+    cfg = base_run_cfg(tmp_path, T=0.01, dt=0.001, snapshot_stride=3)
+    assert main(["simulate", "--config", cfg, "--quiet"]) == 0
+    out = tmp_path / "out"
+    assert sorted(p.name for p in out.glob("state_*.csv")) == [
+        "state_%06d.csv" % i for i in (0, 3, 6, 9, 10)]
+    rows = (out / "monitors.csv").read_text().splitlines()
+    assert len(rows) == 12 and rows[-1].startswith("0.01,")
+
+
+def test_snapshot_stride_keeps_the_offending_state(tmp_path, monkeypatch):
+    # the fifth step drops the interface near the bottom: the run aborts
+    # with that state last, and it is written although 3 does not divide 5
+    etd_step, calls = evolution.etd_step, []
+
+    def sinking_step(eta, *args, **kwargs):
+        calls.append(None)
+        out = etd_step(eta, *args, **kwargs)
+        return Field(out.grid, out.values - 0.8) if len(calls) == 5 else out
+    monkeypatch.setattr(evolution, "etd_step", sinking_step)
+    cfg = base_run_cfg(tmp_path, T=0.01, dt=0.001, snapshot_stride=3,
+                       geometry="flat_bottom", h_minus=1.0)
+    assert main(["simulate", "--config", cfg, "--quiet"]) == 2
+    out = tmp_path / "out"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["abort_reason"].startswith("SeparationLost")
+    assert manifest["steps"] == 5
+    assert sorted(p.name for p in out.glob("state_*.csv")) == [
+        "state_%06d.csv" % i for i in (0, 3, 5)]
+    last = np.loadtxt(out / "state_000005.csv", delimiter=",", skiprows=1)
+    assert np.max(last[:, 1]) < -0.7
+
+
+SCIPY_FREE_RUNS = textwrap.dedent("""
+    import json, os, sys
+    import elastic_muskat
+    from elastic_muskat import cli
+    assert "numpy.fft" in sys.modules   # loaded with the package, not a step
+    out = sys.argv[1]
+    base = {"n": 32, "T": 0.002, "dt": 0.001, "modes": [[1, 0.01, 0.0]]}
+    two = dict(base, phase="two", g=1.0, mu_plus=1.0, rho_minus=2.0,
+               rho_plus=1.0, geometry="flat_bottom", h_minus=1.0)
+    for name, cfg in (("one", base), ("two", two)):
+        path = os.path.join(out, name + ".json")
+        with open(path, "w") as fh:
+            json.dump(dict(cfg, output_dir=os.path.join(out, name)), fh)
+        assert cli.main(["simulate", "--config", path, "--quiet"]) == 0
+    assert cli.main(["verify", "dispersion", "--quiet",
+                     "--output", os.path.join(out, "verify")]) == 0
+    before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    import elastic_muskat.dn_oracle
+    after = any(m.split(".")[0] == "scipy" for m in sys.modules)
+    print(json.dumps({"before": before, "after": after}))
+""")
+
+
+def test_simulate_and_dispersion_never_load_scipy(tmp_path):
+    # only the FD referee loads scipy; a fresh interpreter shows what a
+    # run imports, which this test process (scipy already loaded) cannot
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", SCIPY_FREE_RUNS,
+                           str(tmp_path)], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded["before"] == []
+    assert loaded["after"]      # the referee does load it: not vacuous
 
 
 def test_simulate_manifest_records_config_and_version(tmp_path):
