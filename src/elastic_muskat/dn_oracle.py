@@ -13,28 +13,27 @@ point so agreement between the two is evidence, not tautology.
 
 The 9-point stencil A is never assembled: its coefficients are arrays over
 the interior nodes, and A v is formed from shifted copies of v (periodic
-rolls in x, slices in z).  The Robin term is left out of A; the Robin |D|
+shifts in x, slices in z).  The Robin term is left out of A; the Robin |D|
 acts on the bottom row through an rfft.  The system is solved by defect
 correction, v <- v + P^{-1}(rhs - A v), where P is the same stencil at
 eta = 0, the separable part of the problem (Concus & Golub, SIAM J. Numer.
 Anal. 10, 1973).  P has constant coefficients in x, so in rfft modes it is
-one banded z-system per mode; all of them are factored once per solve as
-one block-diagonal sparse LU, in their own mode-major order, which is
-already banded, and the real and imaginary parts of a correction are its
-two right-hand sides.  By errors.iterate it stops once
-max|dv| / max|v| is below TOL, after 11-25 corrections for bottomless slopes
-up to 0.4, and raises NotContracting after MAX_ITER corrections or when they
-stop shrinking: over a strip the contraction is lost near eta/h = 0.3.
+one tridiagonal z-system per mode once the bottom row is reduced, and all of
+them are solved together by elimination without pivoting (Golub & Van Loan,
+Matrix Computations, sec. 4.3), vectorised over the modes.  By
+errors.iterate it stops once max|dv| / max|v| is below TOL, after 11-25
+corrections for bottomless slopes up to 0.4, and raises NotContracting
+after MAX_ITER corrections or when they stop shrinking: over a strip the
+contraction is lost near eta/h = 0.3.
 
-This is the package's only scipy user, and nothing on a simulate run or
-in the package's top level imports it, so only the referee loads scipy.
+The referee needs numpy alone, as the rest of the package does; only the
+tests load scipy, to hold the stencil and the flat solve to a sparse
+assembly and a direct LU.
 """
 
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .dn import FlatStrip, InfiniteDepth
 from .errors import NotContracting, iterate
@@ -48,15 +47,6 @@ def _fd_periodic_derivs(vals, dxs):
     d1 = (np.roll(vals, -1) - np.roll(vals, 1)) / (2 * dxs)
     d2 = (np.roll(vals, -1) - 2 * vals + np.roll(vals, 1)) / dxs ** 2
     return d1, d2
-
-
-def _sparse(blocks, size):
-    """Square COO matrix from blocks of (row, column, value) arrays."""
-    rows = np.concatenate([r.ravel() for r, _, _ in blocks])
-    cols = np.concatenate([c.ravel() for _, c, _ in blocks])
-    data = np.concatenate([np.broadcast_to(v, r.shape).ravel()
-                           for r, _, v in blocks])
-    return sp.coo_matrix((data, (rows, cols)), shape=(size, size))
 
 
 class _Stencil(NamedTuple):
@@ -74,22 +64,27 @@ class _Stencil(NamedTuple):
     centre: np.ndarray
     mixed: np.ndarray
 
-    def apply(self, v):
+    def apply(self, v, out=None, work=None):
         """The stencil times v, (nz, nx): the 9-point rows on the interior
         levels, the one-sided d_z on the bottom row and v on the top row.
-        The x neighbours are periodic shifts and the z neighbours slices."""
-        east = np.roll(v, -1, axis=1)      # v at x-node j + 1
-        west = np.roll(v, 1, axis=1)       # v at x-node j - 1
-        out = np.empty_like(v)
-        inner = out[1:-1]
+        The x neighbours are periodic shifts and the z neighbours slices.
+        ``out`` and ``work``, (3, nz, nx), are optional working arrays, so
+        that repeated products allocate nothing."""
+        if out is None:
+            out = np.empty_like(v)
+        east, west, prod = np.empty((3,) + v.shape) if work is None else work
+        east[:, :-1], east[:, -1] = v[:, 1:], v[:, 0]   # v at x-node j + 1
+        west[:, 1:], west[:, 0] = v[:, :-1], v[:, -1]   # v at x-node j - 1
+        inner, prod = out[1:-1], prod[1:-1]
         np.add(east[1:-1], west[1:-1], out=inner)
         inner *= self.dx2_inv
-        inner += self.centre * v[1:-1]
-        inner += self.up * v[2:]
-        inner += self.down * v[:-2]
+        for coef, level in ((self.centre, v[1:-1]), (self.up, v[2:]),
+                            (self.down, v[:-2])):
+            inner += np.multiply(coef, level, out=prod)
         # v(i+1, j-1) + v(i-1, j+1) - v(i+1, j+1) - v(i-1, j-1)
         west -= east
-        inner += self.mixed * (west[2:] - west[:-2])
+        np.subtract(west[2:], west[:-2], out=prod)
+        inner += np.multiply(self.mixed, prod, out=prod)
         out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2 * self.dz)
         out[-1] = v[-1]
         return out
@@ -128,32 +123,55 @@ def _stencil(eta_vals, nx, nz, Z, length):
     return stencil, ex, J
 
 
-def _flat_lu(nx, nz, dz, dxs, bottom_k):
-    """LU of the eta = 0 stencil: one banded z-system per rfft mode q.
+def _flat_solver(nx, nz, dz, dxs, bottom_k):
+    """Solver of the eta = 0 stencil: one tridiagonal z-system per rfft mode.
 
-    Mode q is unknowns q * nz ... q * nz + nz - 1, bottom to top.  Interior
-    rows are 1/dz^2, -2/dz^2 - lam_q, 1/dz^2 with the centered second
-    difference's symbol lam_q = (4/dx^2) sin^2(pi q/nx); the bottom row is
-    the one-sided d_z minus bottom_k[q]; the top row is the identity.
+    The systems are the columns of an (nz, nx // 2 + 1) array, bottom to
+    top, the layout of np.fft.rfft(r, axis=1).  Interior rows are 1/dz^2,
+    -2/dz^2 - lam_q, 1/dz^2 with the centered second difference's symbol
+    lam_q = (4/dx^2) sin^2(pi q/nx); the top row is the identity.  The
+    bottom row, the one-sided d_z minus bottom_k[q], has three entries;
+    less dz/2 times the first interior row it has two, -1/dz - bottom_k[q]
+    and 1/dz - lam_q dz/2.  Elimination runs from the top row down: each
+    interior pivot p = d - c^2/p' has |p| >= c = 1/dz^2, as |d| >= 2c, so no
+    pivoting is needed, and the bottom pivot is -1/Z for a strip's mode 0.
+    The pivots do not depend on eta; the returned solve(g) overwrites g.
     """
     nm = nx // 2 + 1
     lam = (4.0 / dxs ** 2) * np.sin(np.pi * np.arange(nm) / nx) ** 2
-    node = np.arange(nm * nz).reshape(nm, nz)
-    inner = node[:, 1:-1]
-    blocks = [
-        (inner, node[:, :-2], 1.0 / dz ** 2),
-        (inner, node[:, 2:], 1.0 / dz ** 2),
-        (inner, inner, -2.0 / dz ** 2 - lam[:, None]),
-        (node[:, 0], node[:, 0], -3.0 / (2 * dz) - bottom_k),
-        (node[:, 0], node[:, 1], 4.0 / (2 * dz)),
-        (node[:, 0], node[:, 2], -1.0 / (2 * dz)),
-        (node[:, -1], node[:, -1], 1.0),
-    ]
-    # mode-major order is already banded, so the columns keep their order,
-    # and a band of width 4 has no supernodes worth relaxing or grouping
-    # into panels
-    return spla.splu(_sparse(blocks, nm * nz).tocsc(), permc_spec="NATURAL",
-                     relax=1, panel_size=1)
+    c = 1.0 / dz ** 2
+    diag = -2.0 * c - lam
+    pivot = np.empty((nz, nm))
+    pivot[-1] = 1.0
+    pivot[-2] = diag
+    for i in range(nz - 3, 0, -1):
+        pivot[i] = diag - c * c / pivot[i + 1]
+    bottom_up = 1.0 / dz - 0.5 * dz * lam       # the reduced row's v_1 entry
+    pivot[0] = -1.0 / dz - bottom_k - bottom_up * c / pivot[1]
+    # row i less elim[i] times row i + 1 drops v_{i+1}; after the division
+    # by the pivots, row i less below[i] times v_{i-1} is v_i.  Both are
+    # complex, as the rows are: numpy multiplies real by complex at half speed
+    elim = np.empty((nz - 1, nm), complex)
+    elim[0] = bottom_up / pivot[1]
+    elim[1:] = c / pivot[2:]
+    below = (c / pivot).astype(complex)
+    inv_pivot = 1.0 / pivot
+    elim_rows, below_rows = list(elim), list(below)
+    tmp = np.empty(nm, complex)
+
+    def solve(g):
+        rows = list(g)
+        rows[0] += (0.5 * dz) * rows[1]
+        for i in range(nz - 2, -1, -1):
+            np.multiply(elim_rows[i], rows[i + 1], out=tmp)
+            np.subtract(rows[i], tmp, out=rows[i])
+        g *= inv_pivot
+        for i in range(1, nz - 1):
+            np.multiply(below_rows[i], rows[i - 1], out=tmp)
+            np.subtract(rows[i], tmp, out=rows[i])
+        return g
+
+    return solve
 
 
 def _defect_correction(stencil, rhs, nx, nz, dz, dxs, bottom_k):
@@ -161,26 +179,21 @@ def _defect_correction(stencil, rhs, nx, nz, dz, dxs, bottom_k):
     stencil's action; v is (nz, nx).
 
     bottom_k holds the Robin multiplier per rfft mode, zero for Neumann.
+    Each correction writes into the same working arrays.
     """
-    nm = nx // 2 + 1
-    lu = _flat_lu(nx, nz, dz, dxs, bottom_k)
-
-    def apply(v):
-        out = stencil.apply(v)
-        out[0] -= np.fft.irfft(bottom_k * np.fft.rfft(v[0]), nx)
-        return out
-
-    def flat_solve(r):
-        r_hat = np.fft.rfft(r, axis=1).T.ravel()
-        s = lu.solve(np.stack([r_hat.real, r_hat.imag], axis=1))
-        s_hat = (s[:, 0] + 1j * s[:, 1]).reshape(nm, nz).T
-        return np.fft.irfft(s_hat, nx, axis=1)
-
+    flat_solve = _flat_solver(nx, nz, dz, dxs, bottom_k)
     rhs = rhs.reshape(nz, nx)
     v = np.zeros((nz, nx))
+    resid, dv = np.empty((nz, nx)), np.empty((nz, nx))
+    work = np.empty((3, nz, nx))
+    resid_hat = np.empty((nz, nx // 2 + 1), complex)
 
     def correct():
-        dv = flat_solve(rhs - apply(v))
+        stencil.apply(v, out=resid, work=work)
+        resid[0] -= np.fft.irfft(bottom_k * np.fft.rfft(v[0]), nx)
+        np.subtract(rhs, resid, out=resid)
+        np.fft.rfft(resid, axis=1, out=resid_hat)
+        np.fft.irfft(flat_solve(resid_hat), nx, axis=1, out=dv)
         np.add(v, dv, out=v)
         return np.max(np.abs(dv)) / max(np.max(np.abs(v)), 1e-300)
 
@@ -221,8 +234,8 @@ def oracle_dn(eta: Field, f: Field, geometry=InfiniteDepth()) -> Field:
     input's nodes gives better than second-order accuracy.  A truncated
     infinite depth reaches 2.5 periods down, with the Robin |D| applied by
     FFT.  Each system is solved by defect correction preconditioned with
-    the flat (eta = 0) stencil, factored per x-mode; NotContracting when
-    that iteration does not converge.
+    the flat (eta = 0) stencil, one tridiagonal solve per x-mode;
+    NotContracting when that iteration does not converge.
     """
     grid = eta.grid
     length = grid.length

@@ -9,8 +9,6 @@ import csv
 import json
 import os
 
-import numpy as np
-
 from .grid import Field
 
 
@@ -19,11 +17,11 @@ def fmt(x) -> str:
 
 
 def write_field_csv(path, f: Field):
+    # the rows csv.writer would write, formatted in one join
+    rows = zip(f.grid.nodes.tolist(), f.values.tolist())
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "value"])
-        for x, v in zip(f.grid.nodes, f.values):
-            w.writerow([fmt(x), fmt(v)])
+        fh.write("x,value\r\n")
+        fh.write("".join("%.17g,%.17g\r\n" % row for row in rows))
 
 
 def write_report_csv(path, rows):
@@ -49,8 +47,7 @@ def write_trajectory(outdir, traj, config: dict, version: str,
         w = csv.writer(fh)
         w.writerow(keys)
         for mon in traj.monitors:
-            w.writerow([fmt(mon[k]) if np.isfinite(mon[k]) else "inf"
-                        for k in keys])
+            w.writerow([fmt(mon[k]) for k in keys])
     # every stride-th state, and always the last: the state at T, or the
     # offending state of an abort
     last = len(traj.states) - 1

@@ -10,6 +10,7 @@ convergence orders.
 import numpy as np
 
 from .dn import DNConfig, FlatStrip, dn_fixed_point
+from .dn_oracle import oracle_dn
 from .elastic import elastic_E, elastic_split, gateaux_dE, symbol_ell
 from .grid import Field, PeriodicGrid, sobolev_norm, to_field
 from .paracalc import para_apply
@@ -63,9 +64,6 @@ def suite_dispersion():
 
 
 def suite_dn():
-    # the FD referee loads scipy, which no other suite needs
-    from .dn_oracle import oracle_dn
-
     rows = []
     grid = PeriodicGrid(128, 2.0 * np.pi)
     x = grid.nodes

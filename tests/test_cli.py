@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -11,7 +13,9 @@ from elastic_muskat import evolution, pressure
 from elastic_muskat.cli import (CONFIG_DEFAULTS, build_initial_data,
                                 load_config, main)
 from elastic_muskat.errors import ConfigError, DegenerateJacobian
+from elastic_muskat.evolution import Trajectory
 from elastic_muskat.grid import Field, PeriodicGrid
+from elastic_muskat.serialization import fmt, write_trajectory
 
 
 def write_cfg(tmp_path, **overrides):
@@ -75,6 +79,7 @@ def test_snapshot_stride_keeps_the_offending_state(tmp_path, monkeypatch):
 
 SCIPY_FREE_RUNS = textwrap.dedent("""
     import json, os, sys
+    import numpy as np
     import elastic_muskat
     from elastic_muskat import cli
     assert "numpy.fft" in sys.modules   # loaded with the package, not a step
@@ -87,18 +92,27 @@ SCIPY_FREE_RUNS = textwrap.dedent("""
         with open(path, "w") as fh:
             json.dump(dict(cfg, output_dir=os.path.join(out, name)), fh)
         assert cli.main(["simulate", "--config", path, "--quiet"]) == 0
-    assert cli.main(["verify", "dispersion", "--quiet",
-                     "--output", os.path.join(out, "verify")]) == 0
-    before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-    import elastic_muskat.dn_oracle
-    after = any(m.split(".")[0] == "scipy" for m in sys.modules)
-    print(json.dumps({"before": before, "after": after}))
+    for suite in ("dispersion", "dn"):
+        assert cli.main(["verify", suite, "--quiet",
+                         "--output", os.path.join(out, suite)]) == 0
+    from elastic_muskat.dn import FlatStrip, InfiniteDepth
+    from elastic_muskat.dn_oracle import oracle_dn
+    from elastic_muskat.grid import Field, PeriodicGrid
+    grid = PeriodicGrid(32)
+    eta = Field(grid, 0.05 * np.sin(grid.nodes))
+    for geometry in (InfiniteDepth(), FlatStrip(1.0)):
+        oracle_dn(eta, Field(grid, np.cos(grid.nodes)), geometry)
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    import scipy.sparse
+    print(json.dumps({"loaded": loaded,
+                      "probe": "scipy.sparse" in sys.modules}))
 """)
 
 
 def test_simulate_and_dispersion_never_load_scipy(tmp_path):
-    # only the FD referee loads scipy; a fresh interpreter shows what a
-    # run imports, which this test process (scipy already loaded) cannot
+    # no program path loads scipy, the FD referee's included; a fresh
+    # interpreter shows what a run imports, which this test process (scipy
+    # already loaded) cannot
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
@@ -107,8 +121,8 @@ def test_simulate_and_dispersion_never_load_scipy(tmp_path):
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert loaded["before"] == []
-    assert loaded["after"]      # the referee does load it: not vacuous
+    assert loaded["loaded"] == []
+    assert loaded["probe"]      # the check does see a scipy import
 
 
 def test_simulate_manifest_records_config_and_version(tmp_path):
@@ -126,6 +140,28 @@ def test_simulate_reruns_are_byte_identical(tmp_path):
     first = (tmp_path / "out" / "state_000002.csv").read_bytes()
     main(["simulate", "--config", cfg, "--quiet"])
     assert (tmp_path / "out" / "state_000002.csv").read_bytes() == first
+
+
+def test_trajectory_csvs_write_each_value_in_17_digits(tmp_path):
+    # a monitor keeps nan and the sign of inf; a state row is what csv.writer
+    # writes for the fmt of each node and value
+    grid = PeriodicGrid(8)
+    values = np.random.default_rng(3).standard_normal(8) * 10.0 ** np.arange(
+        -150, 150, 40)
+    values[:2] = -0.0, 2.0 / 3.0
+    monitors = [{"t": 0.0, "lipschitz": np.nan, "mean": -np.inf,
+                 "boundary_distance": np.inf}]
+    traj = Trajectory(times=[0.0], states=[Field(grid, values)],
+                      monitors=monitors)
+    write_trajectory(str(tmp_path), traj, {}, "0")
+    assert (tmp_path / "monitors.csv").read_bytes() == \
+        b"t,lipschitz,mean,boundary_distance\r\n0,nan,-inf,inf\r\n"
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["x", "value"])
+    writer.writerows([fmt(x), fmt(v)] for x, v in zip(grid.nodes, values))
+    assert (tmp_path / "state_000000.csv").read_bytes() \
+        == expected.getvalue().encode()
 
 
 def test_unknown_config_key_is_exit_one(tmp_path, capsys):

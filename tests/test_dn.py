@@ -12,7 +12,8 @@ from elastic_muskat import dn
 from elastic_muskat.dn import (DNConfig, FlatStrip, InfiniteDepth,
                                _level_operators, dn_fixed_point, dn_upper,
                                make_vertical_grid)
-from elastic_muskat.dn_oracle import _defect_correction, _stencil, oracle_dn
+from elastic_muskat.dn_oracle import (_defect_correction, _flat_solver,
+                                      _stencil, oracle_dn)
 from elastic_muskat.errors import DegenerateJacobian, NotContracting
 from elastic_muskat.grid import Field, PeriodicGrid, lipschitz_norms, mean
 from elastic_muskat.verify import SUITES
@@ -413,6 +414,54 @@ def test_oracle_solve_matches_sparse_lu(geometry, bound):
     direct = spla.spsolve((_dense_robin(A, nx, length) if robin
                            else A).tocsc(), rhs)
     assert np.max(np.abs(v - direct)) < bound * np.max(np.abs(direct))
+
+
+def _flat_matrix(nx, nz, dz, dxs, bottom_k):
+    """The eta = 0 stencil as a sparse matrix, one banded z-system per rfft
+    mode q at unknowns q * nz ... q * nz + nz - 1, bottom to top, with the
+    one-sided d_z minus bottom_k[q] in full on the bottom row."""
+    nm = nx // 2 + 1
+    lam = (4.0 / dxs ** 2) * np.sin(np.pi * np.arange(nm) / nx) ** 2
+    node = np.arange(nm * nz).reshape(nm, nz)
+    inner = node[:, 1:-1]
+    blocks = [
+        (inner, node[:, :-2], 1.0 / dz ** 2),
+        (inner, node[:, 2:], 1.0 / dz ** 2),
+        (inner, inner, -2.0 / dz ** 2 - lam[:, None]),
+        (node[:, 0], node[:, 0], -3.0 / (2 * dz) - bottom_k),
+        (node[:, 0], node[:, 1], 4.0 / (2 * dz)),
+        (node[:, 0], node[:, 2], -1.0 / (2 * dz)),
+        (node[:, -1], node[:, -1], 1.0),
+    ]
+    rows = np.concatenate([r.ravel() for r, _, _ in blocks])
+    cols = np.concatenate([c.ravel() for _, c, _ in blocks])
+    data = np.concatenate([np.broadcast_to(v, r.shape).ravel()
+                           for r, _, v in blocks])
+    return sp.coo_matrix((data, (rows, cols)),
+                         shape=(nm * nz, nm * nz)).tocsc()
+
+
+# measured max gaps relative to max|s|: 7.3e-15 (nx 32) and 7.5e-13 (nx 256)
+# with the Robin row, 1.7e-14 and 1.0e-12 with the Neumann row, the rounding
+# of z-systems whose condition grows as nz^2; the bounds leave a factor 10
+@pytest.mark.parametrize("nx, bound", [(32, 2e-13), (256, 1e-11)])
+@pytest.mark.parametrize("robin", [True, False])
+def test_flat_solve_matches_sparse_lu(nx, bound, robin):
+    # the referee's flat solve, on its (nz, nx // 2 + 1) rfft layout, against
+    # a direct LU of the same z-systems in mode-major order
+    length = 2.0 * np.pi
+    Z = 2.5 * length if robin else 1.0
+    nz, dxs = nx + 1, length / nx
+    dz = Z / (nz - 1)
+    k = 2.0 * np.pi * np.fft.rfftfreq(nx, d=dxs)
+    bottom_k = k if robin else np.zeros_like(k)
+    rng = np.random.default_rng(nx)
+    r = rng.standard_normal((nz, k.size)) + 1j * rng.standard_normal(
+        (nz, k.size))
+    s = _flat_solver(nx, nz, dz, dxs, bottom_k)(r.copy())
+    direct = spla.spsolve(_flat_matrix(nx, nz, dz, dxs, bottom_k),
+                          r.T.ravel()).reshape(k.size, nz).T
+    assert np.max(np.abs(s - direct)) < bound * np.max(np.abs(direct))
 
 
 def test_verify_suite_refuses_an_unconverged_solve(monkeypatch):
