@@ -12,7 +12,7 @@ from .elastic import (ElasticSplit, elastic_E, elastic_split, gateaux_dE,
 __version__ = "0.1.0"
 
 from .params import Geometry, LinearSymbol, PhysicalParams
-from .dn import (DNConfig, DNResult, FlatStrip, InfiniteDepth, VerticalGrid,
+from .dn import (DNConfig, DNResult, FlatStrip, InfiniteDepth,
                  dn_fixed_point, dn_upper, make_vertical_grid)
 from .pressure import PressurePair, pressure_fixed_point, pressure_oracle
 from .evolution import (SolveConfig, Trajectory, etd_step,

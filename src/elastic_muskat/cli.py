@@ -136,7 +136,7 @@ def check_run_settings(cfg: dict):
                           % (", ".join(SCHEMES), cfg["scheme"]))
     if cfg["scheme"] == "picard" and cfg["phase"] != "one":
         raise ConfigError("scheme picard is one-phase only")
-    for key in ("T", "dt", "dn_tol"):
+    for key in ("T", "dt", "dn_tol", "lipschitz_gate"):
         if not _is_number(cfg[key]) or not cfg[key] > 0:
             raise ConfigError("%s must be a positive number, not %r"
                               % (key, cfg[key]))

@@ -62,8 +62,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateJacobian, NotContracting, iterate
-from .grid import (Field, PeriodicGrid, _abs_d, _lipschitz_norms,
-                   exp_linear_weights)
+from .grid import Field, PeriodicGrid, _lipschitz_norms, exp_linear_weights
 from .params import wall_distances
 
 
@@ -138,28 +137,12 @@ def dn_geometries(params):
 # --- vertical grid -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerticalGrid:
-    """Strictly increasing levels in [-Z, 0], the top one at z = 0."""
-
-    levels: np.ndarray
-
-    def __post_init__(self):
-        levels = np.asarray(self.levels, dtype=float)
-        if levels.ndim != 1 or len(levels) < 2:
-            raise ValueError("need at least two levels")
-        if not np.all(np.diff(levels) > 0):
-            raise ValueError("levels must be strictly increasing")
-        if levels[-1] != 0.0:
-            raise ValueError("z = 0 must be a node")
-        object.__setattr__(self, "levels", levels)
-
-
 def make_vertical_grid(depth, n_levels):
-    """Levels on [-depth, 0] geometrically clustered toward z = 0.
+    """Read-only levels on [-depth, 0] geometrically clustered toward z = 0.
 
-    The grading, the log ratio between the bottom and top spacing, grows
-    with depth so the top panel is O(depth/e^grading).
+    They increase strictly from -depth, and the top one is z = 0.  The
+    grading, the log ratio between the bottom and top spacing, grows with
+    depth so the top panel is O(depth/e^grading).
     """
     # independent of n_levels so refinement halves every panel
     grading = max(1.0, np.log(40.0 * depth))
@@ -167,7 +150,8 @@ def make_vertical_grid(depth, n_levels):
     z = -depth * (np.exp(grading * (1.0 - t)) - 1.0) / (np.exp(grading) - 1.0)
     z[0] = -depth
     z[-1] = 0.0
-    return VerticalGrid(z)
+    z.setflags(write=False)
+    return z
 
 
 def default_depth(grid: PeriodicGrid) -> float:
@@ -270,8 +254,7 @@ class _LevelOperators:
         depth = geometry.h if strip else default_depth(grid)
         # the strip is solved whole: no depth is truncated
         self.tail_bound = 0.0 if strip else np.exp(-depth * grid.k_min)
-        self.zgrid = make_vertical_grid(depth, n_levels)
-        z = self.zgrid.levels
+        self.levels = z = make_vertical_grid(depth, n_levels)
         gaps = np.diff(z)
         self.k = grid.rfft_wavenumbers
         self.absk = np.abs(self.k)
@@ -303,7 +286,6 @@ class _LevelOperators:
                     *(self.bottom or ())):
             if isinstance(arr, np.ndarray):
                 arr.setflags(write=False)
-        self.zgrid.levels.setflags(write=False)
 
     def lift_datum(self, f_hat, v0_hat, v0z_hat):
         """The lift of f_hat and its z-derivative, into v0_hat and v0z_hat."""
@@ -457,7 +439,7 @@ class _Sweeper:
         # and the two pairs swap
         self.v_hat, self.vz_hat = ws.v_hat, ws.vz_hat
         self.v_new, self.vz_new = ws.v_next, ws.vz_next
-        self.f = self.f_hat = None
+        self.f_hat = None
         self.scale = None
 
     def set_datum(self, f, restart=True):
@@ -468,7 +450,6 @@ class _Sweeper:
         iterate is kept and only the datum of the next sweep changes.
         """
         ws = self.ws
-        self.f = f
         self.f_hat = np.fft.rfft(f)
         self.ops.lift_datum(self.f_hat, ws.v0_hat, ws.v0z_hat)
         if restart:
@@ -532,12 +513,13 @@ class _Sweeper:
 
     def gf(self) -> np.ndarray:
         """G f for the datum of the last sweep, as a fresh node array."""
-        return _abs_d(self.grid, self.f) + np.fft.irfft(self.remainder_hat(),
-                                                        self.n)
+        return np.fft.irfft(self.ops.absk * self.f_hat + self.remainder_hat(),
+                            self.n)
 
     def result(self, iterations, converged, residuals) -> DNResult:
-        remainder = np.fft.irfft(self.remainder_hat(), self.n)
-        gf = _abs_d(self.grid, self.f) + remainder
+        r_hat = self.remainder_hat()
+        gf, remainder = np.fft.irfft(
+            [self.ops.absk * self.f_hat + r_hat, r_hat], self.n)
         return DNResult(Field(self.grid, gf), Field(self.grid, remainder),
                         iterations, converged, residuals, self.ops.tail_bound)
 
@@ -570,7 +552,6 @@ def dn_upper(eta: Field, f: Field, cfg: DNConfig = DNConfig(),
     FlatStrip at its distance) or InfiniteDepth.
     """
     lower = dn_fixed_point(-eta, f, cfg, geometry)
-    gf = -lower.gf
-    remainder = Field(f.grid, gf.values + _abs_d(f.grid, f.values))
-    return DNResult(gf, remainder, lower.iterations, lower.converged,
-                    lower.residuals, lower.tail_bound)
+    # G^+ f + |D| f = -(G^-(-eta) f - |D| f)
+    return DNResult(-lower.gf, -lower.remainder, lower.iterations,
+                    lower.converged, lower.residuals, lower.tail_bound)

@@ -2,13 +2,15 @@
 
 All nonlinear products are evaluated pointwise on a 2x zero-padded grid and
 truncated back, guarding against aliasing of the rational nonlinearities.
+Every derivative is a multiplier on one rfft half spectrum, and the fields
+a product needs reach the fine grid together in one batched irfft.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, _dx, _refine, _truncate
+from .grid import Field, _dx_symbol, _refine_hat, _truncate, _truncate_hat
 from .paracalc import OrderedSymbol, SymbolTerm, para_apply
 
 
@@ -22,13 +24,14 @@ class ElasticSplit:
 
 
 def _fine_derivatives(eta: Field, orders=(1, 2)):
-    """Spectral derivatives of eta interpolated onto the 2x grid.
+    """Spectral derivatives of eta interpolated onto the 2x grid, one row each.
 
     The mean is removed first so constant shifts are exactly invisible
     (a large zero mode otherwise leaks roundoff through the multipliers).
     """
-    base = eta.values - np.mean(eta.values)
-    return [_refine(_dx(eta.grid, base, m)) for m in orders]
+    eta_hat = np.fft.rfft(eta.values - np.mean(eta.values))
+    return _refine_hat(
+        np.array([_dx_symbol(eta.grid, m) for m in orders]) * eta_hat)
 
 
 def elastic_E(eta: Field, form: str = "A") -> Field:
@@ -59,37 +62,36 @@ def elastic_E(eta: Field, form: str = "A") -> Field:
 
 
 def _symbol_coefficients(eta: Field):
-    """Node values of c4, A, B2 entering the symbol and the derivative.
+    """rfft half spectra of c4, 2 (c4)_x, C2 and C1, one row each.
 
-    c4 = (1+eta_x^2)^{-5/2}
+    c4 = (1+eta_x^2)^{-5/2}, C2 = (c4)_xx - 5 A_x + (5/2) B2 and
+    C1 = 5 A_xx - (5/2)(B2)_x, with
     A  = eta_xx eta_x (1+eta_x^2)^{-7/2}
     B2 = eta_xx^2 (1-6 eta_x^2) (1+eta_x^2)^{-9/2}
     """
-    n = eta.grid.n
+    grid = eta.grid
     ex, exx = _fine_derivatives(eta)
     one = 1.0 + ex * ex
-    c4 = _truncate(one ** -2.5, n)
-    a = _truncate(exx * ex * one ** -3.5, n)
-    b2 = _truncate(exx * exx * (1.0 - 6.0 * ex * ex) * one ** -4.5, n)
-    return c4, a, b2
+    fine = np.array([one ** -2.5, exx * ex * one ** -3.5,
+                     exx * exx * (1.0 - 6.0 * ex * ex) * one ** -4.5])
+    c4, a, b2 = _truncate_hat(fine, grid.n)
+    d1, d2 = _dx_symbol(grid, 1), _dx_symbol(grid, 2)
+    return np.array([c4, 2.0 * d1 * c4, d2 * c4 - 5.0 * d1 * a + 2.5 * b2,
+                     5.0 * d2 * a - 2.5 * d1 * b2])
 
 
 def symbol_ell(eta: Field) -> OrderedSymbol:
     """The degree-4 symbol of the principal part of E(eta).
 
-    ell(x,xi) = c4 xi^4 - 2i (c4)_x xi^3
-                - ((c4)_xx - 5 A_x + (5/2) B2) xi^2
-                + i ((5/2)(B2)_x - 5 A_xx) xi
+    ell(x,xi) = c4 xi^4 - 2i (c4)_x xi^3 - C2 xi^2 - i C1 xi
     """
     grid = eta.grid
-    c4, a, b2 = _symbol_coefficients(eta)
+    c4, c4x2, c2, c1 = np.fft.irfft(_symbol_coefficients(eta), grid.n)
     return OrderedSymbol((
         SymbolTerm(4, Field(grid, c4), "xi"),
-        SymbolTerm(3, Field(grid, -2.0 * _dx(grid, c4)), "ixi"),
-        SymbolTerm(2, Field(grid, -1.0 * (_dx(grid, c4, 2) - 5.0 * _dx(grid, a)
-                                          + 2.5 * b2)), "xi"),
-        SymbolTerm(1, Field(grid, 2.5 * _dx(grid, b2) - 5.0 * _dx(grid, a, 2)),
-                   "ixi"),
+        SymbolTerm(3, Field(grid, -c4x2), "ixi"),
+        SymbolTerm(2, Field(grid, -c2), "xi"),
+        SymbolTerm(1, Field(grid, -c1), "ixi"),
     ))
 
 
@@ -103,19 +105,15 @@ def elastic_split(eta: Field) -> ElasticSplit:
 def gateaux_dE(eta: Field, etadot: Field) -> Field:
     """Gateaux derivative of E at eta in the direction etadot (closed form).
 
-    d_eta E(eta) etadot = c4 d4 + 2 (c4)_x d3
-                          + ((c4)_xx - 5 A_x + (5/2) B2) d2
-                          - (5 A_xx - (5/2)(B2)_x) d1
+    d_eta E(eta) etadot = c4 d4 + 2 (c4)_x d3 + C2 d2 - C1 d1
     with dm the m-th derivative of etadot; coefficients as in symbol_ell.
     """
     if eta.grid != etadot.grid:
         raise ValueError("eta and etadot live on different grids")
-    grid, d = eta.grid, etadot.values
-    c4, a, b2 = _symbol_coefficients(eta)
-    coeff2 = _dx(grid, c4, 2) - 5.0 * _dx(grid, a) + 2.5 * b2
-    coeff1 = 5.0 * _dx(grid, a, 2) - 2.5 * _dx(grid, b2)
-    out = (_refine(c4) * _refine(_dx(grid, d, 4))
-           + 2.0 * _refine(_dx(grid, c4)) * _refine(_dx(grid, d, 3))
-           + _refine(coeff2) * _refine(_dx(grid, d, 2))
-           - _refine(coeff1) * _refine(_dx(grid, d)))
+    grid = eta.grid
+    d_hat = np.fft.rfft(etadot.values)
+    derivatives = [_dx_symbol(grid, m) * d_hat for m in (4, 3, 2, 1)]
+    c4, c4x2, c2, c1, d4, d3, d2, d1 = _refine_hat(
+        np.concatenate([_symbol_coefficients(eta), derivatives]))
+    out = c4 * d4 + c4x2 * d3 + c2 * d2 - c1 * d1
     return Field(grid, _truncate(out, grid.n))

@@ -19,9 +19,8 @@ import numpy as np
 
 from .dn import DNConfig, dn_fixed_point, dn_geometries
 from .errors import MuskatError, NotContracting, SeparationLost, iterate
-from .grid import (Field, PeriodicGrid, _abs_d, _sobolev_norm,
-                   exp_linear_weights, lipschitz_norms, mean, sobolev_norm,
-                   to_field, to_spectrum)
+from .grid import (Field, PeriodicGrid, _apply_multiplier, _sobolev_norm,
+                   exp_linear_weights, lipschitz_norms, mean, sobolev_norm)
 from .params import LinearSymbol, PhysicalParams, wall_distances
 from .pressure import _jump_values, pressure_fixed_point
 
@@ -64,7 +63,8 @@ class Trajectory:
 
 
 def linear_multiplier(grid: PeriodicGrid, params: PhysicalParams):
-    return LinearSymbol.from_params(params).rate(grid.wavenumbers)
+    """The flat linear rate over the rfft half spectrum of ``grid``."""
+    return LinearSymbol.from_params(params).rate(grid.rfft_wavenumbers)
 
 
 def rhs(eta: Field, params: PhysicalParams,
@@ -89,9 +89,7 @@ def rhs(eta: Field, params: PhysicalParams,
 def nonlinear_remainder(eta: Field, params: PhysicalParams,
                         cfg: SolveConfig = SolveConfig()) -> Field:
     """rhs with the flat linear part added back: N = rhs + nu1|D|^5 + nu2|D|."""
-    sym = LinearSymbol.from_params(params)
-    lin = _abs_d(eta.grid, eta.values, 5.0) * sym.nu1 \
-        + _abs_d(eta.grid, eta.values) * sym.nu2
+    lin = _apply_multiplier(eta.values, linear_multiplier(eta.grid, params))
     return Field(eta.grid, rhs(eta, params, cfg).values + lin)
 
 
@@ -113,14 +111,14 @@ def etd_step(eta: Field, dt: float, params: PhysicalParams,
     z = dt * linear_multiplier(grid, params)
     # phi_1 = w0 + w1, phi_2 = w0 (Cox & Matthews)
     w0, w1 = exp_linear_weights(z)
-    n0_hat = to_spectrum(nonlinear(eta))
-    a_hat = np.exp(-z) * to_spectrum(eta) + dt * (w0 + w1) * n0_hat
-    a = to_field(grid, a_hat)
+    n0_hat = np.fft.rfft(nonlinear(eta).values)
+    a_hat = np.exp(-z) * np.fft.rfft(eta.values) + dt * (w0 + w1) * n0_hat
+    a = Field(grid, np.fft.irfft(a_hat, grid.n))
     if cfg.scheme == "ETD1":
         return a
-    n1 = nonlinear(a)
-    corr = dt * w0 * (to_spectrum(n1) - n0_hat)
-    return to_field(grid, a_hat + corr)
+    n1_hat = np.fft.rfft(nonlinear(a).values)
+    corr = dt * w0 * (n1_hat - n0_hat)
+    return Field(grid, np.fft.irfft(a_hat + corr, grid.n))
 
 
 def _monitors(eta: Field, t: float, params: PhysicalParams,
@@ -228,19 +226,19 @@ def picard_solve(eta0: Field, T: float, params: PhysicalParams,
     # puts the new end at u = 0 and the old one at u = dt
     w_new, w_old = (dt * w for w in exp_linear_weights(dt * m))
 
-    eta0_hat = to_spectrum(eta0)
+    eta0_hat = np.fft.rfft(eta0.values)
     free = [np.exp(-t * m) * eta0_hat for t in times]
-    iterates = [to_field(grid, c) for c in free]
+    iterates = [Field(grid, np.fft.irfft(c, grid.n)) for c in free]
 
     def sweep():
         nonlocal iterates
-        g_hat = [to_spectrum(nonlinear_remainder(st, params, cfg))
+        g_hat = [np.fft.rfft(nonlinear_remainder(st, params, cfg).values)
                  for st in iterates]
         new = [iterates[0]]
         integral = np.zeros_like(eta0_hat)
         for j in range(1, nsteps + 1):
             integral = decay * integral + w_old * g_hat[j - 1] + w_new * g_hat[j]
-            new.append(to_field(grid, free[j] + integral))
+            new.append(Field(grid, np.fft.irfft(free[j] + integral, grid.n)))
         # X^s-proxy distance between sweeps
         diffs = [a.values - b.values for a, b in zip(new, iterates)]
         dist = max(_sobolev_norm(grid, d, SOBOLEV_S) for d in diffs)
@@ -299,15 +297,14 @@ def scaling_experiment(eta0: Field, lam: int, T: float, dt: float,
     grid = eta0.grid
     if lam > 1 and grid.n % lam != 0:
         raise ValueError("lambda must divide the grid size")
-    half = grid.n // 2
+    kept = grid.n // 2 // lam + 1
 
     def rescaled(f):
         # lam^{-1} f(lam x): spectral mode k moves to lam k
-        c = to_spectrum(f)
+        c = np.fft.rfft(f.values)
         cs = np.zeros_like(c)
-        for k in range(-(half // lam), half // lam + 1):
-            cs[(lam * k) % grid.n] = c[k % grid.n] / lam
-        return to_field(grid, cs)
+        cs[::lam] = c[:kept] / lam
+        return Field(grid, np.fft.irfft(cs, grid.n))
 
     ref = solve(eta0, lam ** 5 * T, lam ** 5 * dt, params, cfg)
     run = solve(rescaled(eta0), T, dt, params, cfg)
@@ -318,10 +315,15 @@ def scaling_experiment(eta0: Field, lam: int, T: float, dt: float,
 
 
 def smoothing_fit(eta0: Field, eta_t: Field, t: float, kmin: int) -> float:
-    """Fit c > 0 in |eta_hat(t,k)| <= e^{-c t |k|^5} |eta_hat(0,k)|, |k|>=kmin."""
-    c0 = np.abs(to_spectrum(eta0))
-    ct = np.abs(to_spectrum(eta_t))
-    k = np.abs(eta0.grid.wavenumbers)
+    """Fit c > 0 in |eta_hat(t,k)| <= e^{-c t |k|^5} |eta_hat(0,k)|, |k|>=kmin.
+
+    A least-squares fit of the log decay over the modes k >= kmin of the
+    rfft half spectrum, each mode once.
+    """
+    grid = eta0.grid
+    c0 = np.abs(np.fft.rfft(eta0.values)) / grid.n
+    ct = np.abs(np.fft.rfft(eta_t.values)) / grid.n
+    k = grid.rfft_wavenumbers
     sel = (k >= kmin) & (c0 > 1e-14) & (ct > 0)
     if not np.any(sel):
         raise ValueError("no usable tail modes")

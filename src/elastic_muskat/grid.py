@@ -1,13 +1,18 @@
 """Periodic grid, Fourier transforms, multipliers and norms.
 
-Coefficient convention of this module's spectra (to_spectrum, to_field
-and the norms): the spectrum of a field f holds
+Fields are real, so every spectrum a solver forms is numpy's unnormalised
+rfft half spectrum of the node values: n//2 + 1 coefficients at the
+wavenumbers rfft_wavenumbers, k_m = 2*pi*m/L for m = 0, ..., n/2.  The
+last one, the Nyquist mode, stands for the unpaired pair +-n/2; odd-order
+symbols zero it, since its sign is ambiguous.  Multipliers, refinement
+and truncation act along the last axis, so a stack of fields takes one
+transform.
+
+The public edge to_spectrum / to_field (with PeriodicGrid.wavenumbers)
+keeps the full fft spectrum normalised as
 f_hat(k) = (1/L) * integral_0^L f(x) exp(-i k x) dx, so a single mode
-cos(k0 x) has coefficients 1/2 at k = +-k0.  Wavenumbers are
-k_m = 2*pi*m/L for m in {-n/2, ..., n/2 - 1}, stored in numpy fft order.
-Elsewhere spectra are numpy's unnormalised transforms of the node values:
-dn, dn_oracle and pressure use rfft half spectra (wavenumbers
-rfft_wavenumbers), paracalc and verify full fft spectra.
+cos(k0 x) has coefficients 1/2 at k = +-k0, stored in numpy fft order.
+No solver path calls it.
 """
 
 import functools
@@ -122,21 +127,14 @@ def mean(f: Field) -> float:
 
 
 def _apply_multiplier(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
-    return np.fft.ifft(np.fft.fft(values) * symbol).real
-
-
-def _nyquist_mask(grid):
-    """Zero factor at the unpaired mode k = -n/2; identity elsewhere."""
-    m = np.ones(grid.n)
-    m[grid.n // 2] = 0.0
-    return m
+    return np.fft.irfft(np.fft.rfft(values) * symbol, values.shape[-1])
 
 
 @functools.lru_cache(maxsize=16)
 def _abs_d_symbol(grid, alpha):
     """Read-only symbol |k|^alpha, shared by every |D|^alpha on ``grid``."""
-    absk = np.abs(grid.wavenumbers)
-    sym = np.zeros(grid.n)
+    absk = grid.rfft_wavenumbers
+    sym = np.zeros(len(absk))
     nz = absk > 0
     sym[nz] = absk[nz] ** alpha
     if alpha == 0.0:
@@ -145,21 +143,18 @@ def _abs_d_symbol(grid, alpha):
     return sym
 
 
-def _abs_d(grid, values, alpha=1.0):
-    return _apply_multiplier(values, _abs_d_symbol(grid, float(alpha)))
-
-
 def abs_d(f: Field, alpha: float = 1.0) -> Field:
     """|D|^alpha f; the zero mode is mapped to 0 unless alpha = 0."""
-    return Field(f.grid, _abs_d(f.grid, f.values, alpha))
+    symbol = _abs_d_symbol(f.grid, float(alpha))
+    return Field(f.grid, _apply_multiplier(f.values, symbol))
 
 
 @functools.lru_cache(maxsize=16)
 def _dx_symbol(grid, m):
     """Read-only symbol (ik)^m, shared by every m-th derivative on ``grid``."""
-    sym = (1j * grid.wavenumbers) ** m
+    sym = (1j * grid.rfft_wavenumbers) ** m
     if m % 2 == 1:
-        sym = sym * _nyquist_mask(grid)
+        sym[-1] = 0.0
     sym.setflags(write=False)
     return sym
 
@@ -208,9 +203,11 @@ def exp_linear_weights(z):
 
 
 def _sobolev_norm(grid, values, s):
-    k = grid.wavenumbers
-    c = np.fft.fft(values) / grid.n
-    return float(np.sqrt(np.sum((1.0 + k * k) ** s * np.abs(c) ** 2)))
+    k = grid.rfft_wavenumbers
+    c = np.fft.rfft(values) / grid.n
+    terms = (1.0 + k * k) ** s * np.abs(c) ** 2
+    # each mode 0 < k < n/2 stands for the pair +-k
+    return float(np.sqrt(2.0 * np.sum(terms) - terms[0] - terms[-1]))
 
 
 def sobolev_norm(f: Field, s: float) -> float:
@@ -244,9 +241,10 @@ def lp_block_count(grid) -> int:
 
 
 def lp_lowpass_symbol(grid, j):
+    """The low-pass cutoff C_j over the rfft wavenumbers; C_{-1} = 0."""
     if j < 0:
-        return np.zeros(grid.n)
-    return _lowpass_profile(np.abs(grid.wavenumbers), j)
+        return np.zeros(grid.n // 2 + 1)
+    return _lowpass_profile(grid.rfft_wavenumbers, j)
 
 
 def lp_block_symbol(grid, j):
@@ -263,7 +261,7 @@ def lp_project(f: Field, j: int) -> Field:
 
 @functools.lru_cache(maxsize=8)
 def _lp_block_symbols(grid):
-    """Read-only (blocks, n) stack of the lp_block_symbol rows."""
+    """Read-only (blocks, n//2 + 1) stack of the lp_block_symbol rows."""
     symbols = np.array([lp_block_symbol(grid, j)
                         for j in range(lp_block_count(grid))])
     symbols.setflags(write=False)
@@ -271,8 +269,7 @@ def _lp_block_symbols(grid):
 
 
 def _zygmund_norm(grid, values, s):
-    blocks = np.fft.ifft(np.fft.fft(values) * _lp_block_symbols(grid),
-                         axis=1).real
+    blocks = _apply_multiplier(values, _lp_block_symbols(grid))
     peaks = np.max(np.abs(blocks), axis=1)
     best = 0.0
     for j, peak in enumerate(peaks):
@@ -304,24 +301,26 @@ def lipschitz_norms(f: Field):
     return _lipschitz_norms(f.grid, f.values)
 
 
-def _refine(values):
-    n = len(values)
-    c = np.fft.fft(values) / n
-    cf = np.zeros(2 * n, dtype=complex)
-    half = n // 2
-    cf[:half] = c[:half]
-    cf[-half + 1:] = c[-half + 1:]
-    # split the unpaired Nyquist coefficient symmetrically
-    cf[half] = 0.5 * c[half]
-    cf[-half] = 0.5 * c[half]
-    return np.fft.ifft(cf * (2 * n)).real
+def _refine_hat(c_hat):
+    """Node values on 2n nodes of the rfft half spectra c_hat of n-node
+    values (last axis), by zero-padding: the Nyquist coefficient splits
+    evenly between the modes +-n/2 of the finer grid."""
+    n = 2 * (c_hat.shape[-1] - 1)
+    # irfft on 2n nodes divides by 2n where c_hat holds n times the modes
+    c = 2.0 * c_hat
+    c[..., -1] = c_hat[..., -1]
+    return np.fft.irfft(c, 2 * n)
+
+
+def _truncate_hat(values, n):
+    """rfft half spectra on n nodes of the modes |k| <= n/2 of ``values``,
+    along the last axis; the modes +-n/2 of the finer grid fold into the
+    Nyquist coefficient."""
+    c = np.fft.rfft(values)[..., :n // 2 + 1] * (n / values.shape[-1])
+    c[..., -1] *= 2.0
+    return c
 
 
 def _truncate(values, n):
-    c = np.fft.fft(values) / len(values)
-    half = n // 2
-    cc = np.zeros(n, dtype=complex)
-    cc[:half] = c[:half]
-    cc[half + 1:] = c[-half + 1:]
-    cc[half] = c[half] + c[-half]
-    return np.fft.ifft(cc * n).real
+    """The modes |k| <= n/2 of ``values`` on n nodes, along the last axis."""
+    return np.fft.irfft(_truncate_hat(values, n), n)

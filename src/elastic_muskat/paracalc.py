@@ -3,17 +3,21 @@
 The low-high paraproduct uses the dyadic convention T_a u =
 sum_{j>=2} S_{j-2}(a) * P_j(u) with S_m the low-pass cutoff of grid.py.
 Symbols are finite lists of (power, coefficient field, unit) terms where the
-unit is one of "xi" (multiplier k^p), "ixi" (i k^p) or "absxi" (|k|^p).
+unit is "xi" (multiplier k^p, p even) or "ixi" (i k^p, p odd).  The other
+pairings map real fields to imaginary ones, so on real fields they are zero
+and SymbolTerm rejects them.
+Multipliers act on rfft half spectra, as everywhere in the solver.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (Field, _apply_multiplier, _check_same_grid, _nyquist_mask,
-                   lp_block_count, lp_block_symbol, lp_lowpass_symbol)
+from .grid import (Field, _apply_multiplier, _check_same_grid,
+                   _lp_block_symbols)
 
-SYMBOL_UNITS = ("xi", "ixi", "absxi")
+# the unit of each parity of the power
+SYMBOL_UNITS = ("xi", "ixi")
 
 
 @dataclass(frozen=True)
@@ -27,6 +31,9 @@ class SymbolTerm:
             raise ValueError(f"unknown symbol unit {self.unit!r}")
         if not 0 <= self.power <= 5:
             raise ValueError("symbol powers are limited to 0..5")
+        if self.unit != SYMBOL_UNITS[self.power % 2]:
+            raise ValueError(f"unit {self.unit!r} with power {self.power} is"
+                             " zero on real fields")
 
 
 @dataclass(frozen=True)
@@ -52,14 +59,10 @@ class OrderedSymbol:
 
 
 def _paraproduct(grid, a, u):
-    ahat = np.fft.fft(a)
-    uhat = np.fft.fft(u)
-    out = np.zeros(grid.n)
-    for j in range(2, lp_block_count(grid)):
-        low = np.fft.ifft(lp_lowpass_symbol(grid, j - 2) * ahat).real
-        blk = np.fft.ifft(lp_block_symbol(grid, j) * uhat).real
-        out += low * blk
-    return out
+    blocks = _lp_block_symbols(grid)
+    # the low-pass cutoffs S_j are the partial sums of the blocks
+    low = _apply_multiplier(a, np.cumsum(blocks[:-2], axis=0))
+    return np.sum(low * _apply_multiplier(u, blocks[2:]), axis=0)
 
 
 def paraproduct(a: Field, u: Field) -> Field:
@@ -69,18 +72,12 @@ def paraproduct(a: Field, u: Field) -> Field:
 
 
 def _unit_symbol(grid, power, unit):
-    k = grid.wavenumbers
+    k = grid.rfft_wavenumbers
     if unit == "xi":
-        sym = k.astype(complex) ** power
-        odd = power % 2 == 1
-    elif unit == "ixi":
-        sym = 1j * k ** power
-        odd = power % 2 == 1
-    else:
-        sym = np.abs(k).astype(complex) ** power
-        odd = False
-    if odd:
-        sym = sym * _nyquist_mask(grid)
+        return k ** power
+    sym = 1j * k ** power
+    # odd powers zero the sign-ambiguous Nyquist mode
+    sym[-1] = 0.0
     return sym
 
 

@@ -32,8 +32,8 @@ def _measured_rate(k, params, n=64, T=1e-3, steps=4):
     grid = PeriodicGrid(n, 2.0 * np.pi)
     eta0 = Field(grid, 1e-6 * np.cos(k * grid.nodes))
     traj = solve(eta0, T, T / steps, params)
-    c0 = np.abs(np.fft.fft(traj.states[0].values))[k]
-    c1 = np.abs(np.fft.fft(traj.states[-1].values))[k]
+    c0 = np.abs(np.fft.rfft(traj.states[0].values))[k]
+    c1 = np.abs(np.fft.rfft(traj.states[-1].values))[k]
     return float(np.log(c0 / c1) / T)
 
 

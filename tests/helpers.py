@@ -1,8 +1,14 @@
-"""Fourier multipliers that only the tests apply, built on numpy's FFT."""
+"""Fourier multipliers that only the tests apply, built on numpy's FFT.
+
+The full-spectrum kernels below are the references that the grid's real-FFT
+kernels are held to: each works on the fft of all n node values, splits the
+unpaired Nyquist coefficient over the modes +-n/2 where it refines and folds
+them back where it truncates.
+"""
 
 import numpy as np
 
-from elastic_muskat.grid import Field
+from elastic_muskat.grid import Field, _lowpass_profile
 
 
 def multiplier(f, symbol):
@@ -14,3 +20,56 @@ def inv_abs_d(f):
     """|D|^{-1} f with the zero mode mapped to 0."""
     k = np.abs(f.grid.wavenumbers)
     return multiplier(f, np.divide(1.0, k, out=np.zeros_like(k), where=k > 0))
+
+
+def full_dx(f, m):
+    """m-th derivative; odd orders zero the Nyquist mode k = -n/2."""
+    sym = (1j * f.grid.wavenumbers) ** m
+    if m % 2 == 1:
+        sym[f.grid.n // 2] = 0.0
+    return multiplier(f, sym)
+
+
+def full_abs_d(f, alpha):
+    """|D|^alpha f; the zero mode is mapped to 0 unless alpha = 0."""
+    k = np.abs(f.grid.wavenumbers)
+    sym = np.where(k > 0, k, 1.0) ** alpha * ((k > 0) | (alpha == 0.0))
+    return multiplier(f, sym)
+
+
+def full_sobolev_norm(f, s):
+    k = f.grid.wavenumbers
+    c = np.fft.fft(f.values) / f.grid.n
+    return float(np.sqrt(np.sum((1.0 + k * k) ** s * np.abs(c) ** 2)))
+
+
+def full_lp_project(f, j):
+    """P_j f with the cutoffs C_j - C_{j-1} over the fft wavenumbers."""
+    absk = np.abs(f.grid.wavenumbers)
+    sym = _lowpass_profile(absk, j)
+    if j > 0:
+        sym = sym - _lowpass_profile(absk, j - 1)
+    return multiplier(f, sym)
+
+
+def full_refine(values):
+    """values interpolated onto the 2x grid by zero-padding."""
+    n = len(values)
+    c = np.fft.fft(values) / n
+    cf = np.zeros(2 * n, dtype=complex)
+    half = n // 2
+    cf[:half] = c[:half]
+    cf[-half + 1:] = c[-half + 1:]
+    cf[half] = cf[-half] = 0.5 * c[half]
+    return np.fft.ifft(cf * (2 * n)).real
+
+
+def full_truncate(values, n):
+    """The modes |k| <= n/2 of values on n nodes."""
+    c = np.fft.fft(values) / len(values)
+    half = n // 2
+    cc = np.zeros(n, dtype=complex)
+    cc[:half] = c[:half]
+    cc[half + 1:] = c[-half + 1:]
+    cc[half] = c[half] + c[-half]
+    return np.fft.ifft(cc * n).real

@@ -12,10 +12,9 @@ import pytest
 
 from elastic_muskat.dn import DNConfig
 from elastic_muskat.errors import NotContracting
-from elastic_muskat.evolution import (SolveConfig, etd_step,
-                                      linear_multiplier, picard_solve, solve)
+from elastic_muskat.evolution import SolveConfig, etd_step, picard_solve, solve
 from elastic_muskat.grid import Field, PeriodicGrid, sobolev_norm, zero_field
-from elastic_muskat.params import PhysicalParams
+from elastic_muskat.params import LinearSymbol, PhysicalParams
 from elastic_muskat.verify import SUITES
 
 
@@ -126,7 +125,7 @@ def test_criterion_12_temporal_order():
     # exact semigroup when the remainder is zeroed
     dt = 0.07
     out = etd_step(eta0, dt, params, nonlinear=lambda e: zero_field(e.grid))
-    m = linear_multiplier(grid, params)
+    m = LinearSymbol.from_params(params).rate(grid.wavenumbers)
     exact = np.fft.ifft(np.exp(-dt * m) * np.fft.fft(eta0.values)).real
     lin_err = float(np.max(np.abs(out.values - exact)))
     finish(12, "temporal_order",

@@ -259,6 +259,8 @@ def test_picard_abort_writes_the_etd_record(tmp_path):
     {"seed": -1, "tail_amplitude": 1e-3},
     {"allow_unstable": "no"},
     {"modes": 5},
+    {"lipschitz_gate": 0},
+    {"lipschitz_gate": -0.1},
 ])
 def test_invalid_run_settings_are_exit_one(tmp_path, capsys, bad):
     cfg = base_run_cfg(tmp_path, **bad)

@@ -160,22 +160,22 @@ def test_degenerate_jacobian():
 
 
 def test_vertical_grid_shape():
-    vg = make_vertical_grid(10.0, 32)
-    assert vg.levels[0] == -10.0
-    assert vg.levels[-1] == 0.0
-    assert np.all(np.diff(vg.levels) > 0)
+    levels = make_vertical_grid(10.0, 32)
+    assert levels[0] == -10.0
+    assert levels[-1] == 0.0
+    assert np.all(np.diff(levels) > 0)
 
 
-def harmonic_lift(f, zgrid, geometry):
+def harmonic_lift(f, levels, geometry):
     """Values of the harmonic extension of f at every (level, node)."""
-    kern = geometry.lift_kernel(zgrid.levels, np.abs(f.grid.rfft_wavenumbers))
+    kern = geometry.lift_kernel(levels, np.abs(f.grid.rfft_wavenumbers))
     return np.fft.irfft(kern * np.fft.rfft(f.values), f.grid.n, axis=1)
 
 
 def test_harmonic_lift_matches_boundary():
     eta = Field(GRID, 0.1 * np.sin(X))
-    vg = make_vertical_grid(5.0, 16)
-    lift = harmonic_lift(eta, vg, InfiniteDepth())
+    levels = make_vertical_grid(5.0, 16)
+    lift = harmonic_lift(eta, levels, InfiniteDepth())
     assert np.max(np.abs(lift[-1] - eta.values)) < 1e-12
 
 
@@ -482,7 +482,7 @@ def test_oracle_raises_when_not_converged(monkeypatch):
 
 def _loop_upward_w(ops, rho_hat):
     # w_{i+1} = e^{-d_i |k|} w_i + panel_i, one level at a time
-    decay = np.exp(-np.multiply.outer(np.diff(ops.zgrid.levels), ops.absk))
+    decay = np.exp(-np.multiply.outer(np.diff(ops.levels), ops.absk))
     panel = ops.cd * rho_hat[:-1] + ops.c0 * rho_hat[1:]
     w = np.zeros_like(rho_hat)
     for i in range(len(panel)):
@@ -492,7 +492,7 @@ def _loop_upward_w(ops, rho_hat):
 
 def _loop_downward_K(ops, src_hat):
     # K_i = e^{-d_i |k|} K_{i+1} - panel_i, from the top level down
-    decay = np.exp(-np.multiply.outer(np.diff(ops.zgrid.levels), ops.absk))
+    decay = np.exp(-np.multiply.outer(np.diff(ops.levels), ops.absk))
     panel = ops.c0 * src_hat[:-1] + ops.cd * src_hat[1:]
     K = np.zeros_like(src_hat)
     for i in range(len(panel) - 1, -1, -1):

@@ -7,6 +7,8 @@ from elastic_muskat.elastic import (_fine_derivatives, elastic_E,
                                     elastic_split, gateaux_dE, symbol_ell)
 from elastic_muskat.paracalc import para_apply
 
+from helpers import full_truncate
+
 
 GRID = PeriodicGrid(128, 2.0 * np.pi)
 X = GRID.nodes
@@ -157,3 +159,42 @@ def test_gateaux_matches_finite_difference():
     de = gateaux_dE(eta, etadot)
     rel = np.linalg.norm(de.values - fd) / np.linalg.norm(fd)
     assert rel < 1e-6
+
+
+def _cos_sum(x, modes, m):
+    """m-th derivative of sum a cos(j x + p) over the modes (j, a, p)."""
+    return sum(a * j ** m * np.cos(j * x + p + m * np.pi / 2)
+               for j, a, p in modes)
+
+
+def _form_a(e1, e2, e3, e4):
+    one = 1.0 + e1 * e1
+    return (e4 * one ** -2.5 - 10.0 * e1 * e2 * e3 * one ** -3.5
+            - 3.0 * e2 ** 3 * one ** -3.5
+            + 18.0 * e1 * e1 * e2 ** 3 * one ** -4.5
+            + 0.5 * e2 ** 3 * one ** -4.5)
+
+
+# measured max errors relative to max|ref|, with spectral and with analytic
+# derivatives in the same products: E 1.3e-10 / 1.5e-10 and dE 1.1e-10
+# (n = 128), E 5.1e-8 / 4.2e-8 and dE 4.1e-8 / 4.6e-8 (n = 512) for the
+# full-FFT and the one-spectrum kernels; the bounds leave a factor 10
+@pytest.mark.parametrize("n, bound", [(128, 1.5e-9), (512, 5.1e-7)])
+def test_elastic_and_gateaux_match_analytic_derivatives(n, bound):
+    # the products of E and of its derivative on the 2x grid, with the
+    # derivatives of a cosine sum taken analytically, truncated back; the
+    # derivative in the direction etadot by a complex step of 1e-30
+    eta_modes = [(1, 0.2, 0.3), (2, 0.05, 1.1), (3, 0.02, -0.4),
+                 (5, 0.004, 2.0)]
+    dot_modes = [(1, 1.0, 0.0), (2, 0.5, 0.7), (4, 0.1, -1.3)]
+    grid, xf = PeriodicGrid(n), PeriodicGrid(2 * n).nodes
+    e = [_cos_sum(xf, eta_modes, m) for m in (1, 2, 3, 4)]
+    d = [_cos_sum(xf, dot_modes, m) for m in (1, 2, 3, 4)]
+    h = 1e-30
+    refs = (full_truncate(_form_a(*e), n),
+            full_truncate(_form_a(*(a + 1j * h * b
+                                    for a, b in zip(e, d))).imag / h, n))
+    eta = Field(grid, _cos_sum(grid.nodes, eta_modes, 0))
+    etadot = Field(grid, _cos_sum(grid.nodes, dot_modes, 0))
+    for got, ref in zip((elastic_E(eta), gateaux_dE(eta, etadot)), refs):
+        assert np.max(np.abs(got.values - ref)) < bound * np.max(np.abs(ref))

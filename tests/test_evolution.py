@@ -3,14 +3,14 @@ import pytest
 
 from elastic_muskat import dn, evolution
 from elastic_muskat.dn import DNConfig, dn_fixed_point, dn_geometries
-from elastic_muskat.elastic import elastic_E
+from elastic_muskat.elastic import elastic_E, elastic_split, gateaux_dE
 from elastic_muskat.errors import ConfigError, NonFiniteState, NotContracting
 from elastic_muskat.evolution import (SolveConfig, etd_step,
-                                      linear_multiplier, nonlinear_remainder,
-                                      picard_solve, rhs, scaling_experiment,
-                                      smoothing_fit, solve,
-                                      stability_experiment)
-from elastic_muskat.grid import (Field, PeriodicGrid, abs_d, mean,
+                                      nonlinear_remainder, picard_solve, rhs,
+                                      scaling_experiment, smoothing_fit,
+                                      solve, stability_experiment)
+from elastic_muskat.grid import (Field, PeriodicGrid, abs_d,
+                                 lipschitz_norms, lp_project, mean,
                                  sobolev_norm, zero_field)
 from elastic_muskat.params import (Geometry, LinearSymbol, PhysicalParams,
                                    wall_distances)
@@ -92,7 +92,7 @@ def test_etd_linear_only_exact():
     eta = Field(grid, np.cos(grid.nodes) + 0.5 * np.sin(3.0 * grid.nodes))
     dt = 0.07
     out = etd_step(eta, dt, params, nonlinear=lambda e: zero_field(e.grid))
-    m = linear_multiplier(grid, params)
+    m = LinearSymbol.from_params(params).rate(grid.wavenumbers)
     expect = np.fft.ifft(np.exp(-dt * m) * np.fft.fft(eta.values)).real
     assert np.max(np.abs(out.values - expect)) < 1e-14
 
@@ -470,3 +470,28 @@ def test_smoothing_fit_recovers_exact_rate():
     eta_t = Field(grid, decayed)
     fit = smoothing_fit(eta0, eta_t, t, kmin=2)
     assert abs(fit - c) < 1e-4
+
+
+def test_solver_paths_form_no_full_spectrum(monkeypatch):
+    # every spectrum a solver forms is an rfft half spectrum; the full fft
+    # serves only the public to_spectrum / to_field edge
+    def refuse(*args, **kwargs):
+        raise AssertionError("a full complex FFT on a solver path")
+    monkeypatch.setattr(np.fft, "fft", refuse)
+    monkeypatch.setattr(np.fft, "ifft", refuse)
+    grid = PeriodicGrid(64)
+    x = grid.nodes
+    eta = Field(grid, 0.02 * np.cos(x) + 0.01 * np.sin(2 * x))
+    strip = Geometry("flat_bottom", h_minus=1.0)
+    for params in (PhysicalParams(), PhysicalParams(g=1.0, geometry=strip),
+                   PhysicalParams(g=1.0, mu_plus=1.0, rho_minus=2.0,
+                                  rho_plus=1.0, phase="two")):
+        etd_step(eta, 1e-3, params, quick_cfg())
+    run = picard_solve(Field(grid, 0.001 * np.cos(x)), 2e-3, PhysicalParams(),
+                       quick_cfg(), dt=1e-3)
+    assert run.manifest["steps"] == 2
+    elastic_split(eta)
+    gateaux_dE(eta, Field(grid, np.sin(3 * x)))
+    sobolev_norm(eta, 2.0)
+    lipschitz_norms(eta)
+    lp_project(eta, 2)

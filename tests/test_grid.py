@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from elastic_muskat.grid import (Field, PeriodicGrid, _refine, _truncate,
-                                 abs_d, dx, exp_linear_weights,
+from elastic_muskat.grid import (Field, PeriodicGrid, _refine_hat,
+                                 _truncate, abs_d, dx, exp_linear_weights,
                                  lipschitz_norms, lp_block_count,
                                  lp_lowpass_symbol, lp_project, mean,
                                  sobolev_norm, to_field, to_spectrum,
                                  zygmund_norm, zero_field)
 
-from helpers import inv_abs_d, multiplier
+from helpers import (full_abs_d, full_dx, full_lp_project, full_refine,
+                     full_sobolev_norm, full_truncate, inv_abs_d, multiplier)
 
 
 GRID = PeriodicGrid(128, 2.0 * np.pi)
@@ -127,7 +128,8 @@ def test_lp_block_localization():
 
 def test_lowpass_keeps_low_modes():
     f = Field(GRID, np.cos(X) + np.cos(40 * X))
-    low = multiplier(f, lp_lowpass_symbol(GRID, 0))
+    low = Field(GRID, np.fft.irfft(np.fft.rfft(f.values)
+                                   * lp_lowpass_symbol(GRID, 0), GRID.n))
     assert np.max(np.abs(low.values - np.cos(X))) < 1e-12
 
 
@@ -155,9 +157,37 @@ def test_lipschitz_norms():
     assert proxy >= lip
 
 
+@pytest.mark.parametrize("n", [64, 512])
+def test_rfft_kernels_match_full_fft(n):
+    # random node values set the Nyquist mode, the one mode whose layout
+    # differs between the half and the full spectrum; refine and truncate
+    # act on a stack of fields at once
+    grid = PeriodicGrid(n)
+    rng = np.random.default_rng(n)
+    f = Field(grid, rng.standard_normal(n))
+    coarse = rng.standard_normal((3, n))
+    fine = rng.standard_normal((3, 2 * n))
+    blocks = [full_lp_project(f, j).values for j in range(lp_block_count(grid))]
+    pairs = [(dx(f, m).values, full_dx(f, m).values) for m in (1, 2, 3, 4)]
+    pairs += [(abs_d(f, a).values, full_abs_d(f, a).values)
+              for a in (0.0, 1.0, 2.5, 5.0)]
+    pairs += [(lp_project(f, j).values, blk) for j, blk in enumerate(blocks)]
+    pairs += [(sobolev_norm(f, s), full_sobolev_norm(f, s))
+              for s in (0.0, 1.0, 2.5, 4.5)]
+    pairs += [(zygmund_norm(f, 0.5),
+               max(2.0 ** (0.5 * j) * np.max(np.abs(blk))
+                   for j, blk in enumerate(blocks))),
+              (_refine_hat(np.fft.rfft(coarse)),
+               [full_refine(v) for v in coarse]),
+              (_truncate(fine, n), [full_truncate(v, n) for v in fine])]
+    for got, ref in pairs:
+        ref = np.asarray(ref)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_refine_truncate_roundtrip():
     f = random_field(9)
-    fine = _refine(f.values)
+    fine = _refine_hat(np.fft.rfft(f.values))
     assert len(fine) == 2 * GRID.n
     assert np.max(np.abs(_truncate(fine, GRID.n) - f.values)) < 1e-12
 

@@ -66,6 +66,12 @@ def test_symbol_term_validation():
         SymbolTerm(6, coeff, "xi")
     with pytest.raises(ValueError):
         SymbolTerm(2, coeff, "banana")
+    # k^p with p odd and i k^p with p even map real fields to imaginary
+    # ones; "absxi" (|k|^p) is no unit any more
+    for power, unit in ((1, "xi"), (3, "xi"), (0, "ixi"), (2, "ixi"),
+                        (2, "absxi")):
+        with pytest.raises(ValueError):
+            SymbolTerm(power, coeff, unit)
 
 
 def test_para_apply_constant_symbol_is_multiplier():
