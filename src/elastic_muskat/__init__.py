@@ -2,10 +2,9 @@
 
 from .errors import (ConfigError, DegenerateJacobian, MuskatError,
                      NonFiniteState, NotContracting, SeparationLost)
-from .grid import (Field, PeriodicGrid, abs_d, dx, lipschitz_norms, lp_project,
-                   mean, sobolev_norm, to_field, to_spectrum, zero_field,
-                   zygmund_norm)
-from .paracalc import OrderedSymbol, SymbolTerm, para_apply, paraproduct
+from .grid import (Field, PeriodicGrid, dx, lipschitz_norms, mean,
+                   sobolev_norm, to_field, to_spectrum, zero_field)
+from .paracalc import OrderedSymbol, SymbolTerm, para_apply
 from .elastic import (ElasticSplit, elastic_E, elastic_split, gateaux_dE,
                       symbol_ell)
 

@@ -62,7 +62,8 @@ def elastic_E(eta: Field, form: str = "A") -> Field:
 
 
 def _symbol_coefficients(eta: Field):
-    """rfft half spectra of c4, 2 (c4)_x, C2 and C1, one row each.
+    """rfft half spectra of c4, 2 (c4)_x, C2 and -C1, the coefficients of
+    d^4, d^3, d^2 and d in the principal part of E, one row each.
 
     c4 = (1+eta_x^2)^{-5/2}, C2 = (c4)_xx - 5 A_x + (5/2) B2 and
     C1 = 5 A_xx - (5/2)(B2)_x, with
@@ -77,22 +78,23 @@ def _symbol_coefficients(eta: Field):
     c4, a, b2 = _truncate_hat(fine, grid.n)
     d1, d2 = _dx_symbol(grid, 1), _dx_symbol(grid, 2)
     return np.array([c4, 2.0 * d1 * c4, d2 * c4 - 5.0 * d1 * a + 2.5 * b2,
-                     5.0 * d2 * a - 2.5 * d1 * b2])
+                     2.5 * d1 * b2 - 5.0 * d2 * a])
+
+
+# the derivative order of each row of _symbol_coefficients
+_SYMBOL_POWERS = (4, 3, 2, 1)
 
 
 def symbol_ell(eta: Field) -> OrderedSymbol:
-    """The degree-4 symbol of the principal part of E(eta).
+    """The degree-4 symbol of the principal part of E(eta), as coefficients
+    of derivatives:
 
-    ell(x,xi) = c4 xi^4 - 2i (c4)_x xi^3 - C2 xi^2 - i C1 xi
+    T_ell = T_{c4} d^4 + T_{2 (c4)_x} d^3 + T_{C2} d^2 - T_{C1} d
     """
     grid = eta.grid
-    c4, c4x2, c2, c1 = np.fft.irfft(_symbol_coefficients(eta), grid.n)
-    return OrderedSymbol((
-        SymbolTerm(4, Field(grid, c4), "xi"),
-        SymbolTerm(3, Field(grid, -c4x2), "ixi"),
-        SymbolTerm(2, Field(grid, -c2), "xi"),
-        SymbolTerm(1, Field(grid, -c1), "ixi"),
-    ))
+    coeffs = np.fft.irfft(_symbol_coefficients(eta), grid.n)
+    return OrderedSymbol(tuple(SymbolTerm(m, Field(grid, c))
+                               for m, c in zip(_SYMBOL_POWERS, coeffs)))
 
 
 def elastic_split(eta: Field) -> ElasticSplit:
@@ -106,14 +108,15 @@ def gateaux_dE(eta: Field, etadot: Field) -> Field:
     """Gateaux derivative of E at eta in the direction etadot (closed form).
 
     d_eta E(eta) etadot = c4 d4 + 2 (c4)_x d3 + C2 d2 - C1 d1
-    with dm the m-th derivative of etadot; coefficients as in symbol_ell.
+    with dm the m-th derivative of etadot: the symbol_ell operator with
+    exact products in place of paraproducts.
     """
     if eta.grid != etadot.grid:
         raise ValueError("eta and etadot live on different grids")
     grid = eta.grid
     d_hat = np.fft.rfft(etadot.values)
-    derivatives = [_dx_symbol(grid, m) * d_hat for m in (4, 3, 2, 1)]
+    derivatives = [_dx_symbol(grid, m) * d_hat for m in _SYMBOL_POWERS]
     c4, c4x2, c2, c1, d4, d3, d2, d1 = _refine_hat(
         np.concatenate([_symbol_coefficients(eta), derivatives]))
-    out = c4 * d4 + c4x2 * d3 + c2 * d2 - c1 * d1
+    out = c4 * d4 + c4x2 * d3 + c2 * d2 + c1 * d1
     return Field(grid, _truncate(out, grid.n))

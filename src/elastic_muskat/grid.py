@@ -131,25 +131,6 @@ def _apply_multiplier(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _abs_d_symbol(grid, alpha):
-    """Read-only symbol |k|^alpha, shared by every |D|^alpha on ``grid``."""
-    absk = grid.rfft_wavenumbers
-    sym = np.zeros(len(absk))
-    nz = absk > 0
-    sym[nz] = absk[nz] ** alpha
-    if alpha == 0.0:
-        sym[~nz] = 1.0
-    sym.setflags(write=False)
-    return sym
-
-
-def abs_d(f: Field, alpha: float = 1.0) -> Field:
-    """|D|^alpha f; the zero mode is mapped to 0 unless alpha = 0."""
-    symbol = _abs_d_symbol(f.grid, float(alpha))
-    return Field(f.grid, _apply_multiplier(f.values, symbol))
-
-
-@functools.lru_cache(maxsize=16)
 def _dx_symbol(grid, m):
     """Read-only symbol (ik)^m, shared by every m-th derivative on ``grid``."""
     sym = (1j * grid.rfft_wavenumbers) ** m
@@ -159,16 +140,13 @@ def _dx_symbol(grid, m):
     return sym
 
 
-def _dx(grid, values, m=1):
-    return _apply_multiplier(values, _dx_symbol(grid, int(m)))
-
-
 def dx(f: Field, m: int = 1) -> Field:
     """m-th spectral derivative.
 
     Odd orders zero the Nyquist mode, whose sign is ambiguous.
     """
-    return Field(f.grid, _dx(f.grid, f.values, m))
+    symbol = _dx_symbol(f.grid, int(m))
+    return Field(f.grid, _apply_multiplier(f.values, symbol))
 
 
 # |z| below which exp_linear_weights sums Taylor series; above it the closed
@@ -253,12 +231,6 @@ def lp_block_symbol(grid, j):
     return lp_lowpass_symbol(grid, j) - lp_lowpass_symbol(grid, j - 1)
 
 
-def lp_project(f: Field, j: int) -> Field:
-    """The dyadic block P_j f."""
-    symbol = lp_block_symbol(f.grid, j)
-    return Field(f.grid, _apply_multiplier(f.values, symbol))
-
-
 @functools.lru_cache(maxsize=8)
 def _lp_block_symbols(grid):
     """Read-only (blocks, n//2 + 1) stack of the lp_block_symbol rows."""
@@ -268,22 +240,11 @@ def _lp_block_symbols(grid):
     return symbols
 
 
-def _zygmund_norm(grid, values, s):
-    blocks = _apply_multiplier(values, _lp_block_symbols(grid))
-    peaks = np.max(np.abs(blocks), axis=1)
-    best = 0.0
-    for j, peak in enumerate(peaks):
-        best = max(best, 2.0 ** (j * s) * float(peak))
-    return best
-
-
-def zygmund_norm(f: Field, s: float) -> float:
-    """sup_j 2^{js} ||P_j f||_inf over the grid's dyadic blocks.
-
-    One forward transform of f and one batched inverse transform give every
-    block P_j f at once.
-    """
-    return _zygmund_norm(f.grid, f.values, s)
+def _dyadic_sup(blocks, s):
+    """sup_j 2^{js} ||P_j f||_inf, the Zygmund norm |f|_{C^s_*}, from the
+    node values of the blocks P_j f, one row each."""
+    return max(2.0 ** (j * s) * float(peak)
+               for j, peak in enumerate(np.max(np.abs(blocks), axis=-1)))
 
 
 # Holder exponent of the Lipschitz proxy: the W^{1+1/2,inf} norm
@@ -291,9 +252,13 @@ LIPSCHITZ_EPS = 0.5
 
 
 def _lipschitz_norms(grid, values):
-    fx = _dx(grid, values)
-    lip = float(np.max(np.abs(fx)))
-    return lip, lip + _zygmund_norm(grid, fx, LIPSCHITZ_EPS)
+    """One rfft of f and one batched irfft give f_x and its dyadic blocks."""
+    fx_hat = np.fft.rfft(values) * _dx_symbol(grid, 1)
+    fields = np.fft.irfft(
+        np.concatenate([fx_hat[None], fx_hat * _lp_block_symbols(grid)]),
+        grid.n)
+    lip = float(np.max(np.abs(fields[0])))
+    return lip, lip + _dyadic_sup(fields[1:], LIPSCHITZ_EPS)
 
 
 def lipschitz_norms(f: Field):

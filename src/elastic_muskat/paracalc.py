@@ -1,44 +1,35 @@
-"""Bony paraproducts and polynomial-in-xi paradifferential operators.
+"""Bony paraproducts and polynomial-in-d/dx paradifferential operators.
 
 The low-high paraproduct uses the dyadic convention T_a u =
 sum_{j>=2} S_{j-2}(a) * P_j(u) with S_m the low-pass cutoff of grid.py.
-Symbols are finite lists of (power, coefficient field, unit) terms where the
-unit is "xi" (multiplier k^p, p even) or "ixi" (i k^p, p odd).  The other
-pairings map real fields to imaginary ones, so on real fields they are zero
-and SymbolTerm rejects them.
-Multipliers act on rfft half spectra, as everywhere in the solver.
+A symbol is a finite list of (power m, coefficient field c_m) terms and
+stands for a(x, d/dx) = sum_m c_m(x) d^m/dx^m, so each term's multiplier is
+the derivative symbol (ik)^m of grid.py.  Multipliers act on rfft half
+spectra, as everywhere in the solver.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (Field, _apply_multiplier, _check_same_grid,
-                   _lp_block_symbols)
-
-# the unit of each parity of the power
-SYMBOL_UNITS = ("xi", "ixi")
+from .grid import Field, _check_same_grid, _dx_symbol, _lp_block_symbols
 
 
 @dataclass(frozen=True)
 class SymbolTerm:
+    """The term coeff(x) d^power/dx^power of a symbol."""
+
     power: int
     coeff: Field
-    unit: str = "xi"
 
     def __post_init__(self):
-        if self.unit not in SYMBOL_UNITS:
-            raise ValueError(f"unknown symbol unit {self.unit!r}")
         if not 0 <= self.power <= 5:
             raise ValueError("symbol powers are limited to 0..5")
-        if self.unit != SYMBOL_UNITS[self.power % 2]:
-            raise ValueError(f"unit {self.unit!r} with power {self.power} is"
-                             " zero on real fields")
 
 
 @dataclass(frozen=True)
 class OrderedSymbol:
-    """x-dependent polynomial in xi, a(x, xi) = sum of its terms."""
+    """x-dependent polynomial in d/dx, a(x, d/dx) = sum of its terms."""
 
     terms: tuple
 
@@ -46,39 +37,24 @@ class OrderedSymbol:
         grids = {t.coeff.grid for t in self.terms}
         if len(grids) > 1:
             raise ValueError("symbol coefficients live on different grids")
-        seen = set()
-        for t in self.terms:
-            key = (t.power, t.unit)
-            if key in seen:
-                raise ValueError("duplicate (power, unit) term in symbol")
-            seen.add(key)
+        powers = [t.power for t in self.terms]
+        if len(set(powers)) < len(powers):
+            raise ValueError("duplicate power in symbol")
 
     @property
     def grid(self):
         return self.terms[0].coeff.grid
 
 
-def _paraproduct(grid, a, u):
+def _paraproduct(grid, a_hat, u_hat):
+    """T_a u = sum_{j>=2} S_{j-2}(a) P_j(u) from the rfft half spectra of a
+    and u, term by term along any leading axes, in one batched irfft."""
     blocks = _lp_block_symbols(grid)
     # the low-pass cutoffs S_j are the partial sums of the blocks
-    low = _apply_multiplier(a, np.cumsum(blocks[:-2], axis=0))
-    return np.sum(low * _apply_multiplier(u, blocks[2:]), axis=0)
-
-
-def paraproduct(a: Field, u: Field) -> Field:
-    """T_a u = sum_{j>=2} S_{j-2}(a) P_j(u)."""
-    _check_same_grid(a, u)
-    return Field(a.grid, _paraproduct(a.grid, a.values, u.values))
-
-
-def _unit_symbol(grid, power, unit):
-    k = grid.rfft_wavenumbers
-    if unit == "xi":
-        return k ** power
-    sym = 1j * k ** power
-    # odd powers zero the sign-ambiguous Nyquist mode
-    sym[-1] = 0.0
-    return sym
+    low, high = np.fft.irfft(
+        [a_hat[..., None, :] * np.cumsum(blocks[:-2], axis=0),
+         u_hat[..., None, :] * blocks[2:]], grid.n)
+    return np.sum(low * high, axis=-2)
 
 
 def para_apply(sym: OrderedSymbol, u: Field) -> Field:
@@ -90,13 +66,15 @@ def para_apply(sym: OrderedSymbol, u: Field) -> Field:
     lattice), while the fluctuation enters through the Bony paraproduct.
     Without the exact mean route the operator would annihilate low dyadic
     blocks of u and the paralinearization remainder would only be first
-    order in amplitude.
+    order in amplitude.  One rfft of u, one of the stacked fluctuations and
+    two batched irffts serve every term.
     """
+    _check_same_grid(sym, u)
     grid = u.grid
-    out = np.zeros(grid.n)
-    u0 = u.values - np.mean(u.values)
-    for t in sym.terms:
-        mu = _apply_multiplier(u0, _unit_symbol(grid, t.power, t.unit))
-        cbar = float(np.mean(t.coeff.values))
-        out = out + cbar * mu + _paraproduct(grid, t.coeff.values - cbar, mu)
+    coeffs = np.array([t.coeff.values for t in sym.terms])
+    cbar = np.mean(coeffs, axis=1)
+    du_hat = np.array([_dx_symbol(grid, t.power) for t in sym.terms]) \
+        * np.fft.rfft(u.values - np.mean(u.values))
+    fluct = _paraproduct(grid, np.fft.rfft(coeffs - cbar[:, None]), du_hat)
+    out = np.fft.irfft(cbar @ du_hat, grid.n) + np.sum(fluct, axis=0)
     return Field(grid, out)

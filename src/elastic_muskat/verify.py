@@ -189,8 +189,9 @@ def suite_stability():
     traj = solve(eta0, 1.0, 0.05, params)
     drift = abs(np.mean(traj.states[-1].values) - np.mean(eta0.values))
     rows.append(_row("mean_drift", 0.0, drift, 1e-10))
-    # instantaneous smoothing of a |k|^{-2} tail
-    k = np.abs(grid.wavenumbers)
+    # instantaneous smoothing of a |k|^{-2} tail, fitted at a time where
+    # the modes k >= 16 have decayed by e^{-0.3} to e^{-10} (t k_max^5 is
+    # about 10), so the fit reads the rate and not the FFT's rounding
     c = np.zeros(grid.n, dtype=complex)
     rng = np.random.default_rng(11)
     for j in range(1, grid.n // 2):
@@ -199,9 +200,10 @@ def suite_stability():
         c[j] = 0.5 * amp * np.exp(1j * ph)
         c[-j] = np.conj(c[j])
     eta0 = to_field(grid, c)
-    traj = solve(eta0, 1e-3, 2.5e-4, params)
-    cfit = smoothing_fit(eta0, traj.states[-1], 1e-3, grid.n // 4)
-    rows.append(_row("smoothing_exponent", 1.0, cfit, 1.0, passed=cfit > 0))
+    t = 3e-7
+    traj = solve(eta0, t, t / 4, params)
+    cfit = smoothing_fit(eta0, traj.states[-1], t, grid.n // 4)
+    rows.append(_row("smoothing_exponent", 1.0, cfit, 1e-2))
     return rows
 
 

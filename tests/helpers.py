@@ -3,12 +3,16 @@
 The full-spectrum kernels below are the references that the grid's real-FFT
 kernels are held to: each works on the fft of all n node values, splits the
 unpaired Nyquist coefficient over the modes +-n/2 where it refines and folds
-them back where it truncates.
+them back where it truncates.  The Littlewood-Paley helpers and the per-term
+paradifferential operator are the references of the batched kernels in
+grid.py and paracalc.py.
 """
 
 import numpy as np
 
-from elastic_muskat.grid import Field, _lowpass_profile
+from elastic_muskat.grid import (Field, _apply_multiplier, _dx_symbol,
+                                 _dyadic_sup, _lowpass_profile,
+                                 _lp_block_symbols, lp_block_symbol)
 
 
 def multiplier(f, symbol):
@@ -20,6 +24,14 @@ def inv_abs_d(f):
     """|D|^{-1} f with the zero mode mapped to 0."""
     k = np.abs(f.grid.wavenumbers)
     return multiplier(f, np.divide(1.0, k, out=np.zeros_like(k), where=k > 0))
+
+
+def abs_d(f, alpha=1.0):
+    """|D|^alpha f on the rfft half spectrum; the zero mode is mapped to 0
+    unless alpha = 0."""
+    k = f.grid.rfft_wavenumbers
+    sym = np.where(k > 0, k, 1.0) ** alpha * ((k > 0) | (alpha == 0.0))
+    return Field(f.grid, _apply_multiplier(f.values, sym))
 
 
 def full_dx(f, m):
@@ -73,3 +85,54 @@ def full_truncate(values, n):
     cc[half + 1:] = c[-half + 1:]
     cc[half] = c[half] + c[-half]
     return np.fft.ifft(cc * n).real
+
+
+def lp_project(f, j):
+    """The dyadic block P_j f, one transform pair per block."""
+    return Field(f.grid, _apply_multiplier(f.values,
+                                           lp_block_symbol(f.grid, j)))
+
+
+def zygmund_norm(f, s):
+    """sup_j 2^{js} ||P_j f||_inf over the grid's dyadic blocks."""
+    blocks = _apply_multiplier(f.values, _lp_block_symbols(f.grid))
+    return _dyadic_sup(blocks, s)
+
+
+def paraproduct_values(grid, a, u):
+    """T_a u = sum_{j>=2} S_{j-2}(a) P_j(u) from node values, with one
+    transform pair for the low-passed a and one for the blocks of u."""
+    blocks = _lp_block_symbols(grid)
+    low = _apply_multiplier(a, np.cumsum(blocks[:-2], axis=0))
+    return np.sum(low * _apply_multiplier(u, blocks[2:]), axis=0)
+
+
+def para_apply_per_term(sym, u):
+    """T_sym u one term at a time: each coefficient's mean times d^m u
+    exactly, its fluctuation through the paraproduct with d^m u."""
+    grid = u.grid
+    out = np.zeros(grid.n)
+    u0 = u.values - np.mean(u.values)
+    for t in sym.terms:
+        mu = _apply_multiplier(u0, _dx_symbol(grid, t.power))
+        cbar = float(np.mean(t.coeff.values))
+        out = out + cbar * mu \
+            + paraproduct_values(grid, t.coeff.values - cbar, mu)
+    return Field(grid, out)
+
+
+def count_real_transforms(monkeypatch):
+    """Record every np.fft.rfft and np.fft.irfft call from here on: the
+    returned list gains the transform's name at each call."""
+    calls = []
+
+    def counting(name, transform):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return transform(*args, **kwargs)
+        return counted
+
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name,
+                            counting(name, getattr(np.fft, name)))
+    return calls

@@ -98,7 +98,7 @@ def test_symbol_flat():
 def test_symbol_xi3_is_derivative_of_xi4():
     sym = symbol_ell(Field(GRID, 0.2 * np.sin(X)))
     by_power = {t.power: t for t in sym.terms}
-    expected = -2.0 * dx(by_power[4].coeff).values
+    expected = 2.0 * dx(by_power[4].coeff).values
     assert np.max(np.abs(by_power[3].coeff.values - expected)) < 1e-9
 
 

@@ -9,11 +9,12 @@ from elastic_muskat.evolution import (SolveConfig, etd_step,
                                       nonlinear_remainder, picard_solve, rhs,
                                       scaling_experiment, smoothing_fit,
                                       solve, stability_experiment)
-from elastic_muskat.grid import (Field, PeriodicGrid, abs_d,
-                                 lipschitz_norms, lp_project, mean,
+from elastic_muskat.grid import (Field, PeriodicGrid, lipschitz_norms, mean,
                                  sobolev_norm, zero_field)
 from elastic_muskat.params import (Geometry, LinearSymbol, PhysicalParams,
                                    wall_distances)
+
+from helpers import abs_d
 
 
 def quick_cfg(**kw):
@@ -494,4 +495,3 @@ def test_solver_paths_form_no_full_spectrum(monkeypatch):
     gateaux_dE(eta, Field(grid, np.sin(3 * x)))
     sobolev_norm(eta, 2.0)
     lipschitz_norms(eta)
-    lp_project(eta, 2)

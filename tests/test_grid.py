@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from elastic_muskat.grid import (Field, PeriodicGrid, _refine_hat,
-                                 _truncate, abs_d, dx, exp_linear_weights,
-                                 lipschitz_norms, lp_block_count,
-                                 lp_lowpass_symbol, lp_project, mean,
+from elastic_muskat.grid import (Field, PeriodicGrid, _lipschitz_norms,
+                                 _refine_hat, _truncate, dx,
+                                 exp_linear_weights, lipschitz_norms,
+                                 lp_block_count, lp_lowpass_symbol, mean,
                                  sobolev_norm, to_field, to_spectrum,
-                                 zygmund_norm, zero_field)
+                                 zero_field)
 
-from helpers import (full_abs_d, full_dx, full_lp_project, full_refine,
-                     full_sobolev_norm, full_truncate, inv_abs_d, multiplier)
+from helpers import (abs_d, count_real_transforms, full_abs_d, full_dx,
+                     full_lp_project, full_refine, full_sobolev_norm,
+                     full_truncate, inv_abs_d, lp_project, multiplier,
+                     zygmund_norm)
 
 
 GRID = PeriodicGrid(128, 2.0 * np.pi)
@@ -157,6 +159,13 @@ def test_lipschitz_norms():
     assert proxy >= lip
 
 
+def test_lipschitz_norms_take_two_transforms(monkeypatch):
+    # one rfft of f and one batched irfft of f_x and its dyadic blocks
+    calls = count_real_transforms(monkeypatch)
+    _lipschitz_norms(GRID, random_field(4).values)
+    assert calls == ["rfft", "irfft"]
+
+
 @pytest.mark.parametrize("n", [64, 512])
 def test_rfft_kernels_match_full_fft(n):
     # random node values set the Nyquist mode, the one mode whose layout
@@ -168,6 +177,10 @@ def test_rfft_kernels_match_full_fft(n):
     coarse = rng.standard_normal((3, n))
     fine = rng.standard_normal((3, 2 * n))
     blocks = [full_lp_project(f, j).values for j in range(lp_block_count(grid))]
+    fx = full_dx(f, 1)
+    fx_blocks = [full_lp_project(fx, j).values
+                 for j in range(lp_block_count(grid))]
+    lip = np.max(np.abs(fx.values))
     pairs = [(dx(f, m).values, full_dx(f, m).values) for m in (1, 2, 3, 4)]
     pairs += [(abs_d(f, a).values, full_abs_d(f, a).values)
               for a in (0.0, 1.0, 2.5, 5.0)]
@@ -177,6 +190,9 @@ def test_rfft_kernels_match_full_fft(n):
     pairs += [(zygmund_norm(f, 0.5),
                max(2.0 ** (0.5 * j) * np.max(np.abs(blk))
                    for j, blk in enumerate(blocks))),
+              (lipschitz_norms(f),
+               (lip, lip + max(2.0 ** (0.5 * j) * np.max(np.abs(blk))
+                               for j, blk in enumerate(fx_blocks)))),
               (_refine_hat(np.fft.rfft(coarse)),
                [full_refine(v) for v in coarse]),
               (_truncate(fine, n), [full_truncate(v, n) for v in fine])]
