@@ -3,7 +3,7 @@
 from .errors import (ConfigError, DegenerateJacobian, MuskatError,
                      NonFiniteState, NotContracting, SeparationLost)
 from .grid import (Field, PeriodicGrid, dx, lipschitz_norms, mean,
-                   sobolev_norm, to_field, to_spectrum, zero_field)
+                   sobolev_norm, zero_field)
 from .paracalc import OrderedSymbol, SymbolTerm, para_apply
 from .elastic import (ElasticSplit, elastic_E, elastic_split, gateaux_dE,
                       symbol_ell)

@@ -13,6 +13,7 @@ verification, 2 clean solver abort (separation or contraction loss).
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -117,11 +118,17 @@ _TYPE_NAMES = {float: "a number", int: "an integer", bool: "true or false",
                str: "a string", list: "a list"}
 
 
+def _is_finite(val) -> bool:
+    # json.load takes NaN, Infinity and -Infinity as floats
+    return not isinstance(val, float) or math.isfinite(val)
+
+
 def check_run_settings(cfg: dict):
     """Reject settings the time loop would fail on, before anything is built.
 
     Every key but ``dt`` takes its default's type; a float key also takes
-    an integer, and no number key takes true or false.
+    an integer, and no number key takes true or false.  Every number, in
+    ``modes`` too, is finite.
     """
     for key, default in CONFIG_DEFAULTS.items():
         if default is None:
@@ -131,6 +138,12 @@ def check_run_settings(cfg: dict):
         if not ok or isinstance(val, bool) != isinstance(default, bool):
             raise ConfigError("%s must be %s, not %r"
                               % (key, _TYPE_NAMES[kind], val))
+    for key in CONFIG_DEFAULTS:
+        if not _is_finite(cfg[key]):
+            raise ConfigError("%s must be finite, not %r" % (key, cfg[key]))
+    for entry in cfg["modes"]:
+        if isinstance(entry, list) and not all(map(_is_finite, entry)):
+            raise ConfigError("mode entries must be finite, not %r" % (entry,))
     if cfg["scheme"] not in SCHEMES:
         raise ConfigError("scheme must be one of %s, not %r"
                           % (", ".join(SCHEMES), cfg["scheme"]))

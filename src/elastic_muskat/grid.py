@@ -7,12 +7,6 @@ last one, the Nyquist mode, stands for the unpaired pair +-n/2; odd-order
 symbols zero it, since its sign is ambiguous.  Multipliers, refinement
 and truncation act along the last axis, so a stack of fields takes one
 transform.
-
-The public edge to_spectrum / to_field (with PeriodicGrid.wavenumbers)
-keeps the full fft spectrum normalised as
-f_hat(k) = (1/L) * integral_0^L f(x) exp(-i k x) dx, so a single mode
-cos(k0 x) has coefficients 1/2 at k = +-k0, stored in numpy fft order.
-No solver path calls it.
 """
 
 import functools
@@ -43,13 +37,6 @@ class PeriodicGrid:
     @property
     def nodes(self):
         return np.arange(self.n) * (self.length / self.n)
-
-    @functools.cached_property
-    def wavenumbers(self):
-        """Shared read-only physical wavenumbers 2*pi*m/L in fft order."""
-        k = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.length / self.n)
-        k.setflags(write=False)
-        return k
 
     @functools.cached_property
     def rfft_wavenumbers(self):
@@ -106,16 +93,6 @@ def _check_same_grid(a, b):
 
 def zero_field(grid):
     return Field(grid, np.zeros(grid.n))
-
-
-def to_spectrum(f: Field) -> np.ndarray:
-    """Coefficients of f in fft order under the stated normalization."""
-    return np.fft.fft(f.values) / f.grid.n
-
-
-def to_field(grid: PeriodicGrid, coeffs: np.ndarray) -> Field:
-    """The real field with coefficients ``coeffs`` (as from to_spectrum)."""
-    return Field(grid, np.fft.ifft(coeffs * grid.n).real)
 
 
 def mean(f: Field) -> float:
@@ -210,34 +187,18 @@ def _lowpass_profile(absk, j):
     return out
 
 
-def lp_block_count(grid) -> int:
-    """Smallest J+1 such that C_J is identically 1 on the grid."""
-    j = 0
-    while 2.0 ** j < grid.k_max:
-        j += 1
-    return j + 1
-
-
-def lp_lowpass_symbol(grid, j):
-    """The low-pass cutoff C_j over the rfft wavenumbers; C_{-1} = 0."""
-    if j < 0:
-        return np.zeros(grid.n // 2 + 1)
-    return _lowpass_profile(grid.rfft_wavenumbers, j)
-
-
-def lp_block_symbol(grid, j):
-    if j == 0:
-        return lp_lowpass_symbol(grid, 0)
-    return lp_lowpass_symbol(grid, j) - lp_lowpass_symbol(grid, j - 1)
-
-
 @functools.lru_cache(maxsize=8)
-def _lp_block_symbols(grid):
-    """Read-only (blocks, n//2 + 1) stack of the lp_block_symbol rows."""
-    symbols = np.array([lp_block_symbol(grid, j)
-                        for j in range(lp_block_count(grid))])
-    symbols.setflags(write=False)
-    return symbols
+def _lp_cutoffs(grid):
+    """Read-only (J+1, n//2 + 1) table of the low-pass cutoffs C_0, ..., C_J
+    over the rfft wavenumbers, J the least with C_J identically 1 on the
+    grid.  Row differences, with C_{-1} = 0, are the blocks P_j."""
+    j_max = 0
+    while 2.0 ** j_max < grid.k_max:
+        j_max += 1
+    cutoffs = np.array([_lowpass_profile(grid.rfft_wavenumbers, j)
+                        for j in range(j_max + 1)])
+    cutoffs.setflags(write=False)
+    return cutoffs
 
 
 def _dyadic_sup(blocks, s):
@@ -254,9 +215,9 @@ LIPSCHITZ_EPS = 0.5
 def _lipschitz_norms(grid, values):
     """One rfft of f and one batched irfft give f_x and its dyadic blocks."""
     fx_hat = np.fft.rfft(values) * _dx_symbol(grid, 1)
-    fields = np.fft.irfft(
-        np.concatenate([fx_hat[None], fx_hat * _lp_block_symbols(grid)]),
-        grid.n)
+    blocks = np.diff(_lp_cutoffs(grid), axis=0, prepend=0.0)
+    fields = np.fft.irfft(np.concatenate([fx_hat[None], fx_hat * blocks]),
+                          grid.n)
     lip = float(np.max(np.abs(fields[0])))
     return lip, lip + _dyadic_sup(fields[1:], LIPSCHITZ_EPS)
 

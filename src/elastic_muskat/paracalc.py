@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, _check_same_grid, _dx_symbol, _lp_block_symbols
+from .grid import Field, _check_same_grid, _dx_symbol, _lp_cutoffs
 
 
 @dataclass(frozen=True)
@@ -49,11 +49,11 @@ class OrderedSymbol:
 def _paraproduct(grid, a_hat, u_hat):
     """T_a u = sum_{j>=2} S_{j-2}(a) P_j(u) from the rfft half spectra of a
     and u, term by term along any leading axes, in one batched irfft."""
-    blocks = _lp_block_symbols(grid)
-    # the low-pass cutoffs S_j are the partial sums of the blocks
+    cutoffs = _lp_cutoffs(grid)
+    # S_{j-2} and P_j = C_j - C_{j-1} for j = 2, ..., J
     low, high = np.fft.irfft(
-        [a_hat[..., None, :] * np.cumsum(blocks[:-2], axis=0),
-         u_hat[..., None, :] * blocks[2:]], grid.n)
+        [a_hat[..., None, :] * cutoffs[:-2],
+         u_hat[..., None, :] * np.diff(cutoffs[1:], axis=0)], grid.n)
     return np.sum(low * high, axis=-2)
 
 

@@ -23,6 +23,9 @@ class Geometry:
     def __post_init__(self):
         if self.kind not in ("bottomless", "flat_bottom", "flat_top"):
             raise ConfigError("unknown geometry kind %r" % (self.kind,))
+        if not (self.h_minus >= 0 and self.h_plus >= 0):
+            raise ConfigError("wall depths must be nonnegative, not h_minus "
+                              "%r, h_plus %r" % (self.h_minus, self.h_plus))
         if self.kind == "flat_bottom" and not self.h_minus > 0:
             raise ConfigError("flat_bottom requires h_minus > 0")
         if self.kind == "flat_top" and not self.h_plus > 0:

@@ -12,7 +12,7 @@ import numpy as np
 from .dn import DNConfig, FlatStrip, dn_fixed_point
 from .dn_oracle import oracle_dn
 from .elastic import elastic_E, elastic_split, gateaux_dE, symbol_ell
-from .grid import Field, PeriodicGrid, sobolev_norm, to_field
+from .grid import Field, PeriodicGrid, sobolev_norm
 from .paracalc import para_apply
 from .params import PhysicalParams
 from .pressure import pressure_fixed_point, pressure_oracle
@@ -192,14 +192,12 @@ def suite_stability():
     # instantaneous smoothing of a |k|^{-2} tail, fitted at a time where
     # the modes k >= 16 have decayed by e^{-0.3} to e^{-10} (t k_max^5 is
     # about 10), so the fit reads the rate and not the FFT's rounding
-    c = np.zeros(grid.n, dtype=complex)
-    rng = np.random.default_rng(11)
-    for j in range(1, grid.n // 2):
-        amp = 1e-3 / j ** 2
-        ph = rng.uniform(0, 2 * np.pi)
-        c[j] = 0.5 * amp * np.exp(1j * ph)
-        c[-j] = np.conj(c[j])
-    eta0 = to_field(grid, c)
+    # the rfft half spectrum of sum_j 1e-3 j^-2 cos(j x + phase_j), 0 < j < n/2
+    j = np.arange(1, grid.n // 2)
+    phases = np.random.default_rng(11).uniform(0, 2 * np.pi, len(j))
+    c_hat = np.zeros(grid.n // 2 + 1, dtype=complex)
+    c_hat[1:-1] = 0.5 * grid.n * 1e-3 / j ** 2 * np.exp(1j * phases)
+    eta0 = Field(grid, np.fft.irfft(c_hat, grid.n))
     t = 3e-7
     traj = solve(eta0, t, t / 4, params)
     cfit = smoothing_fit(eta0, traj.states[-1], t, grid.n // 4)

@@ -11,8 +11,12 @@ grid.py and paracalc.py.
 import numpy as np
 
 from elastic_muskat.grid import (Field, _apply_multiplier, _dx_symbol,
-                                 _dyadic_sup, _lowpass_profile,
-                                 _lp_block_symbols, lp_block_symbol)
+                                 _dyadic_sup, _lowpass_profile, _lp_cutoffs)
+
+
+def fft_wavenumbers(grid):
+    """The physical wavenumbers 2*pi*m/L of the full fft, in fft order."""
+    return 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.length / grid.n)
 
 
 def multiplier(f, symbol):
@@ -22,7 +26,7 @@ def multiplier(f, symbol):
 
 def inv_abs_d(f):
     """|D|^{-1} f with the zero mode mapped to 0."""
-    k = np.abs(f.grid.wavenumbers)
+    k = np.abs(fft_wavenumbers(f.grid))
     return multiplier(f, np.divide(1.0, k, out=np.zeros_like(k), where=k > 0))
 
 
@@ -36,7 +40,7 @@ def abs_d(f, alpha=1.0):
 
 def full_dx(f, m):
     """m-th derivative; odd orders zero the Nyquist mode k = -n/2."""
-    sym = (1j * f.grid.wavenumbers) ** m
+    sym = (1j * fft_wavenumbers(f.grid)) ** m
     if m % 2 == 1:
         sym[f.grid.n // 2] = 0.0
     return multiplier(f, sym)
@@ -44,20 +48,20 @@ def full_dx(f, m):
 
 def full_abs_d(f, alpha):
     """|D|^alpha f; the zero mode is mapped to 0 unless alpha = 0."""
-    k = np.abs(f.grid.wavenumbers)
+    k = np.abs(fft_wavenumbers(f.grid))
     sym = np.where(k > 0, k, 1.0) ** alpha * ((k > 0) | (alpha == 0.0))
     return multiplier(f, sym)
 
 
 def full_sobolev_norm(f, s):
-    k = f.grid.wavenumbers
+    k = fft_wavenumbers(f.grid)
     c = np.fft.fft(f.values) / f.grid.n
     return float(np.sqrt(np.sum((1.0 + k * k) ** s * np.abs(c) ** 2)))
 
 
 def full_lp_project(f, j):
     """P_j f with the cutoffs C_j - C_{j-1} over the fft wavenumbers."""
-    absk = np.abs(f.grid.wavenumbers)
+    absk = np.abs(fft_wavenumbers(f.grid))
     sym = _lowpass_profile(absk, j)
     if j > 0:
         sym = sym - _lowpass_profile(absk, j - 1)
@@ -87,22 +91,28 @@ def full_truncate(values, n):
     return np.fft.ifft(cc * n).real
 
 
+def lp_blocks(grid):
+    """The (J+1, n//2 + 1) Littlewood-Paley block symbols P_0, ..., P_J,
+    each cutoff minus the one before it."""
+    return np.diff(_lp_cutoffs(grid), axis=0, prepend=0.0)
+
+
 def lp_project(f, j):
     """The dyadic block P_j f, one transform pair per block."""
-    return Field(f.grid, _apply_multiplier(f.values,
-                                           lp_block_symbol(f.grid, j)))
+    return Field(f.grid, _apply_multiplier(f.values, lp_blocks(f.grid)[j]))
 
 
 def zygmund_norm(f, s):
     """sup_j 2^{js} ||P_j f||_inf over the grid's dyadic blocks."""
-    blocks = _apply_multiplier(f.values, _lp_block_symbols(f.grid))
+    blocks = _apply_multiplier(f.values, lp_blocks(f.grid))
     return _dyadic_sup(blocks, s)
 
 
 def paraproduct_values(grid, a, u):
     """T_a u = sum_{j>=2} S_{j-2}(a) P_j(u) from node values, with one
-    transform pair for the low-passed a and one for the blocks of u."""
-    blocks = _lp_block_symbols(grid)
+    transform pair for the low-passed a and one for the blocks of u; the
+    low-pass cutoffs are the partial sums of the blocks."""
+    blocks = lp_blocks(grid)
     low = _apply_multiplier(a, np.cumsum(blocks[:-2], axis=0))
     return np.sum(low * _apply_multiplier(u, blocks[2:]), axis=0)
 

@@ -261,6 +261,15 @@ def test_picard_abort_writes_the_etd_record(tmp_path):
     {"modes": 5},
     {"lipschitz_gate": 0},
     {"lipschitz_gate": -0.1},
+    # json.load takes NaN and Infinity; no number setting may be either
+    {"g": float("nan")},
+    {"g": float("inf")},
+    {"modes": [[1, float("nan"), 0.0]]},
+    {"tail_amplitude": float("nan")},
+    {"dn_tol": float("inf")},
+    {"dt": float("inf")},
+    # a negative depth is no wall at all, not a silently bottomless run
+    {"h_minus": -1.0, "h_plus": -3.0},
 ])
 def test_invalid_run_settings_are_exit_one(tmp_path, capsys, bad):
     cfg = base_run_cfg(tmp_path, **bad)

@@ -166,17 +166,15 @@ def test_vertical_grid_shape():
     assert np.all(np.diff(levels) > 0)
 
 
-def harmonic_lift(f, levels, geometry):
-    """Values of the harmonic extension of f at every (level, node)."""
-    kern = geometry.lift_kernel(levels, np.abs(f.grid.rfft_wavenumbers))
-    return np.fft.irfft(kern * np.fft.rfft(f.values), f.grid.n, axis=1)
-
-
 def test_harmonic_lift_matches_boundary():
+    # the lift is eta at the top level
     eta = Field(GRID, 0.1 * np.sin(X))
-    levels = make_vertical_grid(5.0, 16)
-    lift = harmonic_lift(eta, levels, InfiniteDepth())
-    assert np.max(np.abs(lift[-1] - eta.values)) < 1e-12
+    for geometry in (InfiniteDepth(), FlatStrip(1.0)):
+        ops = _level_operators(GRID, geometry, 16)
+        lift = np.fft.irfft(ops.lift * np.fft.rfft(eta.values), GRID.n, axis=1)
+        assert np.max(np.abs(lift[-1] - eta.values)) < 1e-12
+    # the last lift, the strip's, vanishes on the wall
+    assert np.max(np.abs(lift[0])) < 1e-15
 
 
 def test_report_fields():
@@ -236,6 +234,45 @@ def test_default_solve_is_near_a_tight_solve(geometry):
     assert tight.converged
     ref = tight.gf.values
     assert np.max(np.abs(gf - ref)) < 2e-11 * np.max(np.abs(ref))
+
+
+def exact_trace(x, eta, eta_x, k, geometry):
+    """A datum f on the interface and its exact G f.
+
+    phi = e^{ky} cos kx bottomless, and cosh(k(y+h)) cos kx / cosh(kh) over
+    a wall at depth h, is harmonic in the fluid and meets the bottom
+    condition, so its trace and normal flux are exact for every eta.
+    """
+    if isinstance(geometry, InfiniteDepth):
+        lift = np.exp(k * eta)
+        return (lift * np.cos(k * x),
+                k * lift * (np.cos(k * x) + eta_x * np.sin(k * x)))
+    h = geometry.h
+    c = np.cosh(k * (eta + h)) / np.cosh(k * h)
+    s = np.sinh(k * (eta + h)) / np.cosh(k * h)
+    return c * np.cos(k * x), k * (s * np.cos(k * x) + eta_x * c * np.sin(k * x))
+
+
+# relative max errors of the default 64-level solve, as measured; each
+# bound is twice its figure (the level solver's own discretization error)
+@pytest.mark.parametrize("geometry, a, k, measured", [
+    (InfiniteDepth(), 0.05, 1, 1.72e-5), (InfiniteDepth(), 0.05, 3, 1.74e-7),
+    (InfiniteDepth(), 0.1, 1, 3.27e-5), (InfiniteDepth(), 0.1, 3, 6.05e-7),
+    (FlatStrip(1.0), 0.05, 1, 5.97e-6), (FlatStrip(1.0), 0.05, 3, 2.73e-6),
+    (FlatStrip(1.0), 0.1, 1, 1.08e-5), (FlatStrip(1.0), 0.1, 3, 4.84e-6),
+])
+def test_matches_exact_harmonic_trace(geometry, a, k, measured):
+    x = GRID128.nodes
+    eta = a * (np.sin(x) + 0.25 * np.cos(2 * x + 1))
+    eta_x = a * (np.cos(x) - 0.5 * np.sin(2 * x + 1))
+    f, exact = exact_trace(x, eta, eta_x, k, geometry)
+    # the trace is resolved: nothing of it sits at the Nyquist mode
+    f_hat = np.abs(np.fft.rfft(f))
+    assert f_hat[-1] < 1e-14 * np.max(f_hat)
+    res = dn_fixed_point(Field(GRID128, eta), Field(GRID128, f),
+                         geometry=geometry).require_converged()
+    err = np.max(np.abs(res.gf.values - exact)) / np.max(np.abs(exact))
+    assert err <= 2.0 * measured
 
 
 @pytest.mark.parametrize("geometry, seed", [

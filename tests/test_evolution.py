@@ -14,7 +14,7 @@ from elastic_muskat.grid import (Field, PeriodicGrid, lipschitz_norms, mean,
 from elastic_muskat.params import (Geometry, LinearSymbol, PhysicalParams,
                                    wall_distances)
 
-from helpers import abs_d
+from helpers import abs_d, fft_wavenumbers
 
 
 def quick_cfg(**kw):
@@ -93,7 +93,7 @@ def test_etd_linear_only_exact():
     eta = Field(grid, np.cos(grid.nodes) + 0.5 * np.sin(3.0 * grid.nodes))
     dt = 0.07
     out = etd_step(eta, dt, params, nonlinear=lambda e: zero_field(e.grid))
-    m = LinearSymbol.from_params(params).rate(grid.wavenumbers)
+    m = LinearSymbol.from_params(params).rate(fft_wavenumbers(grid))
     expect = np.fft.ifft(np.exp(-dt * m) * np.fft.fft(eta.values)).real
     assert np.max(np.abs(out.values - expect)) < 1e-14
 
@@ -435,6 +435,13 @@ def test_bottom_depth_without_a_bottom_is_rejected(kind, h_plus):
         Geometry(kind, h_minus=1.0, h_plus=h_plus)
 
 
+@pytest.mark.parametrize("depths", [{"h_minus": -1.0}, {"h_plus": -3.0},
+                                    {"h_plus": float("nan")}])
+def test_negative_wall_depth_is_rejected(depths):
+    with pytest.raises(ConfigError, match="wall depths"):
+        Geometry(**depths)
+
+
 @pytest.mark.parametrize("geometry", [
     Geometry("flat_top", h_plus=1.0),
     Geometry("bottomless", h_plus=1.0),
@@ -461,13 +468,13 @@ def test_unstable_ordering_needs_flag():
 def test_smoothing_fit_recovers_exact_rate():
     grid = PeriodicGrid(64)
     rng = np.random.default_rng(7)
-    c0 = np.exp(-0.5 * np.abs(grid.wavenumbers)) \
+    c0 = np.exp(-0.5 * np.abs(fft_wavenumbers(grid))) \
         * rng.standard_normal(grid.n)
     eta0 = Field(grid, np.fft.ifft(c0).real)
     # t small enough that no mode decays into the fft roundoff floor
     t, c = 3e-7, 0.8
     decayed = np.fft.ifft(np.fft.fft(eta0.values)
-                          * np.exp(-c * t * np.abs(grid.wavenumbers) ** 5)).real
+                          * np.exp(-c * t * np.abs(fft_wavenumbers(grid)) ** 5)).real
     eta_t = Field(grid, decayed)
     fit = smoothing_fit(eta0, eta_t, t, kmin=2)
     assert abs(fit - c) < 1e-4
@@ -475,7 +482,7 @@ def test_smoothing_fit_recovers_exact_rate():
 
 def test_solver_paths_form_no_full_spectrum(monkeypatch):
     # every spectrum a solver forms is an rfft half spectrum; the full fft
-    # serves only the public to_spectrum / to_field edge
+    # serves only the tests' reference kernels
     def refuse(*args, **kwargs):
         raise AssertionError("a full complex FFT on a solver path")
     monkeypatch.setattr(np.fft, "fft", refuse)

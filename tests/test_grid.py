@@ -3,16 +3,14 @@ import pytest
 from scipy.integrate import quad
 
 from elastic_muskat.grid import (Field, PeriodicGrid, _lipschitz_norms,
-                                 _refine_hat, _truncate, dx,
-                                 exp_linear_weights, lipschitz_norms,
-                                 lp_block_count, lp_lowpass_symbol, mean,
-                                 sobolev_norm, to_field, to_spectrum,
-                                 zero_field)
+                                 _lp_cutoffs, _refine_hat, _truncate, dx,
+                                 exp_linear_weights, lipschitz_norms, mean,
+                                 sobolev_norm, zero_field)
 
-from helpers import (abs_d, count_real_transforms, full_abs_d, full_dx,
-                     full_lp_project, full_refine, full_sobolev_norm,
-                     full_truncate, inv_abs_d, lp_project, multiplier,
-                     zygmund_norm)
+from helpers import (abs_d, count_real_transforms, fft_wavenumbers,
+                     full_abs_d, full_dx, full_lp_project, full_refine,
+                     full_sobolev_norm, full_truncate, inv_abs_d, lp_project,
+                     multiplier, zygmund_norm)
 
 
 GRID = PeriodicGrid(128, 2.0 * np.pi)
@@ -27,12 +25,6 @@ def random_field(seed=0):
     return Field(GRID, vals)
 
 
-def test_roundtrip():
-    f = random_field()
-    back = to_field(GRID, to_spectrum(f))
-    assert np.max(np.abs(back.values - f.values)) < 1e-12 * np.max(np.abs(f.values))
-
-
 def test_grid_validation():
     with pytest.raises(ValueError):
         PeriodicGrid(7, 2 * np.pi)
@@ -42,13 +34,11 @@ def test_grid_validation():
 
 def test_wavenumbers_are_computed_once_and_read_only():
     grid = PeriodicGrid(64, 3.0)
-    for name, freq in (("wavenumbers", np.fft.fftfreq),
-                       ("rfft_wavenumbers", np.fft.rfftfreq)):
-        k = getattr(grid, name)
-        assert getattr(grid, name) is k
-        assert not k.flags.writeable
-        np.testing.assert_array_equal(
-            k, 2.0 * np.pi * freq(grid.n, d=grid.length / grid.n))
+    k = grid.rfft_wavenumbers
+    assert grid.rfft_wavenumbers is k
+    assert not k.flags.writeable
+    np.testing.assert_array_equal(
+        k, 2.0 * np.pi * np.fft.rfftfreq(grid.n, d=grid.length / grid.n))
 
 
 def test_inverse_abs_derivative():
@@ -78,7 +68,7 @@ def semigroup_apply(f, t, nu1, alpha1):
     """exp(-t nu1 |D|^alpha1) f.  Rejects t < 0 (anti-diffusion)."""
     if t < 0:
         raise ValueError("semigroup_apply requires t >= 0")
-    k = np.abs(f.grid.wavenumbers)
+    k = np.abs(fft_wavenumbers(f.grid))
     rate = nu1 * np.where(k > 0, k, 1.0) ** alpha1 * (k > 0)
     return multiplier(f, np.exp(-t * rate))
 
@@ -116,9 +106,22 @@ def test_sobolev_parseval():
 def test_lp_partition_of_unity():
     f = random_field(5)
     total = zero_field(GRID)
-    for j in range(lp_block_count(GRID)):
+    for j in range(len(_lp_cutoffs(GRID))):
         total = total + lp_project(f, j)
     assert np.max(np.abs(total.values - f.values)) < 1e-12
+
+
+def test_lp_cutoffs_form_one_read_only_table():
+    # C_0, ..., C_J once each, J the least with C_J identically 1
+    for grid in (GRID, PeriodicGrid(1000, 20.0)):
+        cutoffs = _lp_cutoffs(grid)
+        assert _lp_cutoffs(grid) is cutoffs
+        assert not cutoffs.flags.writeable
+        assert np.all(cutoffs[-1] == 1.0) and not np.all(cutoffs[-2] == 1.0)
+        absk = grid.rfft_wavenumbers
+        for j, row in enumerate(cutoffs):
+            assert np.all(row[absk <= 2.0 ** j] == 1.0)
+            assert np.all(row[absk >= 2.0 ** (j + 1)] == 0.0)
 
 
 def test_lp_block_localization():
@@ -131,7 +134,7 @@ def test_lp_block_localization():
 def test_lowpass_keeps_low_modes():
     f = Field(GRID, np.cos(X) + np.cos(40 * X))
     low = Field(GRID, np.fft.irfft(np.fft.rfft(f.values)
-                                   * lp_lowpass_symbol(GRID, 0), GRID.n))
+                                   * _lp_cutoffs(GRID)[0], GRID.n))
     assert np.max(np.abs(low.values - np.cos(X))) < 1e-12
 
 
@@ -148,7 +151,7 @@ def test_zygmund_matches_block_projections(n):
     for s in (0.0, 0.5, 1.0):
         f = Field(grid, rng.standard_normal(n))
         expected = max(2.0 ** (j * s) * np.max(np.abs(lp_project(f, j).values))
-                       for j in range(lp_block_count(grid)))
+                       for j in range(len(_lp_cutoffs(grid))))
         assert zygmund_norm(f, s) == expected
 
 
@@ -176,10 +179,10 @@ def test_rfft_kernels_match_full_fft(n):
     f = Field(grid, rng.standard_normal(n))
     coarse = rng.standard_normal((3, n))
     fine = rng.standard_normal((3, 2 * n))
-    blocks = [full_lp_project(f, j).values for j in range(lp_block_count(grid))]
+    nblocks = len(_lp_cutoffs(grid))
+    blocks = [full_lp_project(f, j).values for j in range(nblocks)]
     fx = full_dx(f, 1)
-    fx_blocks = [full_lp_project(fx, j).values
-                 for j in range(lp_block_count(grid))]
+    fx_blocks = [full_lp_project(fx, j).values for j in range(nblocks)]
     lip = np.max(np.abs(fx.values))
     pairs = [(dx(f, m).values, full_dx(f, m).values) for m in (1, 2, 3, 4)]
     pairs += [(abs_d(f, a).values, full_abs_d(f, a).values)

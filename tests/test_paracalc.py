@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from elastic_muskat.elastic import symbol_ell
-from elastic_muskat.grid import (Field, PeriodicGrid, _check_same_grid, dx,
-                                 lp_block_count, sobolev_norm)
+from elastic_muskat.grid import (Field, PeriodicGrid, _check_same_grid,
+                                 _lp_cutoffs, dx, sobolev_norm)
 from elastic_muskat.paracalc import (OrderedSymbol, SymbolTerm, _paraproduct,
                                      para_apply)
 
@@ -31,7 +31,7 @@ def paraproduct(a, u):
 
 def diagonal_remainder(a, u):
     """R(a,u) = sum_{|j-j'|<=1} P_j(a) P_j'(u), the Bony diagonal part."""
-    nblocks = lp_block_count(a.grid)
+    nblocks = len(_lp_cutoffs(a.grid))
     ablk = [lp_project(a, j).values for j in range(nblocks)]
     ublk = [lp_project(u, j).values for j in range(nblocks)]
     out = np.zeros(a.grid.n)
