@@ -1,7 +1,38 @@
-"""Dirichlet-Neumann operators via boundary-flattening fixed-point iteration.
+"""Dirichlet-Neumann operators: a level solver and a series, one protocol.
 
-The free boundary is straightened with rho(x, z) = z + H(x, z) where H is a
-harmonic lift of the interface.  The transformed potential v(x, z) solves
+Two engines compute G(eta) f, and each lives in one private object per
+interface with the same protocol: ``set_datum(f, restart)``, ``sweep()``,
+``remainder_hat()``, ``gf()``, ``solve(f)``, ``converged_gf(f)`` and
+``result(...)``.  _Sweeper is the level solver below; _Series sums the
+Craig-Sulem expansion G = sum_m G_m (Craig & Sulem, JCP 108, 1993).
+
+Which engine runs is decided by _dn_engines, before anything is solved,
+from eta, the grid and ``cfg`` alone.  At a Lipschitz proxy at or above
+SERIES_PROXY_GATE (0.3) or ``cfg.lipschitz_gate`` the level solver runs,
+and raises there as it always did.  Below both, the series runs while
+k_max max|eta| is under _series_reach(cfg.tol), and the level solver
+otherwise.  The series' terms stop shrinking at a roundoff floor that
+grows with k_max max|eta|, the cancellation of Nicholls & Reitich (JCP
+170, 2001), so it runs only where a scan measured it to converge.  The
+scan summed orders up to SERIES_MAX_ORDER = 24 on 2n nodes for
+n = 64 ... 1024, three interfaces (the benchmark's base profile with and
+without its tail, and a (sin x + 0.25 cos(2x + 1))) with a stepped by 0.01
+up to the proxy gate, the data E(eta) + 2 eta, cos x and cos 3x, and the
+geometries bottomless, h = 1 and h = 0.5:
+
+    tol      smallest floored k_max max|eta|   reach    largest converged
+    1e-8     18.25 (n = 256, proxy 0.297)      12.9     47.5
+    1e-10    12.17 (n = 256, proxy 0.198)       9.44    23.7
+    1e-12     8.89 (n = 512, proxy 0.091)       6.0      9.1
+
+Every input of the scan inside the reach converges.  The level solver
+serves dn_fixed_point and dn_upper always, so their results and pins do not
+depend on the choice; evolution.rhs (one phase), pressure_fixed_point and
+pressure_oracle take their engines from _dn_engines.
+
+The level solver.  The free boundary is straightened with
+rho(x, z) = z + H(x, z) where H is a harmonic lift of the interface.  The
+transformed potential v(x, z) solves
 
     (d_z + |D|)(d_z - |D|) v = d_z Q_a[v] + |D| Q_b[v]
 
@@ -41,17 +72,20 @@ n = 128, would have them handed back to the OS by the C heap's trimming
 when it ends and faulted in again by the next solve.  Nothing a solve
 returns is a view of these arrays.
 
-The sweep itself lives in one private object per interface: it does the
-per-interface set-up (gate, flattening map, Jacobian check), lifts a datum,
-applies T once per call and reads G f off the last sweep; the geometry
-lives only in the grid-constant operators.  Its ``solve`` sweeps one datum
-to convergence through errors.iterate, and any number of data can be
-solved in turn on one set-up.  dn_fixed_point makes a sweeper for one
-solve; the dense pressure referee makes a lower and an upper one and
-solves every column on them; the two-phase pressure solve sweeps a lower
-and an upper one in turn, changing their data between sweeps.  In both
-pressure solves the upper one keeps its working arrays in a second slot.
-The sweeper takes eta and its data as node arrays and returns arrays; only
+The sweeper does the per-interface set-up (gate, flattening map, Jacobian
+check), lifts a datum, applies T once per sweep and reads G f off the last
+sweep; the geometry lives only in the grid-constant operators.  Its
+``solve`` sweeps one datum to convergence through errors.iterate, and any
+number of data can be solved in turn on one set-up.  dn_fixed_point makes
+a sweeper for one solve; the dense pressure referee solves every column on
+a lower and an upper engine; the two-phase pressure solve sweeps a lower
+and an upper one in turn, changing their data between sweeps.  A pair of
+sweepers keeps the upper one's working arrays in a second slot.
+
+The series engine forms eta^p/p! on 2n nodes once per interface and sums
+the orders of G f for each datum; a sweep of it is exact for its datum, so
+the pressure solves run on either engine unchanged (see _Series).  Both
+engines take eta and the data as node arrays and return arrays; only
 dn_fixed_point and dn_upper build Fields, for the DNResult they return.
 """
 
@@ -61,8 +95,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateJacobian, NotContracting, iterate
-from .grid import Field, PeriodicGrid, _lipschitz_norms, exp_linear_weights
+from .errors import ConfigError, DegenerateJacobian, NotContracting, iterate
+from .grid import (Field, PeriodicGrid, _lipschitz_norms, _refine_hat,
+                   _truncate_hat, exp_linear_weights)
 from .params import wall_distances
 
 
@@ -178,11 +213,29 @@ class DNConfig:
     0.25 cos(2x + 1)) with a = 0.05 and 0.1 and the modes k = 1 and 3, the
     relative max error of G f is 1.7e-7 to 3.3e-5 bottomless and 2.7e-6 to
     1.1e-5 over FlatStrip(1.0), some 1e6 times the gap left by ``tol``.
+
+    For the series ``tol`` bounds the two newest terms of the sum, each
+    relative to the largest coefficient of G_0 f, and ``n_levels`` plays
+    no part.  On the same exact traces at the default tolerance its error
+    is 1.2e-13 to 2.9e-12 bottomless and 1.2e-13 to 3.9e-12 over
+    FlatStrip(1.0): the level figures above are 1e6 to 1e8 times larger.
+    ``tol`` also sets the series' reach (see _series_reach).
     """
 
     tol: float = 1e-10
     n_levels: int = 64
     lipschitz_gate: float = 0.3
+
+    def __post_init__(self):
+        for name in ("tol", "lipschitz_gate"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ConfigError("%s must be positive and finite, not %r"
+                                  % (name, getattr(self, name)))
+        if isinstance(self.n_levels, bool) \
+                or not isinstance(self.n_levels, (int, np.integer)) \
+                or self.n_levels < 2:
+            raise ConfigError("n_levels must be an integer of at least 2, "
+                              "not %r" % (self.n_levels,))
 
 
 # --- grid-constant arrays ----------------------------------------------------
@@ -529,6 +582,188 @@ class _Sweeper:
             [self.ops.absk * self.f_hat + r_hat, r_hat], self.n)
         return DNResult(Field(self.grid, gf), Field(self.grid, remainder),
                         iterations, converged, residuals, self.ops.tail_bound)
+
+
+# --- the Craig-Sulem series --------------------------------------------------
+
+
+# highest order the series sums, and the non-decreasing changes in a row
+# after which it raises
+SERIES_MAX_ORDER = 24
+SERIES_PATIENCE = 3
+# Lipschitz proxy from which only the level solver runs: the scan that sets
+# _series_reach stopped there
+SERIES_PROXY_GATE = 0.3
+
+
+def _series_reach(tol):
+    """The largest k_max max|eta| at which the series runs at tolerance tol.
+
+    Past its reach the terms stop shrinking at a roundoff floor that grows
+    with k_max max|eta|.  The bound 0.75 ln(tol / 3.4e-16) is 12.9, 9.44
+    and 6.0 at tol 1e-8, 1e-10 and 1e-12, under the smallest floored
+    k_max max|eta| of the scan in the module docstring (18.25, 12.17 and
+    8.89) by 29 %, 22 % and 33 %; at tol 3.4e-16 and below it is not
+    positive, so only the level solver runs.
+    """
+    return 0.75 * np.log(tol / 3.4e-16)
+
+
+@functools.lru_cache(maxsize=8)
+def _series_multipliers(grid, geometry, orders):
+    """Read-only (orders + 1, n//2 + 1) table of the series multipliers.
+
+    Row p is the symbol of D_p over the rfft wavenumbers of ``grid``:
+    |k|^p for even p and |k|^{p-1} G_0 for odd p, G_0 = |k| bottomless and
+    |k| tanh(h|k|) over a wall at depth h, so row 1 is G_0.
+    """
+    absk = np.abs(grid.rfft_wavenumbers)
+    g0 = absk if isinstance(geometry, InfiniteDepth) \
+        else absk * np.tanh(geometry.h * absk)
+    table = np.array([absk ** p if p % 2 == 0 else absk ** (p - 1) * g0
+                      for p in range(orders + 1)])
+    table.setflags(write=False)
+    return table
+
+
+class _Series:
+    """G(eta) f as the Craig-Sulem series, on the protocol of _Sweeper.
+
+    The terms (D = -i d/dx, D_p from _series_multipliers)
+
+        G_m f = D_{m-1} D(eta^m/m! D f)
+                - sum_{j<m} D_{m-j}(eta^{m-j}/(m-j)! G_j f)
+
+    are formed on 2n nodes, where the products of eta's powers with f_x
+    and G_j f alias far less than on n nodes, and each term keeps the modes
+    |k| <= n/2 as an rfft half spectrum on n nodes.
+    Construction forms eta^p/p! there once, up to SERIES_MAX_ORDER; the
+    upper problem on -eta passes them with the sign (-1)^p as ``powers``.
+    ``set_datum`` takes f, and each ``sweep`` sums the orders of G f
+    through errors.iterate, one order per step.  A step's change is the
+    larger of the two newest terms' largest spectral moduli over that of
+    G_0 f: a single term can vanish where G f does not (G_1 f = 0 for
+    eta = a cos x, f = cos x).  The sum stops below ``cfg.tol``, raises
+    NotContracting once SERIES_PATIENCE changes in a row do not shrink,
+    and is unconverged at the order cap.  A sweep is exact for its datum,
+    so ``restart`` changes nothing.
+    """
+
+    def __init__(self, grid, eta, cfg: DNConfig, geometry, powers=None):
+        self.n, self.grid, self.tol = grid.n, grid, cfg.tol
+        orders = self.orders = SERIES_MAX_ORDER
+        self.table = _series_multipliers(grid, geometry, orders)
+        # d/dx keeps the mode n/2, which is no Nyquist mode on 2n nodes
+        self.ik = 1j * grid.rfft_wavenumbers
+        if powers is None:
+            # eta^p/p! as the running product of eta/1, eta/2, ...
+            powers = np.empty((orders + 1, 2 * self.n))
+            powers[0] = 1.0
+            np.divide(_refine_hat(np.fft.rfft(eta)),
+                      np.arange(1, orders + 1)[:, None], out=powers[1:])
+            np.cumprod(powers[1:], axis=0, out=powers[1:])
+        self.powers = powers
+        # node values on 2n nodes of each term G_j f and of the products of
+        # a step, and the spectra of the terms
+        self.terms = np.empty((orders + 1, 2 * self.n))
+        self.prod = np.empty((orders + 1, 2 * self.n))
+        self.terms_hat = np.empty((orders + 1, self.n // 2 + 1), complex)
+        self.f_hat = None
+        self.order = 0
+
+    def set_datum(self, f, restart=True):
+        """Take the datum f and its flat term G_0 f."""
+        self.f_hat = np.fft.rfft(f)
+        self.fx = _refine_hat(self.ik * self.f_hat)
+        np.multiply(self.table[1], self.f_hat, out=self.terms_hat[0])
+        self.terms[0] = _refine_hat(self.terms_hat[0])
+        self.scale = max(np.max(np.abs(self.terms_hat[0])), 1e-300)
+        self.sizes = [np.max(np.abs(self.terms_hat[0])) / self.scale]
+        self.order = 0
+
+    def _next_order(self):
+        """Add the term of the next order; the larger of the two newest
+        terms over the flat term."""
+        m = self.order = self.order + 1
+        table, prod = self.table, self.prod[:m + 1]
+        np.multiply(self.powers[m], self.fx, out=prod[0])
+        np.multiply(self.powers[m:0:-1], self.terms[:m], out=prod[1:])
+        spec = _truncate_hat(prod, self.n)
+        term = self.terms_hat[m]
+        np.multiply(table[m - 1] * -self.ik, spec[0], out=term)
+        term -= np.einsum("ij,ij->j", table[m:0:-1], spec[1:])
+        self.terms[m] = _refine_hat(term)
+        self.sizes.append(np.max(np.abs(term)) / self.scale)
+        return max(self.sizes[-2:])
+
+    def sweep(self) -> float:
+        """Sum the series for the current datum; the last change."""
+        changes, _ = self._sum()
+        return changes[-1]
+
+    def _sum(self):
+        self.order = 0
+        del self.sizes[1:]
+        return iterate(self._next_order, self.tol, self.orders,
+                       SERIES_PATIENCE, "DN series")
+
+    def solve(self, f):
+        """Take f and sum its series to the tolerance; (changes, converged)
+        as errors.iterate returns them, one change per order."""
+        self.set_datum(f)
+        return self._sum()
+
+    def converged_gf(self, f) -> np.ndarray:
+        """G f by ``solve``; NotContracting if it stops at the order cap."""
+        changes, converged = self.solve(f)
+        if not converged:
+            raise NotContracting("DN series not converged after %d orders "
+                                 "(change %.3g)" % (len(changes), changes[-1]))
+        return self.gf()
+
+    def _gf_hat(self):
+        return np.sum(self.terms_hat[:self.order + 1], axis=0)
+
+    def remainder_hat(self) -> np.ndarray:
+        """rfft of G f - |D| f for the current datum, as a fresh array."""
+        return self._gf_hat() - np.abs(self.grid.rfft_wavenumbers) * self.f_hat
+
+    def gf(self) -> np.ndarray:
+        """G f for the current datum, as a fresh node array."""
+        return np.fft.irfft(self._gf_hat(), self.n)
+
+    def result(self, iterations, converged, residuals) -> DNResult:
+        gf_hat = self._gf_hat()
+        gf, remainder = np.fft.irfft(
+            [gf_hat, gf_hat - np.abs(self.grid.rfft_wavenumbers) * self.f_hat],
+            self.n)
+        # no depth is truncated
+        return DNResult(Field(self.grid, gf), Field(self.grid, remainder),
+                        iterations, converged, residuals, 0.0)
+
+
+def _dn_engines(grid, eta, cfg: DNConfig, geometries):
+    """The DN engines of the interface eta, one per geometry.
+
+    The i-th solves the lower problem on (-1)^i eta over ``geometries[i]``,
+    so a second one is the upper problem by G^+(eta) = -G^-(-eta).  It is a
+    _Series when the Lipschitz proxy is below both SERIES_PROXY_GATE and
+    ``cfg.lipschitz_gate`` and k_max max|eta| below _series_reach(cfg.tol);
+    otherwise a _Sweeper, each in its own working-array slot, which raises
+    as dn_fixed_point does.  The choice reads eta, the grid and cfg alone,
+    before anything is solved.
+    """
+    _, proxy = _lipschitz_norms(grid, eta)
+    if proxy < min(SERIES_PROXY_GATE, cfg.lipschitz_gate) \
+            and grid.k_max * np.max(np.abs(eta)) < _series_reach(cfg.tol):
+        engines = [_Series(grid, eta, cfg, geometries[0])]
+        if len(geometries) > 1:
+            signs = (-1.0) ** np.arange(SERIES_MAX_ORDER + 1)
+            engines.append(_Series(grid, -eta, cfg, geometries[1],
+                                   powers=engines[0].powers * signs[:, None]))
+        return engines
+    return [_Sweeper(grid, eta * (-1.0) ** i, cfg, geometry, slot=i)
+            for i, geometry in enumerate(geometries)]
 
 
 def dn_fixed_point(eta: Field, f: Field, cfg: DNConfig = DNConfig(),

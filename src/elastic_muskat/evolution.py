@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dn import DNConfig, dn_fixed_point, dn_geometries
+from .dn import DNConfig, _dn_engines, dn_geometries
 from .errors import MuskatError, NotContracting, SeparationLost, iterate
 from .grid import (Field, PeriodicGrid, _apply_multiplier, _sobolev_norm,
                    exp_linear_weights, lipschitz_norms, mean, sobolev_norm)
@@ -73,17 +73,17 @@ def rhs(eta: Field, params: PhysicalParams,
 
     In the two-phase case G^-(eta) f^- is read off the pressure solve's
     closing lower sweep, so the velocity makes no DN solve.  In one phase
-    f^+ = 0, so f^- is the pressure jump sigma E(eta) + g rho^- eta.
+    f^+ = 0, so f^- is the pressure jump sigma E(eta) + g rho^- eta, and
+    G^- f^- comes from the DN engine that dn._dn_engines picks for eta.
     Raises NotContracting when a solve fails.
     """
     if params.phase == "two":
-        gf = pressure_fixed_point(eta, params, cfg.dn).g_minus
+        gf = pressure_fixed_point(eta, params, cfg.dn).g_minus.values
     else:
-        geometry, _ = dn_geometries(params)
-        f_minus = Field(eta.grid, _jump_values(eta, params))
-        gf = dn_fixed_point(eta, f_minus, cfg.dn,
-                            geometry).require_converged().gf
-    return Field(eta.grid, gf.values * (-1.0 / params.mu_minus))
+        engine, = _dn_engines(eta.grid, eta.values, cfg.dn,
+                              dn_geometries(params)[:1])
+        gf = engine.converged_gf(_jump_values(eta, params))
+    return Field(eta.grid, gf * (-1.0 / params.mu_minus))
 
 
 def nonlinear_remainder(eta: Field, params: PhysicalParams,

@@ -31,8 +31,8 @@ class PeriodicGrid:
     def __post_init__(self):
         if self.n < 8 or self.n % 2 != 0:
             raise ValueError("n must be even and at least 8")
-        if not self.length > 0:
-            raise ValueError("length must be positive")
+        if not 0 < self.length < np.inf:
+            raise ValueError("length must be positive and finite")
 
     @property
     def nodes(self):

@@ -23,9 +23,10 @@ class Geometry:
     def __post_init__(self):
         if self.kind not in ("bottomless", "flat_bottom", "flat_top"):
             raise ConfigError("unknown geometry kind %r" % (self.kind,))
-        if not (self.h_minus >= 0 and self.h_plus >= 0):
-            raise ConfigError("wall depths must be nonnegative, not h_minus "
-                              "%r, h_plus %r" % (self.h_minus, self.h_plus))
+        if not (0 <= self.h_minus < np.inf and 0 <= self.h_plus < np.inf):
+            raise ConfigError("wall depths must be nonnegative and finite, "
+                              "not h_minus %r, h_plus %r"
+                              % (self.h_minus, self.h_plus))
         if self.kind == "flat_bottom" and not self.h_minus > 0:
             raise ConfigError("flat_bottom requires h_minus > 0")
         if self.kind == "flat_top" and not self.h_plus > 0:
@@ -66,6 +67,11 @@ class PhysicalParams:
     def __post_init__(self):
         if self.phase not in ("one", "two"):
             raise ConfigError("phase must be 'one' or 'two'")
+        for name in ("sigma", "g", "mu_minus", "mu_plus", "rho_minus",
+                     "rho_plus"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError("%s must be finite, not %r"
+                                  % (name, getattr(self, name)))
         if not self.sigma > 0:
             raise ConfigError("sigma must be positive")
         if self.g < 0:

@@ -8,15 +8,25 @@ fixed-point equation for phi = f^-,
 
     phi = [mu^- J + |D|^{-1} (mu^- R^+ (phi - J) - mu^+ R^- phi)] / (mu^+ + mu^-),
 
-taken mean-free and contractive for small interfaces.  Each remainder is read
-off the iterate of a DN Picard map (see dn), and the three fixed points are
-linear in their unknowns, so one joint Picard iteration solves them together.
-Each sweep makes
+taken mean-free and contractive for small interfaces.  Both DN problems run
+on the two engines that dn._dn_engines picks for eta before anything is
+solved, the Craig-Sulem series inside its measured reach and the level
+solver past it (the rule and its scan are in dn's docstring).  The engines
+share one protocol, so the code below is the same for both.  Each
+remainder is read off the last sweep of an engine, and the three fixed
+points are linear in their unknowns, so one joint iteration solves them
+together.  Each sweep makes
 
 - one DN sweep of the lower problem: eta, datum phi;
 - one DN sweep of the upper problem: -eta, datum phi - J, by the reflection
   G^+(eta) = -G^-(-eta) that dn_upper uses;
 - the update of phi above from the two sweeps' remainders.
+
+A level sweep is one Picard sweep of its problem.  A series sweep sums the
+series of its datum to the DN tolerance, so it is exact for that datum and
+the joint iteration is the plain phi iteration: 4 joint sweeps at n = 128
+on 0.02 cos x + 0.01 sin 2x, bottomless with mu^+ = mu^- (10 on the level
+solver).
 
 It starts from the flat-interface pressure phi_0 = mu^- J / (mu^+ + mu^-).
 By errors.iterate it stops once the phi change, relative to max|phi_0|, is
@@ -26,30 +36,30 @@ This is an inexact inner solve (Dembo, Eisenstat & Steihaug, SIAM J. Numer.
 Anal. 19, 1982) at its limit of one inner sweep per outer step, so each DN
 problem pays its per-interface set-up once.
 
-The sweep that stops the iteration lifts no new data.  Instead each problem
+The sweep that stops the iteration takes no new data.  Instead each problem
 takes one closing sweep at the final data f^- and f^+, and G^- f^- and
 G^+ f^+ are read off those sweeps, so the solve makes no public DN solve.
 A closing sweep whose change is not below the DN tolerance raises
 NotContracting; it is never replaced by a fresh solve.  The velocity reuses
-G^- f^-.  J, phi and the sweepers' data are node arrays and the phi update
+G^- f^-.  J, phi and the engines' data are node arrays and the phi update
 runs on rfft half spectra; Fields are built only for the returned
 PressurePair.
 
 A dense collocation solve over a truncated Fourier basis serves as the
 referee, pressure_oracle.  It builds the columns of G^+- by converged DN
-solves, not by the joint iteration: one lower and one upper sweeper are made
+solves, not by the joint iteration: one lower and one upper engine are made
 for eta, and every solve of the call (each basis column, the jump and both
-closing fluxes) runs to the DN tolerance on them, stopped by the same
-errors.iterate rule as dn_fixed_point.  Its columns equal public
-dn_fixed_point and dn_upper solves bit for bit; an unconverged one raises
-NotContracting.
+closing fluxes) runs to the DN tolerance on them, stopped by the engine's
+errors.iterate rule.  Its columns equal fresh solves on the same engines
+bit for bit (on the level solver, public dn_fixed_point and dn_upper
+solves); an unconverged one raises NotContracting.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dn import DNConfig, _Sweeper, dn_geometries
+from .dn import DNConfig, _dn_engines, dn_geometries
 from .elastic import elastic_E
 from .errors import NotContracting, iterate
 from .grid import Field, sobolev_norm
@@ -95,8 +105,8 @@ def pressure_fixed_point(eta: Field, params: PhysicalParams,
     """Solve for the trace pressures by one joint Picard iteration.
 
     ``iterations`` counts joint sweeps; one closing sweep of each DN
-    problem follows them.  It makes no DN solve: every sweep runs on two
-    private sweepers with ``dn_cfg``.
+    problem follows them.  It makes no DN solve: every sweep runs on the
+    two private engines that dn._dn_engines picks with ``dn_cfg``.
     """
     if params.phase != "two":
         raise ValueError("pressure solve is a two-phase operation")
@@ -105,15 +115,13 @@ def pressure_fixed_point(eta: Field, params: PhysicalParams,
         raise NotContracting(
             "||eta||_H2 = %.3g at or above pressure gate %.3g"
             % (h2, SMALLNESS_GATE))
-    lower_geometry, upper_geometry = dn_geometries(params)
     w_minus = params.mu_minus / (params.mu_plus + params.mu_minus)
     w_plus = params.mu_plus / (params.mu_plus + params.mu_minus)
     jump = _jump_values(eta, params)
     # G^+(eta) = -G^-(-eta), so the upper problem is a lower one on -eta
     # with datum f^+ = phi - J, and R^+ is minus its remainder
     grid = eta.grid
-    lower = _Sweeper(grid, eta.values, dn_cfg, lower_geometry, slot=0)
-    upper = _Sweeper(grid, -eta.values, dn_cfg, upper_geometry, slot=1)
+    lower, upper = _dn_engines(grid, eta.values, dn_cfg, dn_geometries(params))
     # the update runs on rfft half spectra; |D|^{-1} maps the mean to 0
     absk = np.abs(grid.rfft_wavenumbers)
     inv_absk = np.divide(1.0, absk, out=np.zeros_like(absk), where=absk > 0)
@@ -154,8 +162,8 @@ def pressure_fixed_point(eta: Field, params: PhysicalParams,
     # problem at the final data
     lower.set_datum(f_minus, restart=False)
     upper.set_datum(f_plus, restart=False)
-    for side, sweeper in (("lower", lower), ("upper", upper)):
-        change = sweeper.sweep()
+    for side, engine in (("lower", lower), ("upper", upper)):
+        change = engine.sweep()
         if not change < dn_cfg.tol:
             raise NotContracting(
                 "closing %s sweep of the pressure solve not converged"
@@ -180,15 +188,13 @@ def pressure_oracle(eta: Field, params: PhysicalParams, n_modes: int = 16,
     Columns of G^+- are built by DN solves on each truncated Fourier basis
     field; the flux-match equation plus a zero-mean gauge row is solved by
     least squares.  Every DN solve, to ``dn_cfg``'s tolerance, runs on one
-    lower and one upper sweeper made for eta.
+    lower and one upper engine made for eta.
     """
     if params.phase != "two":
         raise ValueError("pressure solve is a two-phase operation")
     grid = eta.grid
-    lower_geometry, upper_geometry = dn_geometries(params)
-    # G^+(eta) = -G^-(-eta), so the upper solves run on a lower sweeper on -eta
-    lower = _Sweeper(grid, eta.values, dn_cfg, lower_geometry, slot=0)
-    upper = _Sweeper(grid, -eta.values, dn_cfg, upper_geometry, slot=1)
+    # G^+(eta) = -G^-(-eta), so the upper solves run on a lower engine on -eta
+    lower, upper = _dn_engines(grid, eta.values, dn_cfg, dn_geometries(params))
     mu_sum_inv_p = 1.0 / params.mu_plus
     mu_sum_inv_m = 1.0 / params.mu_minus
     basis = [np.ones(grid.n)]

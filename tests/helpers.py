@@ -1,4 +1,5 @@
-"""Fourier multipliers that only the tests apply, built on numpy's FFT.
+"""Fourier multipliers that only the tests apply, built on numpy's FFT, and
+a DN solve on the engine that the solver picks.
 
 The full-spectrum kernels below are the references that the grid's real-FFT
 kernels are held to: each works on the fft of all n node values, splits the
@@ -9,9 +10,42 @@ grid.py and paracalc.py.
 """
 
 import numpy as np
+import pytest
 
+from elastic_muskat.dn import InfiniteDepth, _dn_engines
 from elastic_muskat.grid import (Field, _apply_multiplier, _dx_symbol,
                                  _dyadic_sup, _lowpass_profile, _lp_cutoffs)
+
+
+# the cap of each DN engine, and the error it raises at the cap
+DN_CAPS = {"level": ("MAX_ITER", "DN solve not converged"),
+           "series": ("SERIES_MAX_ORDER", "DN series not converged")}
+
+
+def regions(original, cases):
+    """pytest params (region, *case) of each (id, case) in both DN engine
+    regions, "series" and "level": the ``original`` region's keep the ids
+    the cases had before the tests ran on both engines, and the twins'
+    take their region's name as a prefix."""
+    return [pytest.param(region, *case,
+                         id=(case_id if region == original
+                             else "%s-%s" % (region, case_id)))
+            for region in ("series", "level") for case_id, case in cases]
+
+
+def engine_solve(eta, f, cfg, geometry, upper=False):
+    """(G f, G f - |D| f, changes) by a converged solve of f on the DN
+    engine that the velocity and the pressure solves get for eta: the lower
+    problem over ``geometry``, or with ``upper`` the upper one by
+    G^+(eta) = -G^-(-eta).  ``changes`` counts its sweeps or orders."""
+    geometries = (InfiniteDepth(), geometry) if upper else (geometry,)
+    engine = _dn_engines(eta.grid, eta.values, cfg, geometries)[-1]
+    changes, converged = engine.solve(f.values)
+    assert converged
+    sign = -1.0 if upper else 1.0
+    remainder = np.fft.irfft(engine.remainder_hat(), eta.grid.n)
+    return (Field(eta.grid, sign * engine.gf()),
+            Field(eta.grid, sign * remainder), len(changes))
 
 
 def fft_wavenumbers(grid):

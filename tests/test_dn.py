@@ -14,9 +14,11 @@ from elastic_muskat.dn import (DNConfig, FlatStrip, InfiniteDepth,
                                make_vertical_grid)
 from elastic_muskat.dn_oracle import (_defect_correction, _flat_solver,
                                       _stencil, oracle_dn)
-from elastic_muskat.errors import DegenerateJacobian, NotContracting
+from elastic_muskat.elastic import elastic_E
+from elastic_muskat.errors import (ConfigError, DegenerateJacobian,
+                                   NotContracting)
 from elastic_muskat.grid import Field, PeriodicGrid, lipschitz_norms, mean
-from elastic_muskat.verify import SUITES
+from elastic_muskat.verify import SUITES, exact_trace
 
 
 GRID = PeriodicGrid(64, 2.0 * np.pi)
@@ -159,6 +161,16 @@ def test_degenerate_jacobian():
         dn_fixed_point(eta, Field(GRID, np.cos(X)), cfg)
 
 
+@pytest.mark.parametrize("settings", [
+    {"tol": float("nan")}, {"tol": float("inf")}, {"tol": 0.0},
+    {"tol": -1e-10}, {"lipschitz_gate": float("nan")},
+    {"lipschitz_gate": float("inf")}, {"lipschitz_gate": 0.0},
+    {"n_levels": 1}, {"n_levels": 64.0}, {"n_levels": True}])
+def test_invalid_dn_settings_are_rejected(settings):
+    with pytest.raises(ConfigError, match=next(iter(settings))):
+        DNConfig(**settings)
+
+
 def test_vertical_grid_shape():
     levels = make_vertical_grid(10.0, 32)
     assert levels[0] == -10.0
@@ -236,23 +248,6 @@ def test_default_solve_is_near_a_tight_solve(geometry):
     assert np.max(np.abs(gf - ref)) < 2e-11 * np.max(np.abs(ref))
 
 
-def exact_trace(x, eta, eta_x, k, geometry):
-    """A datum f on the interface and its exact G f.
-
-    phi = e^{ky} cos kx bottomless, and cosh(k(y+h)) cos kx / cosh(kh) over
-    a wall at depth h, is harmonic in the fluid and meets the bottom
-    condition, so its trace and normal flux are exact for every eta.
-    """
-    if isinstance(geometry, InfiniteDepth):
-        lift = np.exp(k * eta)
-        return (lift * np.cos(k * x),
-                k * lift * (np.cos(k * x) + eta_x * np.sin(k * x)))
-    h = geometry.h
-    c = np.cosh(k * (eta + h)) / np.cosh(k * h)
-    s = np.sinh(k * (eta + h)) / np.cosh(k * h)
-    return c * np.cos(k * x), k * (s * np.cos(k * x) + eta_x * c * np.sin(k * x))
-
-
 # relative max errors of the default 64-level solve, as measured; each
 # bound is twice its figure (the level solver's own discretization error)
 @pytest.mark.parametrize("geometry, a, k, measured", [
@@ -273,6 +268,122 @@ def test_matches_exact_harmonic_trace(geometry, a, k, measured):
                          geometry=geometry).require_converged()
     err = np.max(np.abs(res.gf.values - exact)) / np.max(np.abs(exact))
     assert err <= 2.0 * measured
+
+
+# relative max errors of the series at the default tolerance on the same
+# inputs, as measured; each bound is five times its figure
+@pytest.mark.parametrize("geometry, a, k, measured", [
+    (InfiniteDepth(), 0.05, 1, 1.34e-13), (InfiniteDepth(), 0.05, 3, 1.16e-13),
+    (InfiniteDepth(), 0.1, 1, 2.14e-12), (InfiniteDepth(), 0.1, 3, 2.91e-12),
+    (FlatStrip(1.0), 0.05, 1, 1.24e-13), (FlatStrip(1.0), 0.05, 3, 1.20e-13),
+    (FlatStrip(1.0), 0.1, 1, 3.85e-12), (FlatStrip(1.0), 0.1, 3, 2.44e-12),
+])
+def test_series_matches_exact_harmonic_trace(geometry, a, k, measured):
+    x = GRID128.nodes
+    eta = a * (np.sin(x) + 0.25 * np.cos(2 * x + 1))
+    eta_x = a * (np.cos(x) - 0.5 * np.sin(2 * x + 1))
+    f, exact = exact_trace(x, eta, eta_x, k, geometry)
+    gf = dn._Series(GRID128, eta, DNConfig(), geometry).converged_gf(f)
+    err = np.max(np.abs(gf - exact)) / np.max(np.abs(exact))
+    assert err <= 5.0 * measured
+
+
+def bench_profile(grid, a):
+    """The benchmark's base interface, sum_k a/k^2 cos(kx + p_k), k <= 4."""
+    phases = (0.0, 1.0, 2.5, 4.0)
+    return sum(a / k ** 2 * np.cos(k * grid.nodes + phases[k - 1])
+               for k in range(1, 5))
+
+
+# points of the scan behind dn._series_reach: the benchmark profile at
+# n = 512 has k_max max|eta| 8.92 at a = 0.03 and 11.90 at a = 0.04, and
+# the reach is 12.9, 9.44 and 6.0 at tol 1e-8, 1e-10 and 1e-12
+@pytest.mark.parametrize("a, tol, engine", [
+    (0.03, 1e-10, dn._Series), (0.04, 1e-10, dn._Sweeper),
+    (0.04, 1e-8, dn._Series), (0.03, 1e-12, dn._Sweeper)])
+def test_engine_choice_follows_the_series_reach(a, tol, engine):
+    grid = PeriodicGrid(512)
+    eta = bench_profile(grid, a)
+    cfg = DNConfig(tol=tol)
+    reach = dn._series_reach(tol)
+    inside = grid.k_max * np.max(np.abs(eta)) < reach
+    assert inside == (engine is dn._Series)
+    for geometries in ((InfiniteDepth(),), (FlatStrip(1.0), FlatStrip(0.5))):
+        engines = dn._dn_engines(grid, eta, cfg, geometries)
+        assert [type(e) for e in engines] == [engine] * len(geometries)
+    # the series converges where it is chosen
+    if inside:
+        f = np.cos(3.0 * grid.nodes)
+        assert dn._Series(grid, eta, cfg, FlatStrip(0.5)).solve(f)[1]
+
+
+def test_engine_choice_keeps_the_lipschitz_gate():
+    # at or above either gate the level solver runs, and raises as before
+    grid = PeriodicGrid(64)
+    eta = 0.05 * np.sin(grid.nodes)
+    assert type(dn._dn_engines(grid, eta, DNConfig(),
+                               (InfiniteDepth(),))[0]) is dn._Series
+    with pytest.raises(NotContracting, match="proxy"):
+        dn._dn_engines(grid, eta, DNConfig(lipschitz_gate=0.05),
+                       (InfiniteDepth(),))
+    big = 0.3 * np.sin(grid.nodes)
+    engine, = dn._dn_engines(grid, big, DNConfig(lipschitz_gate=10.0),
+                             (InfiniteDepth(),))
+    assert type(engine) is dn._Sweeper
+
+
+@pytest.mark.parametrize("n, a, geometry", [
+    # floored points of the scan at tol 1e-10, k_max max|eta| 18.3 and
+    # 20.8, whose smallest changes (1.5e-8 and 2.8e-9) clear the tolerance
+    # by far, so roundoff that differs between FFT builds cannot make them
+    # converge
+    (256, 0.12, FlatStrip(0.5)), (512, 0.07, InfiniteDepth())])
+def test_series_outside_its_reach_raises(n, a, geometry):
+    grid = PeriodicGrid(n)
+    x = grid.nodes
+    eta = a * (np.sin(x) + 0.25 * np.cos(2 * x + 1)) if n == 256 \
+        else bench_profile(grid, a)
+    assert grid.k_max * np.max(np.abs(eta)) > dn._series_reach(1e-10)
+    series = dn._Series(grid, eta, DNConfig(), geometry)
+    f = elastic_E(Field(grid, eta)).values + 2.0 * eta
+    with pytest.raises(NotContracting, match="DN series"):
+        series.converged_gf(f)
+
+
+def test_series_sums_past_a_vanishing_term():
+    # G_1 f = 0 for eta = a cos x, f = cos x, so the sum may not stop at
+    # the first small term
+    eta = 0.05 * np.cos(X)
+    series = dn._Series(GRID, eta, DNConfig(), InfiniteDepth())
+    changes, converged = series.solve(np.cos(X))
+    assert converged and series.sizes[1] < 1e-14 and len(changes) > 2
+    tight = dn_fixed_point(Field(GRID, eta), Field(GRID, np.cos(X)),
+                           DNConfig(n_levels=256, tol=1e-13)).gf.values
+    assert np.max(np.abs(series.gf() - tight)) < 1e-5
+
+
+def test_series_result_reads_its_last_sum():
+    eta, f = PIN["eta"], PIN["f"]
+    series = dn._Series(GRID128, eta, DNConfig(), FlatStrip(1.0))
+    changes, converged = series.solve(f)
+    res = series.result(len(changes), converged, changes)
+    assert res.converged and res.iterations == len(changes) == series.order
+    assert res.tail_bound == 0.0
+    assert np.array_equal(res.gf.values, series.gf())
+    # G f - remainder = |D| f
+    flat = np.fft.irfft(GRID128.rfft_wavenumbers * np.fft.rfft(f), GRID128.n)
+    assert np.max(np.abs(res.gf.values - res.remainder.values - flat)) \
+        < 1e-12 * np.max(np.abs(flat))
+
+
+def test_series_reuses_the_powers_for_the_upper_problem():
+    eta = Field(GRID128, PIN["eta"])
+    f = PIN["f"]
+    lower, upper = dn._dn_engines(GRID128, eta.values, DNConfig(),
+                                  (InfiniteDepth(), FlatStrip(1.0)))
+    fresh = dn._Series(GRID128, -eta.values, DNConfig(), FlatStrip(1.0))
+    assert np.max(np.abs(upper.converged_gf(f) - fresh.converged_gf(f))) \
+        < 1e-13 * np.max(np.abs(fresh.gf()))
 
 
 @pytest.mark.parametrize("geometry, seed", [

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from elastic_muskat import dn, evolution
-from elastic_muskat.dn import DNConfig, dn_fixed_point, dn_geometries
+from elastic_muskat.dn import DNConfig, dn_geometries
 from elastic_muskat.elastic import elastic_E, elastic_split, gateaux_dE
 from elastic_muskat.errors import ConfigError, NonFiniteState, NotContracting
 from elastic_muskat.evolution import (SolveConfig, etd_step,
@@ -14,7 +14,7 @@ from elastic_muskat.grid import (Field, PeriodicGrid, lipschitz_norms, mean,
 from elastic_muskat.params import (Geometry, LinearSymbol, PhysicalParams,
                                    wall_distances)
 
-from helpers import abs_d, fft_wavenumbers
+from helpers import DN_CAPS, abs_d, engine_solve, fft_wavenumbers, regions
 
 
 def quick_cfg(**kw):
@@ -41,24 +41,44 @@ def test_rhs_linearization_one_phase():
     assert np.max(np.abs(out.values - expected)) < 1e-9
 
 
-@pytest.mark.parametrize("g", [0.0, 1.0])
-@pytest.mark.parametrize("geometry", [Geometry(),
-                                      Geometry("flat_bottom", h_minus=1.0)])
-def test_nonlinear_remainder_matches_duhamel_assembly(geometry, g):
+# one-phase interfaces a cos x + b sin 3x of the two DN engines:
+# k_max max|eta| 2.1 at n = 64, in the series' reach, and 14.3 at n = 256,
+# past it, where the velocity solves by the level solver
+ENGINE_ETAS = {"series": (64, 0.05, 0.02), "level": (256, 0.1, 0.02)}
+
+
+def engine_eta(region):
+    n, a, b = ENGINE_ETAS[region]
+    grid = PeriodicGrid(n)
+    return Field(grid, a * np.cos(grid.nodes) + b * np.sin(3.0 * grid.nodes))
+
+
+@pytest.mark.parametrize("region, engine", [("series", dn._Series),
+                                            ("level", dn._Sweeper)])
+def test_each_region_takes_its_engine(region, engine):
+    eta = engine_eta(region)
+    chosen, = dn._dn_engines(eta.grid, eta.values, quick_cfg().dn,
+                             (dn.InfiniteDepth(),))
+    assert type(chosen) is engine
+
+
+@pytest.mark.parametrize("region, geometry, g", regions("series", [
+    ("geometry%d-%s" % (i, g), (geometry, g))
+    for i, geometry in enumerate((Geometry(),
+                                  Geometry("flat_bottom", h_minus=1.0)))
+    for g in (0.0, 1.0)]))
+def test_nonlinear_remainder_matches_duhamel_assembly(region, geometry, g):
     # the paradifferential assembly of the Duhamel integrand: with G = |D| + R,
     # R(eta)(sigma E) + sigma |D|(E - |D|^4 eta) + rho g R(eta) eta
-    # telescopes to -mu^- N(eta)
-    grid = PeriodicGrid(64)
+    # telescopes to -mu^- N(eta); R from solves on the velocity's engine
     params = PhysicalParams(sigma=1.3, g=g, mu_minus=0.7, rho_minus=1.1,
                             geometry=geometry)
     cfg = quick_cfg()
-    eta = Field(grid, 0.05 * np.cos(grid.nodes)
-                + 0.02 * np.sin(3.0 * grid.nodes))
+    eta = engine_eta(region)
     lower, _ = dn_geometries(params)
     el = elastic_E(eta)
-    r_el = dn_fixed_point(eta, el, cfg.dn, lower).require_converged().remainder
-    r_eta = dn_fixed_point(eta, eta, cfg.dn,
-                           lower).require_converged().remainder
+    r_el = engine_solve(eta, el, cfg.dn, lower)[1]
+    r_eta = engine_solve(eta, eta, cfg.dn, lower)[1]
     ref = (r_el + abs_d(el - abs_d(eta, 4.0))) * params.sigma \
         + r_eta * (params.rho_minus * params.g)
     got = nonlinear_remainder(eta, params, cfg) * (-params.mu_minus)
@@ -181,13 +201,22 @@ def test_solve_aborts_cleanly_on_non_finite_state(overflow_call, monkeypatch):
 
 def test_solve_aborts_on_unconverged_dn_solve(monkeypatch):
     # a DN solve that stops at its sweep cap is an error, not a velocity
-    grid = PeriodicGrid(64)
-    eta0 = Field(grid, 0.02 * np.cos(grid.nodes))
-    monkeypatch.setattr(dn, "MAX_ITER", 2)
+    abort_on_unconverged_dn_solve("level", monkeypatch)
+
+
+def test_solve_aborts_on_unconverged_dn_series(monkeypatch):
+    # and so is a series that stops at its order cap
+    abort_on_unconverged_dn_solve("series", monkeypatch)
+
+
+def abort_on_unconverged_dn_solve(region, monkeypatch):
+    eta0 = engine_eta(region)
+    cap, message = DN_CAPS[region]
+    monkeypatch.setattr(dn, cap, 2)
     traj = solve(eta0, 0.1, 0.05, PhysicalParams(), quick_cfg())
     assert traj.abort_reason.startswith("NotContracting")
     assert traj.states == [eta0]
-    with pytest.raises(NotContracting, match="DN solve not converged"):
+    with pytest.raises(NotContracting, match=message):
         picard_solve(eta0, 0.1, PhysicalParams(), quick_cfg(), dt=0.05)
 
 
@@ -263,12 +292,12 @@ def test_non_finite_field_is_a_value_error():
 
 
 # Fields one ETDRK2 step builds: its two stage states, and per remainder
-# evaluation the returns of nonlinear_remainder, rhs and elastic_E plus the
-# DN solve's datum, G f and remainder (one phase, 6) or the pressure pair's
-# f^-, f^+ and G^+ f^+ with the G^- f^- solve's G f and remainder (two
-# phases, 8).  The bounds allow one Field more per evaluation.
+# evaluation the returns of nonlinear_remainder, rhs and elastic_E (one
+# phase, 3: its DN engine builds none) plus the pressure pair's f^-, f^+
+# and G^+ f^+ with the G^- f^- solve's G f and remainder (two phases, 8).
+# The bounds allow one Field more per evaluation.
 @pytest.mark.parametrize("params, bound", [
-    (PhysicalParams(g=1.0), 2 + 2 * 6 + 2),
+    (PhysicalParams(g=1.0), 2 + 2 * 3 + 2),
     (PhysicalParams(g=1.0, mu_plus=1.0, rho_minus=2.0, rho_plus=1.0,
                     phase="two"), 2 + 2 * 8 + 2),
 ], ids=["one_phase", "two_phase"])
@@ -382,12 +411,13 @@ def test_solve_picard_abort_is_recorded_like_etd():
 def test_picard_sweep_solves_once_per_state(monkeypatch):
     # one DN solve per state and sweep: the remainder is nonlinear_remainder
     calls = []
+    engines = evolution._dn_engines
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return dn_fixed_point(*args, **kwargs)
+        return engines(*args, **kwargs)
 
-    monkeypatch.setattr(evolution, "dn_fixed_point", counted)
+    monkeypatch.setattr(evolution, "_dn_engines", counted)
     grid = PeriodicGrid(64)
     eta0 = Field(grid, 1e-3 * np.cos(grid.nodes))
     traj = picard_solve(eta0, 0.1, PhysicalParams(), quick_cfg(), dt=0.025)
@@ -440,6 +470,25 @@ def test_bottom_depth_without_a_bottom_is_rejected(kind, h_plus):
 def test_negative_wall_depth_is_rejected(depths):
     with pytest.raises(ConfigError, match="wall depths"):
         Geometry(**depths)
+
+
+@pytest.mark.parametrize("depths", [{"kind": "flat_bottom",
+                                     "h_minus": float("inf")},
+                                    {"h_plus": float("inf")}])
+def test_infinite_wall_depth_is_rejected(depths):
+    with pytest.raises(ConfigError, match="wall depths"):
+        Geometry(**depths)
+
+
+@pytest.mark.parametrize("name", ["sigma", "g", "mu_minus", "mu_plus",
+                                  "rho_minus", "rho_plus"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")])
+def test_non_finite_physical_parameter_is_rejected(name, value):
+    # NaN passes every ordering check, so each number is checked finite
+    kw = {"phase": "two", "mu_plus": 1.0, "allow_unstable": True, name: value}
+    with pytest.raises(ConfigError, match="%s must be finite" % name):
+        PhysicalParams(**kw)
 
 
 @pytest.mark.parametrize("geometry", [

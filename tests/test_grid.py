@@ -32,6 +32,12 @@ def test_grid_validation():
         PeriodicGrid(64, -1.0)
 
 
+def test_grid_length_must_be_finite():
+    # inf > 0 holds, so a positive length is also checked finite
+    with pytest.raises(ValueError, match="length"):
+        PeriodicGrid(64, float("inf"))
+
+
 def test_wavenumbers_are_computed_once_and_read_only():
     grid = PeriodicGrid(64, 3.0)
     k = grid.rfft_wavenumbers

@@ -10,7 +10,7 @@ from elastic_muskat.grid import Field, PeriodicGrid, mean
 from elastic_muskat.params import Geometry, PhysicalParams
 from elastic_muskat.pressure import pressure_fixed_point, pressure_oracle
 
-from helpers import inv_abs_d
+from helpers import DN_CAPS, engine_solve, inv_abs_d, regions
 
 
 def two_phase_params(g=0.0, rho_plus=0.5, geometry=Geometry()):
@@ -50,9 +50,10 @@ def test_single_mode_leading_order():
 
 
 def test_fixed_point_matches_oracle():
-    grid = PeriodicGrid(128)
-    eta = Field(grid, 0.02 * np.cos(grid.nodes)
-                + 0.01 * np.sin(2.0 * grid.nodes))
+    # on the series; past its reach (n >= 268 under the pressure gate) the
+    # roundoff of E(eta), amplified by k^4, already sits near 1e-7 in f^-
+    # at n = 512, which the referee's 16 modes do not carry
+    eta = wall_eta()
     params = two_phase_params(g=1.0)
     pair = pressure_fixed_point(eta, params, dn_cfg=DN48)
     ref = pressure_oracle(eta, params, n_modes=16, dn_cfg=DN48)
@@ -143,7 +144,8 @@ def test_two_phase_velocity_reuses_pressure_solve(monkeypatch):
                             rho_minus=2.0, rho_plus=1.0, phase="two")
     cfg = SolveConfig()
     pair = pressure_fixed_point(eta, params, cfg.dn)
-    assert pair.iterations == 10
+    # series sweeps are exact, so the joint sweeps are the phi iterations
+    assert pair.iterations == PHI_ITERATIONS
     expected = pair.g_minus * (-1.0 / params.mu_minus)
 
     calls = []
@@ -157,40 +159,53 @@ def test_two_phase_velocity_reuses_pressure_solve(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     for module, name in ((dn, "dn_fixed_point"), (dn, "dn_upper"),
-                         (evolution, "dn_fixed_point")):
+                         (evolution, "_dn_engines")):
         counted(module, name)
     velocity = rhs(eta, params, cfg)
     assert calls == []
     assert np.array_equal(velocity.values, expected.values)
 
 
-@pytest.mark.parametrize("solver", [pressure_oracle])
-def test_unconverged_dn_solve_raises(solver, monkeypatch):
-    grid = PeriodicGrid(64)
-    eta = Field(grid, 0.02 * np.sin(grid.nodes))
-    monkeypatch.setattr(dn, "MAX_ITER", 2)
-    with pytest.raises(NotContracting, match="DN solve not converged"):
+# sin x interfaces of the two engines: k_max max|eta| 0.64 at n = 64, in
+# the series' reach, and 10.2 at n = 512, past it
+ENGINE_ETAS = {"series": (64, 0.02), "level": (512, 0.04)}
+
+
+def engine_eta(region):
+    n, a = ENGINE_ETAS[region]
+    grid = PeriodicGrid(n)
+    return Field(grid, a * np.sin(grid.nodes))
+
+
+@pytest.mark.parametrize("region, solver", regions(
+    "level", [("pressure_oracle", (pressure_oracle,))]))
+def test_unconverged_dn_solve_raises(region, solver, monkeypatch):
+    eta = engine_eta(region)
+    cap, message = DN_CAPS[region]
+    monkeypatch.setattr(dn, cap, 2)
+    with pytest.raises(NotContracting, match=message):
         solver(eta, two_phase_params(), dn_cfg=DN48)
 
 
-@pytest.mark.parametrize("side", ["lower", "upper"])
-def test_unconverged_closing_sweep_raises(side, monkeypatch):
+@pytest.mark.parametrize("region, side", regions(
+    "level", [(side, (side,)) for side in ("lower", "upper")]))
+def test_unconverged_closing_sweep_raises(region, side, monkeypatch):
     # a closing sweep whose change is not below the DN tolerance raises and
     # names itself; no fresh solve stands in for it
-    grid = PeriodicGrid(64)
-    eta = Field(grid, 0.02 * np.sin(grid.nodes))
+    eta = engine_eta(region)
+    engine = REGIONS[region]
     iterations = pressure_fixed_point(eta, two_phase_params(),
                                       dn_cfg=DN48).iterations
     # two sweeps per joint sweep, then the lower and the upper closing one
     spoiled = 2 * iterations + (1 if side == "lower" else 2)
     count = [0]
-    inner = dn._Sweeper.sweep
+    inner = engine.sweep
 
     def sweep(self):
         count[0] += 1
         change = inner(self)
         return 1.0 if count[0] == spoiled else change
-    monkeypatch.setattr(dn._Sweeper, "sweep", sweep)
+    monkeypatch.setattr(engine, "sweep", sweep)
     with pytest.raises(NotContracting, match="closing %s sweep" % side):
         pressure_fixed_point(eta, two_phase_params(), dn_cfg=DN48)
     assert count[0] == spoiled
@@ -206,28 +221,54 @@ WALLS = {
 }
 
 
-def wall_eta():
-    grid = PeriodicGrid(128)
-    return Field(grid, 0.02 * np.cos(grid.nodes)
-                 + 0.01 * np.sin(2.0 * grid.nodes))
+def wall_eta(region="series"):
+    """The walled tests' interface, at n = 128 in the series' reach
+    (k_max max|eta| 1.8), or 1.5 times larger at n = 512 past it (10.0),
+    where the pressure solve sweeps the level solver."""
+    n, scale = {"series": (128, 1.0), "level": (512, 1.5)}[region]
+    grid = PeriodicGrid(n)
+    return Field(grid, scale * (0.02 * np.cos(grid.nodes)
+                                + 0.01 * np.sin(2.0 * grid.nodes)))
+
+
+REGIONS = {"series": dn._Series, "level": dn._Sweeper}
+# joint sweeps of the bottomless g = 1, mu^+ = mu^- = 1 solve on wall_eta()
+PHI_ITERATIONS = 4
+
+
+@pytest.mark.parametrize("region", sorted(REGIONS))
+def test_each_region_takes_its_engine(region):
+    for eta in (wall_eta(region), engine_eta(region)):
+        lower, upper = dn._dn_engines(eta.grid, eta.values, DN48,
+                                      (dn.InfiniteDepth(), dn.FlatStrip(1.0)))
+        assert type(lower) is type(upper) is REGIONS[region]
 
 
 def full_solve_fixed_point(eta, params, dn_cfg):
     """f^- by Picard iteration with full DN solves on phi every sweep: the
     forcing from G^+ eta and G^+ E(eta), R^+- applied to the whole iterate,
-    and both fluxes solved afresh."""
+    and both fluxes solved afresh, each on the engine that the pressure
+    solve gets for eta.  (f^-, iterations, sweeps or orders of the solves)."""
     lower, upper = dn_geometries(params)
     mu_sum = params.mu_plus + params.mu_minus
     grav = params.g * params.delta_rho
-    g_eta = dn.dn_upper(eta, eta, dn_cfg, upper).gf
-    g_el = dn.dn_upper(eta, elastic_E(eta), dn_cfg, upper).gf
+    sweeps = [0]
+
+    def solve(f, geometry, side_upper):
+        gf, remainder, count = engine_solve(eta, f, dn_cfg, geometry,
+                                            side_upper)
+        sweeps[0] += count
+        return gf, remainder
+
+    g_eta = solve(eta, upper, True)[0]
+    g_el = solve(elastic_E(eta), upper, True)[0]
     u0 = inv_abs_d(g_eta) * (-grav * params.mu_minus / mu_sum) \
         + inv_abs_d(g_el) * (-params.sigma * params.mu_minus / mu_sum)
     phi = u0
     scale = max(np.max(np.abs(u0.values)), 1e-300)
     for iters in range(1, pressure.MAX_ITER + 1):
-        r_plus = dn.dn_upper(eta, phi, dn_cfg, upper).remainder
-        r_minus = dn.dn_fixed_point(eta, phi, dn_cfg, lower).remainder
+        r_plus = solve(phi, upper, True)[1]
+        r_minus = solve(phi, lower, False)[1]
         phi_new = u0 + inv_abs_d(r_plus) * (params.mu_minus / mu_sum) \
             - inv_abs_d(r_minus) * (params.mu_plus / mu_sum)
         res = float(np.max(np.abs(phi_new.values - phi.values)) / scale)
@@ -235,74 +276,82 @@ def full_solve_fixed_point(eta, params, dn_cfg):
         if res < pressure.TOL:
             break
     f_minus = Field(phi.grid, phi.values - mean(phi))
-    dn.dn_fixed_point(eta, f_minus, dn_cfg, lower)
-    dn.dn_upper(eta, f_minus - pressure_jump(eta, params), dn_cfg, upper)
-    return f_minus
+    solve(f_minus, lower, False)
+    solve(f_minus - pressure_jump(eta, params), upper, True)
+    return f_minus, iters, sweeps[0]
 
 
 @pytest.fixture
-def sweeps(monkeypatch):
-    """Picard sweeps of every public DN solve, counted while the test runs."""
+def public_solves(monkeypatch):
+    """Public DN solves, counted while the test runs."""
     count = [0]
     inner = dn.dn_fixed_point
 
     def counted(*args, **kwargs):
-        res = inner(*args, **kwargs)
-        count[0] += res.iterations
-        return res
+        count[0] += 1
+        return inner(*args, **kwargs)
     # dn_upper reaches dn.dn_fixed_point
     monkeypatch.setattr(dn, "dn_fixed_point", counted)
     return count
 
 
-@pytest.mark.parametrize("g", [0.0, 1.0])
-@pytest.mark.parametrize("wall", sorted(WALLS))
-def test_increment_solves_match_full_solves(wall, g, sweeps):
-    eta = wall_eta()
+@pytest.mark.parametrize("region, wall, g", regions(
+    "series", [("%s-%s" % (wall, g), (wall, g))
+               for wall in sorted(WALLS) for g in (0.0, 1.0)]))
+def test_increment_solves_match_full_solves(region, wall, g, public_solves):
+    eta = wall_eta(region)
     params = two_phase_params(g=g, geometry=WALLS[wall])
-    ref = full_solve_fixed_point(eta, params, DN48)
-    ref_sweeps, sweeps[0] = sweeps[0], 0
+    ref, ref_iterations, ref_sweeps = full_solve_fixed_point(eta, params,
+                                                             DN48)
     pair = pressure_fixed_point(eta, params, dn_cfg=DN48)
     diff = np.max(np.abs(pair.f_minus.values - ref.values))
     assert diff / np.max(np.abs(ref.values)) < 1e-10
-    # one lower and one upper sweep per joint sweep and one closing sweep
-    # of each, with no public solve: far fewer than full solves of the
-    # iterate
-    assert sweeps[0] == 0
-    assert 2 * pair.iterations + 2 <= 0.6 * ref_sweeps
+    assert public_solves[0] == 0
+    if region == "level":
+        # one lower and one upper sweep per joint sweep and one closing
+        # sweep of each: far fewer than full solves of the iterate
+        assert 2 * pair.iterations + 2 <= 0.6 * ref_sweeps
+    else:
+        # a series sweep is exact for its datum, so the joint sweeps are
+        # the plain phi iteration, which the full solves take from another
+        # start
+        assert abs(pair.iterations - ref_iterations) <= 1
 
 
-@pytest.mark.parametrize("wall", sorted(WALLS))
-def test_upper_flux_matches_a_fresh_solve(wall):
+@pytest.mark.parametrize("region, wall", regions(
+    "series", [(wall, (wall,)) for wall in sorted(WALLS)]))
+def test_upper_flux_matches_a_fresh_solve(region, wall):
     # G^+ f^+ comes from one closing upper sweep, not from a solve
-    eta = wall_eta()
+    eta = wall_eta(region)
     params = two_phase_params(g=1.0, geometry=WALLS[wall])
     pair = pressure_fixed_point(eta, params, dn_cfg=DN48)
     _, upper = dn_geometries(params)
-    fresh = dn.dn_upper(eta, pair.f_plus, DN48, upper).gf
+    fresh = engine_solve(eta, pair.f_plus, DN48, upper, upper=True)[0]
     diff = np.max(np.abs(pair.g_plus.values - fresh.values))
     assert diff / np.max(np.abs(fresh.values)) < 1e-10
     assert pair.flux_residual < 1e-10
 
 
-@pytest.mark.parametrize("wall", sorted(WALLS))
-def test_lower_flux_matches_a_fresh_solve(wall):
+@pytest.mark.parametrize("region, wall", regions(
+    "series", [(wall, (wall,)) for wall in sorted(WALLS)]))
+def test_lower_flux_matches_a_fresh_solve(region, wall):
     # G^- f^- comes from one closing lower sweep, not from a solve
-    eta = wall_eta()
+    eta = wall_eta(region)
     params = two_phase_params(g=1.0, geometry=WALLS[wall])
     pair = pressure_fixed_point(eta, params, dn_cfg=DN48)
     lower, _ = dn_geometries(params)
-    fresh = dn_fixed_point(eta, pair.f_minus, DN48, lower).gf
+    fresh = engine_solve(eta, pair.f_minus, DN48, lower)[0]
     diff = np.max(np.abs(pair.g_minus.values - fresh.values))
     assert diff / np.max(np.abs(fresh.values)) < 1e-10
 
 
-@pytest.mark.parametrize("wall", ["bottomless", "both_walls"])
-def test_pressure_solve_leaves_dn_solves_unchanged(wall):
+@pytest.mark.parametrize("region, wall", regions(
+    "level", [(wall, (wall,)) for wall in ("bottomless", "both_walls")]))
+def test_pressure_solve_leaves_dn_solves_unchanged(region, wall):
     # the joint sweeps keep their upper iterate in a working-array slot of
     # its own; a DN solve before and after a pressure solve, and a pressure
     # solve before and after a DN solve, give bit-equal results
-    eta = wall_eta()
+    eta = wall_eta(region)
     params = two_phase_params(g=1.0, geometry=WALLS[wall])
     lower, _ = dn_geometries(params)
     f = Field(eta.grid, np.cos(2.0 * eta.grid.nodes))
@@ -323,7 +372,8 @@ def test_pressure_solve_leaves_dn_solves_unchanged(wall):
 
 def public_solve_oracle(eta, params, n_modes, dn_cfg):
     """pressure_oracle's dense system with every column, the jump and both
-    fluxes from public DN solves: (f^-, G^- f^-, G^+ f^+)."""
+    fluxes from fresh solves on the engine that the referee gets for eta:
+    (f^-, G^- f^-, G^+ f^+)."""
     grid = eta.grid
     lower, upper = dn_geometries(params)
     basis = [np.ones(grid.n)]
@@ -334,35 +384,37 @@ def public_solve_oracle(eta, params, n_modes, dn_cfg):
     Gp = np.zeros((grid.n, len(basis)))
     for j, b in enumerate(basis):
         bf = Field(grid, b)
-        Gm[:, j] = dn.dn_fixed_point(eta, bf, dn_cfg, lower).gf.values
-        Gp[:, j] = dn.dn_upper(eta, bf, dn_cfg, upper).gf.values
+        Gm[:, j] = engine_solve(eta, bf, dn_cfg, lower)[0].values
+        Gp[:, j] = engine_solve(eta, bf, dn_cfg, upper, upper=True)[0].values
     jump = pressure_jump(eta, params)
     inv_mu_p, inv_mu_m = 1.0 / params.mu_plus, 1.0 / params.mu_minus
     A = np.vstack([inv_mu_p * Gp - inv_mu_m * Gm, np.eye(1, len(basis))])
-    rhs = np.concatenate([inv_mu_p * dn.dn_upper(eta, jump, dn_cfg,
-                                                 upper).gf.values, [0.0]])
+    rhs = np.concatenate([inv_mu_p * engine_solve(
+        eta, jump, dn_cfg, upper, upper=True)[0].values, [0.0]])
     coef = np.linalg.lstsq(A, rhs, rcond=None)[0]
     fm_vals = np.stack(basis, axis=1) @ coef
     f_minus = Field(grid, fm_vals - np.mean(fm_vals))
-    return (f_minus, dn.dn_fixed_point(eta, f_minus, dn_cfg, lower).gf,
-            dn.dn_upper(eta, f_minus - jump, dn_cfg, upper).gf)
+    return (f_minus, engine_solve(eta, f_minus, dn_cfg, lower)[0],
+            engine_solve(eta, f_minus - jump, dn_cfg, upper, upper=True)[0])
 
 
-@pytest.mark.parametrize("wall", sorted(WALLS))
-def test_oracle_matches_public_solves(wall, monkeypatch):
-    # the referee runs every solve on one lower and one upper sweeper; its
-    # columns are the public solves' bit for bit, so its answer is too
-    eta = wall_eta()
+@pytest.mark.parametrize("region, wall", regions(
+    "level", [(wall, (wall,)) for wall in sorted(WALLS)]))
+def test_oracle_matches_public_solves(region, wall, monkeypatch):
+    # the referee runs every solve on one lower and one upper engine; its
+    # columns are fresh solves' bit for bit, so its answer is too
+    eta = wall_eta(region)
     params = two_phase_params(g=1.0, geometry=WALLS[wall])
     expected = public_solve_oracle(eta, params, 8, DN48)
 
     made, public = [], []
-    init = dn._Sweeper.__init__
+    engine = REGIONS[region]
+    init = engine.__init__
 
     def counted_init(self, *args, **kwargs):
         made.append(self)
         init(self, *args, **kwargs)
-    monkeypatch.setattr(dn._Sweeper, "__init__", counted_init)
+    monkeypatch.setattr(engine, "__init__", counted_init)
 
     def counted(name):
         inner = getattr(dn, name)
