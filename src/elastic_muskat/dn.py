@@ -1,10 +1,17 @@
-"""Dirichlet-Neumann operators: a level solver and a series, one protocol.
+"""Dirichlet-Neumann operators: a level solver and a series, one contract.
 
-Two engines compute G(eta) f, and each lives in one private object per
-interface with the same protocol: ``set_datum(f, restart)``, ``sweep()``,
-``remainder_hat()``, ``gf()``, ``solve(f)``, ``converged_gf(f)`` and
-``result(...)``.  _Sweeper is the level solver below; _Series sums the
-Craig-Sulem expansion G = sum_m G_m (Craig & Sulem, JCP 108, 1993).
+Two engines compute G(eta) f: _Sweeper, the level solver below, and
+_Series, which sums the Craig-Sulem expansion G = sum_m G_m (Craig &
+Sulem, JCP 108, 1993).  Each lives in one private object per interface on
+one base, _Engine, which holds what they share: ``solve(f)`` takes a
+datum and runs the engine's step loop through errors.iterate,
+``converged_gf(f)`` also requires convergence, and ``gf()`` and
+``result(...)`` read G f off the last sweep.  An engine keeps only what
+differs by method: ``set_datum(f, restart)``, ``sweep()``, its step loop
+``_iterate()``, and ``gf_hat()`` and ``remainder_hat()``, the spectra of
+G f and of its remainder.  Engines are signed: G^+(eta) = -G^-(-eta) is
+an engine on -eta with sign -1, whose G f and remainder G^+ f + |D| f
+come out signed, so no caller negates a result.
 
 Which engine runs is decided by _dn_engines, before anything is solved,
 from eta, the grid and ``cfg`` alone.  At a Lipschitz proxy at or above
@@ -28,7 +35,8 @@ geometries bottomless, h = 1 and h = 0.5:
 Every input of the scan inside the reach converges.  The level solver
 serves dn_fixed_point and dn_upper always, so their results and pins do not
 depend on the choice; evolution.rhs (one phase), pressure_fixed_point and
-pressure_oracle take their engines from _dn_engines.
+pressure_oracle take their engines from _dn_engines, which returns G^- and,
+given a second geometry, G^+, both of one method and built the same way.
 
 The level solver.  The free boundary is straightened with
 rho(x, z) = z + H(x, z) where H is a harmonic lift of the interface.  The
@@ -74,18 +82,20 @@ returns is a view of these arrays.
 
 The sweeper does the per-interface set-up (gate, flattening map, Jacobian
 check), lifts a datum, applies T once per sweep and reads G f off the last
-sweep; the geometry lives only in the grid-constant operators.  Its
-``solve`` sweeps one datum to convergence through errors.iterate, and any
-number of data can be solved in turn on one set-up.  dn_fixed_point makes
-a sweeper for one solve; the dense pressure referee solves every column on
-a lower and an upper engine; the two-phase pressure solve sweeps a lower
-and an upper one in turn, changing their data between sweeps.  A pair of
-sweepers keeps the upper one's working arrays in a second slot.
+sweep; the geometry lives only in the grid-constant operators.  Its step
+loop sweeps one datum to convergence, and any number of data can be solved
+in turn on one set-up.  dn_fixed_point makes a sweeper for one solve; the
+dense pressure referee solves every column on a lower and an upper engine;
+the two-phase pressure solve sweeps a lower and an upper one in turn,
+changing their data between sweeps.  A sweeper of sign -1 keeps its
+working arrays in a second slot, so such a pair does not share them.
 
 The series engine forms eta^p/p! on 2n nodes once per interface and sums
-the orders of G f for each datum; a sweep of it is exact for its datum, so
-the pressure solves run on either engine unchanged (see _Series).  Both
-engines take eta and the data as node arrays and return arrays; only
+the orders of G f for each datum, one order per step of its loop.  A sweep
+of it is the whole sum: it is exact for its datum and raises
+NotContracting at the order cap, so the pressure solves run on either
+engine unchanged and stop where a series cannot converge (see _Series).
+Both engines take eta and the data as node arrays and return arrays; only
 dn_fixed_point and dn_upper build Fields, for the DNResult they return.
 """
 
@@ -171,7 +181,8 @@ class DNResult:
     def require_converged(self):
         """This result; NotContracting if the solve stopped at MAX_ITER."""
         if not self.converged:
-            raise _not_converged(self.residuals)
+            raise NotContracting(_Sweeper.CAPPED % (len(self.residuals),
+                                                    self.residuals[-1]))
         return self
 
     def report(self):
@@ -187,12 +198,6 @@ class DNResult:
 MAX_ITER = 60
 # smallest admissible 1 + dH/dz of the flattening map
 JACOBIAN_FLOOR = 0.1
-
-
-def _not_converged(residuals):
-    """The error of a solve that stopped at MAX_ITER with these changes."""
-    return NotContracting("DN solve not converged after %d sweeps (residual %.3g)"
-                          % (len(residuals), residuals[-1]))
 
 
 @dataclass(frozen=True)
@@ -452,32 +457,81 @@ def _workspace(n, n_levels, slot=0):
     return cache(n, n_levels, slot)
 
 
-class _Sweeper:
+class _Engine:
+    """What both DN engines share: the solve, its cap check and the reads.
+
+    An engine made on an interface e with ``sign`` computes sign G^-(e):
+    G^-(eta) on eta with sign 1, and G^+(eta) = -G^-(-eta) on -eta with
+    sign -1.  What differs by method is the engine's own: ``set_datum``
+    takes a datum, ``sweep`` advances it, ``_iterate`` runs the engine's
+    step loop through errors.iterate, and ``gf_hat`` and ``remainder_hat``
+    read the rfft of G f and of its remainder G f - sign |D| f off the last
+    sweep, signed, as fresh arrays.  The rest is shared here: ``solve``
+    sets a datum and runs the step loop, ``converged_gf`` also requires
+    convergence, and ``gf`` and ``result`` transform the signed spectra.
+    """
+
+    def __init__(self, grid, cfg: DNConfig, sign):
+        self.n, self.grid, self.tol, self.sign = grid.n, grid, cfg.tol, sign
+        # the flat part of sign G^-
+        self.flat = sign * np.abs(grid.rfft_wavenumbers)
+        self.f_hat = None
+
+    def solve(self, f):
+        """Take f and run the step loop to the tolerance; (changes,
+        converged) as errors.iterate returns them."""
+        self.set_datum(f)
+        return self._iterate()
+
+    def _require(self, changes, converged):
+        """The last change of a step loop; NotContracting if the loop
+        stopped at its cap."""
+        if not converged:
+            raise NotContracting(self.CAPPED % (len(changes), changes[-1]))
+        return changes[-1]
+
+    def converged_gf(self, f) -> np.ndarray:
+        """G f by ``solve``; NotContracting if it stops at its cap."""
+        self._require(*self.solve(f))
+        return self.gf()
+
+    def gf(self) -> np.ndarray:
+        """G f for the datum of the last sweep, as a fresh node array."""
+        return np.fft.irfft(self.gf_hat(), self.n)
+
+    def result(self, iterations, converged, residuals) -> DNResult:
+        gf, remainder = np.fft.irfft([self.gf_hat(), self.remainder_hat()],
+                                     self.n)
+        return DNResult(Field(self.grid, gf), Field(self.grid, remainder),
+                        iterations, converged, residuals, self.tail_bound)
+
+
+class _Sweeper(_Engine):
     """The Picard map T[v] of one interface, applied one sweep at a time.
 
     Construction does a solve's per-interface work: the Lipschitz gate, the
     grid-constant arrays, H_x, H_z, the Jacobian check and the Q_a
     coefficient of v_z.  ``set_datum`` lifts a datum, ``sweep`` applies T
-    once, and ``remainder_hat`` reads the spectrum of G f - |D| f off the
-    last sweep by the module's one rule; ``gf`` and ``result`` derive from
-    it.  ``solve`` lifts a datum and sweeps it to the tolerance, and
-    ``converged_gf`` also requires convergence, so one sweeper serves any
-    number of solves on its interface.  The interface eta and every datum
-    are node values on ``grid``.  The iterate and the prepared arrays live
-    in the working arrays of ``slot``, so a sweeper is spent once another
-    one is made on the same slot.
+    once, and ``remainder_hat`` reads the spectrum of sign (G^- f - |D| f)
+    off the last sweep by the module's one rule.  Its step loop sweeps to the
+    tolerance and is unconverged after MAX_ITER sweeps.  The interface and
+    every datum are node values on ``grid``.  The iterate and the prepared
+    arrays live in working arrays, slot 0 for sign 1 and slot 1 for
+    sign -1, so a sweeper is spent once another one of its sign is made.
     """
 
-    def __init__(self, grid, eta, cfg: DNConfig, geometry, slot=0):
-        n = self.n = grid.n
-        self.grid = grid
-        self.tol = cfg.tol
+    CAPPED = "DN solve not converged after %d sweeps (residual %.3g)"
+
+    def __init__(self, grid, eta, cfg: DNConfig, geometry, sign=1.0):
+        super().__init__(grid, cfg, sign)
+        n = self.n
         _, proxy = _lipschitz_norms(grid, eta)
         if proxy >= cfg.lipschitz_gate:
             raise NotContracting(
                 f"W^(1+eps) proxy {proxy:.3g} at or above gate {cfg.lipschitz_gate}")
         ops = self.ops = _level_operators(grid, geometry, cfg.n_levels)
-        ws = self.ws = _workspace(n, cfg.n_levels, slot)
+        self.tail_bound = ops.tail_bound
+        ws = self.ws = _workspace(n, cfg.n_levels, slot=int(sign < 0))
         tmp = ws.tmp_hat
 
         eta_hat = np.fft.rfft(eta)
@@ -499,7 +553,6 @@ class _Sweeper:
         # and the two pairs swap
         self.v_hat, self.vz_hat = ws.v_hat, ws.vz_hat
         self.v_new, self.vz_new = ws.v_next, ws.vz_next
-        self.f_hat = None
         self.scale = None
 
     def set_datum(self, f, restart=True):
@@ -517,18 +570,8 @@ class _Sweeper:
             np.copyto(self.vz_hat, ws.v0z_hat)
             self.scale = max(np.max(np.abs(self.v_hat, out=ws.mag)), 1e-300)
 
-    def solve(self, f):
-        """Lift f as the first iterate and sweep until a change is below the
-        tolerance; (changes, converged) as errors.iterate returns them."""
-        self.set_datum(f)
+    def _iterate(self):
         return iterate(self.sweep, self.tol, MAX_ITER, 5, "DN solve")
-
-    def converged_gf(self, f) -> np.ndarray:
-        """G f by ``solve``; NotContracting if it stops at MAX_ITER."""
-        residuals, converged = self.solve(f)
-        if not converged:
-            raise _not_converged(residuals)
-        return self.gf()
 
     def sweep(self) -> float:
         """Apply T once; returns max|v_new - v| over the scale."""
@@ -565,23 +608,12 @@ class _Sweeper:
         return float(np.max(change) / self.scale)
 
     def remainder_hat(self) -> np.ndarray:
-        """rfft of G f - |D| f for the datum of the last sweep, read off
-        that sweep by the module's one rule, as a fresh array."""
         ops = self.ops
-        return (ops.lift_excess * self.f_hat + self.ws.w_hat[-1]
-                + ops.defect_gain * self.defect)
+        return self.sign * (ops.lift_excess * self.f_hat + self.ws.w_hat[-1]
+                            + ops.defect_gain * self.defect)
 
-    def gf(self) -> np.ndarray:
-        """G f for the datum of the last sweep, as a fresh node array."""
-        return np.fft.irfft(self.ops.absk * self.f_hat + self.remainder_hat(),
-                            self.n)
-
-    def result(self, iterations, converged, residuals) -> DNResult:
-        r_hat = self.remainder_hat()
-        gf, remainder = np.fft.irfft(
-            [self.ops.absk * self.f_hat + r_hat, r_hat], self.n)
-        return DNResult(Field(self.grid, gf), Field(self.grid, remainder),
-                        iterations, converged, residuals, self.ops.tail_bound)
+    def gf_hat(self) -> np.ndarray:
+        return self.flat * self.f_hat + self.remainder_hat()
 
 
 # --- the Craig-Sulem series --------------------------------------------------
@@ -626,8 +658,8 @@ def _series_multipliers(grid, geometry, orders):
     return table
 
 
-class _Series:
-    """G(eta) f as the Craig-Sulem series, on the protocol of _Sweeper.
+class _Series(_Engine):
+    """G(eta) f as the Craig-Sulem series.
 
     The terms (D = -i d/dx, D_p from _series_multipliers)
 
@@ -637,38 +669,39 @@ class _Series:
     are formed on 2n nodes, where the products of eta's powers with f_x
     and G_j f alias far less than on n nodes, and each term keeps the modes
     |k| <= n/2 as an rfft half spectrum on n nodes.
-    Construction forms eta^p/p! there once, up to SERIES_MAX_ORDER; the
-    upper problem on -eta passes them with the sign (-1)^p as ``powers``.
-    ``set_datum`` takes f, and each ``sweep`` sums the orders of G f
-    through errors.iterate, one order per step.  A step's change is the
-    larger of the two newest terms' largest spectral moduli over that of
-    G_0 f: a single term can vanish where G f does not (G_1 f = 0 for
-    eta = a cos x, f = cos x).  The sum stops below ``cfg.tol``, raises
-    NotContracting once SERIES_PATIENCE changes in a row do not shrink,
-    and is unconverged at the order cap.  A sweep is exact for its datum,
-    so ``restart`` changes nothing.
+    Construction forms eta^p/p! there once, up to SERIES_MAX_ORDER.
+    ``set_datum`` takes f, and the step loop sums the orders of G f through
+    errors.iterate, one order per step.  A step's change is the larger of
+    the two newest terms' largest spectral moduli over that of G_0 f: a
+    single term can vanish where G f does not (G_1 f = 0 for eta = a cos x,
+    f = cos x).  The sum stops below ``cfg.tol``, raises NotContracting
+    once SERIES_PATIENCE changes in a row do not shrink, and is unconverged
+    at the order cap.  A ``sweep`` is the whole sum, so it is exact for its
+    datum and ``restart`` changes nothing; it raises NotContracting at the
+    order cap.
     """
 
-    def __init__(self, grid, eta, cfg: DNConfig, geometry, powers=None):
-        self.n, self.grid, self.tol = grid.n, grid, cfg.tol
+    CAPPED = "DN series not converged after %d orders (change %.3g)"
+    # no depth is truncated
+    tail_bound = 0.0
+
+    def __init__(self, grid, eta, cfg: DNConfig, geometry, sign=1.0):
+        super().__init__(grid, cfg, sign)
         orders = self.orders = SERIES_MAX_ORDER
         self.table = _series_multipliers(grid, geometry, orders)
         # d/dx keeps the mode n/2, which is no Nyquist mode on 2n nodes
         self.ik = 1j * grid.rfft_wavenumbers
-        if powers is None:
-            # eta^p/p! as the running product of eta/1, eta/2, ...
-            powers = np.empty((orders + 1, 2 * self.n))
-            powers[0] = 1.0
-            np.divide(_refine_hat(np.fft.rfft(eta)),
-                      np.arange(1, orders + 1)[:, None], out=powers[1:])
-            np.cumprod(powers[1:], axis=0, out=powers[1:])
-        self.powers = powers
+        # eta^p/p! as the running product of eta/1, eta/2, ...
+        powers = self.powers = np.empty((orders + 1, 2 * self.n))
+        powers[0] = 1.0
+        np.divide(_refine_hat(np.fft.rfft(eta)),
+                  np.arange(1, orders + 1)[:, None], out=powers[1:])
+        np.cumprod(powers[1:], axis=0, out=powers[1:])
         # node values on 2n nodes of each term G_j f and of the products of
         # a step, and the spectra of the terms
         self.terms = np.empty((orders + 1, 2 * self.n))
         self.prod = np.empty((orders + 1, 2 * self.n))
         self.terms_hat = np.empty((orders + 1, self.n // 2 + 1), complex)
-        self.f_hat = None
         self.order = 0
 
     def set_datum(self, f, restart=True):
@@ -696,74 +729,41 @@ class _Series:
         self.sizes.append(np.max(np.abs(term)) / self.scale)
         return max(self.sizes[-2:])
 
-    def sweep(self) -> float:
-        """Sum the series for the current datum; the last change."""
-        changes, _ = self._sum()
-        return changes[-1]
-
-    def _sum(self):
+    def _iterate(self):
         self.order = 0
         del self.sizes[1:]
         return iterate(self._next_order, self.tol, self.orders,
                        SERIES_PATIENCE, "DN series")
 
-    def solve(self, f):
-        """Take f and sum its series to the tolerance; (changes, converged)
-        as errors.iterate returns them, one change per order."""
-        self.set_datum(f)
-        return self._sum()
+    def sweep(self) -> float:
+        """Sum the series for the current datum; the last change."""
+        return self._require(*self._iterate())
 
-    def converged_gf(self, f) -> np.ndarray:
-        """G f by ``solve``; NotContracting if it stops at the order cap."""
-        changes, converged = self.solve(f)
-        if not converged:
-            raise NotContracting("DN series not converged after %d orders "
-                                 "(change %.3g)" % (len(changes), changes[-1]))
-        return self.gf()
-
-    def _gf_hat(self):
-        return np.sum(self.terms_hat[:self.order + 1], axis=0)
+    def gf_hat(self) -> np.ndarray:
+        return self.sign * np.sum(self.terms_hat[:self.order + 1], axis=0)
 
     def remainder_hat(self) -> np.ndarray:
-        """rfft of G f - |D| f for the current datum, as a fresh array."""
-        return self._gf_hat() - np.abs(self.grid.rfft_wavenumbers) * self.f_hat
-
-    def gf(self) -> np.ndarray:
-        """G f for the current datum, as a fresh node array."""
-        return np.fft.irfft(self._gf_hat(), self.n)
-
-    def result(self, iterations, converged, residuals) -> DNResult:
-        gf_hat = self._gf_hat()
-        gf, remainder = np.fft.irfft(
-            [gf_hat, gf_hat - np.abs(self.grid.rfft_wavenumbers) * self.f_hat],
-            self.n)
-        # no depth is truncated
-        return DNResult(Field(self.grid, gf), Field(self.grid, remainder),
-                        iterations, converged, residuals, 0.0)
+        return self.gf_hat() - self.flat * self.f_hat
 
 
 def _dn_engines(grid, eta, cfg: DNConfig, geometries):
-    """The DN engines of the interface eta, one per geometry.
+    """The DN engines of the interface eta, one per geometry, signed.
 
-    The i-th solves the lower problem on (-1)^i eta over ``geometries[i]``,
-    so a second one is the upper problem by G^+(eta) = -G^-(-eta).  It is a
-    _Series when the Lipschitz proxy is below both SERIES_PROXY_GATE and
-    ``cfg.lipschitz_gate`` and k_max max|eta| below _series_reach(cfg.tol);
-    otherwise a _Sweeper, each in its own working-array slot, which raises
-    as dn_fixed_point does.  The choice reads eta, the grid and cfg alone,
-    before anything is solved.
+    The first computes G^-(eta) over ``geometries[0]``; a second computes
+    G^+(eta) over ``geometries[1]``, built on -eta with sign -1 by the
+    reflection G^+(eta) = -G^-(-eta), so its G f and remainder
+    G^+ f + |D| f come signed.  Both are _Series when the Lipschitz proxy
+    is below both SERIES_PROXY_GATE and ``cfg.lipschitz_gate`` and k_max
+    max|eta| below _series_reach(cfg.tol); otherwise both are _Sweeper,
+    which raises as dn_fixed_point does.  The choice reads eta, the grid
+    and cfg alone, before anything is solved.
     """
     _, proxy = _lipschitz_norms(grid, eta)
-    if proxy < min(SERIES_PROXY_GATE, cfg.lipschitz_gate) \
-            and grid.k_max * np.max(np.abs(eta)) < _series_reach(cfg.tol):
-        engines = [_Series(grid, eta, cfg, geometries[0])]
-        if len(geometries) > 1:
-            signs = (-1.0) ** np.arange(SERIES_MAX_ORDER + 1)
-            engines.append(_Series(grid, -eta, cfg, geometries[1],
-                                   powers=engines[0].powers * signs[:, None]))
-        return engines
-    return [_Sweeper(grid, eta * (-1.0) ** i, cfg, geometry, slot=i)
-            for i, geometry in enumerate(geometries)]
+    series = proxy < min(SERIES_PROXY_GATE, cfg.lipschitz_gate) \
+        and grid.k_max * np.max(np.abs(eta)) < _series_reach(cfg.tol)
+    engine = _Series if series else _Sweeper
+    return [engine(grid, sign * eta, cfg, geometry, sign)
+            for sign, geometry in zip((1.0, -1.0), geometries)]
 
 
 def dn_fixed_point(eta: Field, f: Field, cfg: DNConfig = DNConfig(),

@@ -205,6 +205,13 @@ def picard_solve(eta0: Field, T: float, params: PhysicalParams,
     exponentially weighted trapezoid rule per mode.  Raises NotContracting
     when the data is at or above PICARD_GATE or the sweeps do not converge;
     solve turns that into an abort.
+
+    The sweep distance includes an H^{s+5} norm, whose roundoff floor grows
+    like k_max^{s+5}, so PICARD_TOL is reached on coarse grids only.  On the
+    one-phase benchmark profile without its tail (T = 0.01, dt = 1e-3) the
+    iteration converges in 5 sweeps at n = 32; at n = 64 and 128 its
+    distance stalls near 1.4e-10 and 2.3e-8 and it raises NotContracting
+    after 3 non-decreasing sweeps.
     """
     if params.phase != "one":
         raise ValueError("the integral-equation solver is one-phase only")

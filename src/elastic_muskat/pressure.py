@@ -8,25 +8,26 @@ fixed-point equation for phi = f^-,
 
     phi = [mu^- J + |D|^{-1} (mu^- R^+ (phi - J) - mu^+ R^- phi)] / (mu^+ + mu^-),
 
-taken mean-free and contractive for small interfaces.  Both DN problems run
-on the two engines that dn._dn_engines picks for eta before anything is
+taken mean-free and contractive for small interfaces.  G^- and G^+ are
+the two engines that dn._dn_engines makes for eta before anything is
 solved, the Craig-Sulem series inside its measured reach and the level
 solver past it (the rule and its scan are in dn's docstring).  The engines
-share one protocol, so the code below is the same for both.  Each
-remainder is read off the last sweep of an engine, and the three fixed
-points are linear in their unknowns, so one joint iteration solves them
-together.  Each sweep makes
+share one contract and return G^+ and R^+ as they are, so the code below
+is the same for both methods.  Each remainder is read off the last sweep
+of an engine, and the three fixed points are linear in their unknowns, so
+one joint iteration solves them together.  Each sweep makes
 
-- one DN sweep of the lower problem: eta, datum phi;
-- one DN sweep of the upper problem: -eta, datum phi - J, by the reflection
-  G^+(eta) = -G^-(-eta) that dn_upper uses;
-- the update of phi above from the two sweeps' remainders.
+- one DN sweep of G^-, datum phi;
+- one DN sweep of G^+, datum phi - J;
+- the update of phi above from the two sweeps' remainders, after which
+  both engines take their next data.
 
 A level sweep is one Picard sweep of its problem.  A series sweep sums the
 series of its datum to the DN tolerance, so it is exact for that datum and
 the joint iteration is the plain phi iteration: 4 joint sweeps at n = 128
 on 0.02 cos x + 0.01 sin 2x, bottomless with mu^+ = mu^- (10 on the level
-solver).
+solver).  A series that reaches its order cap raises from its sweep, so the
+iteration stops there and names the cause.
 
 It starts from the flat-interface pressure phi_0 = mu^- J / (mu^+ + mu^-).
 By errors.iterate it stops once the phi change, relative to max|phi_0|, is
@@ -36,9 +37,9 @@ This is an inexact inner solve (Dembo, Eisenstat & Steihaug, SIAM J. Numer.
 Anal. 19, 1982) at its limit of one inner sweep per outer step, so each DN
 problem pays its per-interface set-up once.
 
-The sweep that stops the iteration takes no new data.  Instead each problem
-takes one closing sweep at the final data f^- and f^+, and G^- f^- and
-G^+ f^+ are read off those sweeps, so the solve makes no public DN solve.
+Each problem then takes one closing sweep at the final data f^- and f^+,
+which replace the data of the last joint sweep, and G^- f^- and G^+ f^+
+are read off those sweeps, so the solve makes no public DN solve.
 A closing sweep whose change is not below the DN tolerance raises
 NotContracting; it is never replaced by a fresh solve.  The velocity reuses
 G^- f^-.  J, phi and the engines' data are node arrays and the phi update
@@ -118,8 +119,6 @@ def pressure_fixed_point(eta: Field, params: PhysicalParams,
     w_minus = params.mu_minus / (params.mu_plus + params.mu_minus)
     w_plus = params.mu_plus / (params.mu_plus + params.mu_minus)
     jump = _jump_values(eta, params)
-    # G^+(eta) = -G^-(-eta), so the upper problem is a lower one on -eta
-    # with datum f^+ = phi - J, and R^+ is minus its remainder
     grid = eta.grid
     lower, upper = _dn_engines(grid, eta.values, dn_cfg, dn_geometries(params))
     # the update runs on rfft half spectra; |D|^{-1} maps the mean to 0
@@ -136,18 +135,15 @@ def pressure_fixed_point(eta: Field, params: PhysicalParams,
     def sweep():
         nonlocal phi
         dn_res = max(lower.sweep(), upper.sweep())
-        # mu^- R^+ - mu^+ R^- over mu^+ + mu^-, with R^+ = -(upper remainder)
-        r_hat = upper.remainder_hat() * -w_minus - lower.remainder_hat() * w_plus
+        # mu^- R^+ - mu^+ R^- over mu^+ + mu^-
+        r_hat = upper.remainder_hat() * w_minus - lower.remainder_hat() * w_plus
         phi_new = np.fft.irfft(phi0_hat + inv_absk * r_hat, grid.n)
         res = float(np.max(np.abs(phi_new - phi)) / scale)
         phi = phi_new
+        lower.set_datum(phi, restart=False)
+        upper.set_datum(phi - jump, restart=False)
         # below 1 once both tolerances hold
-        change = max(res / TOL, dn_res / dn_cfg.tol)
-        # the sweep that stops the iteration leaves the closing data to lift
-        if not change < 1.0:
-            lower.set_datum(phi, restart=False)
-            upper.set_datum(phi - jump, restart=False)
-        return change
+        return max(res / TOL, dn_res / dn_cfg.tol)
 
     errs, converged = iterate(sweep, 1.0, MAX_ITER, 5, "pressure iteration")
     if not converged:
@@ -158,8 +154,8 @@ def pressure_fixed_point(eta: Field, params: PhysicalParams,
     f_plus = f_minus - jump
     jres = np.linalg.norm(f_minus - f_plus - jump)
     jscale = max(np.linalg.norm(jump), 1e-300)
-    # G^- f^- and G^+ f^+ = -G^-(-eta) f^+ from one closing sweep of each
-    # problem at the final data
+    # G^- f^- and G^+ f^+ from one closing sweep of each problem at the
+    # final data
     lower.set_datum(f_minus, restart=False)
     upper.set_datum(f_plus, restart=False)
     for side, engine in (("lower", lower), ("upper", upper)):
@@ -170,7 +166,7 @@ def pressure_fixed_point(eta: Field, params: PhysicalParams,
                 " (change %.3g, DN tolerance %.3g)"
                 % (side, change, dn_cfg.tol))
     gm = lower.gf()
-    gp = -upper.gf()
+    gp = upper.gf()
     flux = gp * (1.0 / params.mu_plus) - gm * (1.0 / params.mu_minus)
     fscale = max(np.linalg.norm(gm) / params.mu_minus, 1e-300)
     return PressurePair(f_minus=Field(grid, f_minus),
@@ -193,7 +189,6 @@ def pressure_oracle(eta: Field, params: PhysicalParams, n_modes: int = 16,
     if params.phase != "two":
         raise ValueError("pressure solve is a two-phase operation")
     grid = eta.grid
-    # G^+(eta) = -G^-(-eta), so the upper solves run on a lower engine on -eta
     lower, upper = _dn_engines(grid, eta.values, dn_cfg, dn_geometries(params))
     mu_sum_inv_p = 1.0 / params.mu_plus
     mu_sum_inv_m = 1.0 / params.mu_minus
@@ -206,12 +201,12 @@ def pressure_oracle(eta: Field, params: PhysicalParams, n_modes: int = 16,
     Gp = np.zeros((grid.n, nb))
     for j, b in enumerate(basis):
         Gm[:, j] = lower.converged_gf(b)
-        Gp[:, j] = -upper.converged_gf(b)
+        Gp[:, j] = upper.converged_gf(b)
 
     jump = _jump_values(eta, params)
     # [(1/mu+) G+ - (1/mu-) G-] c = (1/mu+) G+ jump,  mean gauge row appended
     A = mu_sum_inv_p * Gp - mu_sum_inv_m * Gm
-    rhs = mu_sum_inv_p * -upper.converged_gf(jump)
+    rhs = mu_sum_inv_p * upper.converged_gf(jump)
     gauge = np.zeros(nb)
     gauge[0] = 1.0
     A = np.vstack([A, gauge])
@@ -226,7 +221,7 @@ def pressure_oracle(eta: Field, params: PhysicalParams, n_modes: int = 16,
     f_minus = fm_vals - np.mean(fm_vals)
     f_plus = f_minus - jump
     gm = lower.converged_gf(f_minus)
-    gp = -upper.converged_gf(f_plus)
+    gp = upper.converged_gf(f_plus)
     flux = gp * mu_sum_inv_p - gm * mu_sum_inv_m
     fscale = max(np.linalg.norm(gm) * mu_sum_inv_m, 1e-300)
     return PressurePair(f_minus=Field(grid, f_minus), f_plus=Field(grid, f_plus),

@@ -9,7 +9,8 @@ convergence orders.
 
 import numpy as np
 
-from .dn import DNConfig, FlatStrip, InfiniteDepth, _Series, dn_fixed_point
+from .dn import (DNConfig, FlatStrip, InfiniteDepth, _Series, _Sweeper,
+                 dn_fixed_point)
 from .dn_oracle import oracle_dn
 from .elastic import elastic_E, elastic_split, gateaux_dE, symbol_ell
 from .grid import Field, PeriodicGrid, sobolev_norm
@@ -95,6 +96,8 @@ EXACT_ERRORS = {
 }
 # the amplitude a of each slope max|eta_x|
 EXACT_AMPLITUDES = {0.07: 0.05, 0.15: 0.1}
+# the DN engine of each method in EXACT_ERRORS
+ENGINES = {"level": _Sweeper, "series": _Series}
 
 
 def _exact_rows():
@@ -108,13 +111,8 @@ def _exact_rows():
             eta = a * (np.sin(x) + 0.25 * np.cos(2 * x + 1))
             eta_x = a * (np.cos(x) - 0.5 * np.sin(2 * x + 1))
             f, exact = exact_trace(x, eta, eta_x, k, geometries[name])
-            if engine == "series":
-                gf = _Series(grid, eta, DNConfig(),
-                             geometries[name]).converged_gf(f)
-            else:
-                gf = dn_fixed_point(Field(grid, eta), Field(grid, f),
-                                    geometry=geometries[name]
-                                    ).require_converged().gf.values
+            gf = ENGINES[engine](grid, eta, DNConfig(),
+                                 geometries[name]).converged_gf(f)
             err = np.max(np.abs(gf - exact)) / np.max(np.abs(exact))
             rows.append(_row("exact_%s_%s_k%d_slope%g" % (engine, name, k,
                                                           slope),

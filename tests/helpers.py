@@ -34,18 +34,17 @@ def regions(original, cases):
 
 
 def engine_solve(eta, f, cfg, geometry, upper=False):
-    """(G f, G f - |D| f, changes) by a converged solve of f on the DN
-    engine that the velocity and the pressure solves get for eta: the lower
-    problem over ``geometry``, or with ``upper`` the upper one by
-    G^+(eta) = -G^-(-eta).  ``changes`` counts its sweeps or orders."""
+    """(G f, R f, changes) by a converged solve of f on the DN engine that
+    the velocity and the pressure solves get for eta: G^- over ``geometry``
+    with R f = G^- f - |D| f, or with ``upper`` G^+ over it with
+    R f = G^+ f + |D| f.  ``changes`` counts its sweeps or orders."""
     geometries = (InfiniteDepth(), geometry) if upper else (geometry,)
     engine = _dn_engines(eta.grid, eta.values, cfg, geometries)[-1]
     changes, converged = engine.solve(f.values)
     assert converged
-    sign = -1.0 if upper else 1.0
     remainder = np.fft.irfft(engine.remainder_hat(), eta.grid.n)
-    return (Field(eta.grid, sign * engine.gf()),
-            Field(eta.grid, sign * remainder), len(changes))
+    return (Field(eta.grid, engine.gf()), Field(eta.grid, remainder),
+            len(changes))
 
 
 def fft_wavenumbers(grid):

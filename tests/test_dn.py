@@ -1,3 +1,4 @@
+import itertools
 import os
 import sys
 import threading
@@ -376,14 +377,35 @@ def test_series_result_reads_its_last_sum():
         < 1e-12 * np.max(np.abs(flat))
 
 
-def test_series_reuses_the_powers_for_the_upper_problem():
-    eta = Field(GRID128, PIN["eta"])
-    f = PIN["f"]
-    lower, upper = dn._dn_engines(GRID128, eta.values, DNConfig(),
-                                  (InfiniteDepth(), FlatStrip(1.0)))
-    fresh = dn._Series(GRID128, -eta.values, DNConfig(), FlatStrip(1.0))
-    assert np.max(np.abs(upper.converged_gf(f) - fresh.converged_gf(f))) \
-        < 1e-13 * np.max(np.abs(fresh.gf()))
+# sin x interfaces of the two engine regions: k_max max|eta| 0.64 at
+# n = 64, in the series' reach, and 10.2 at n = 512, past it
+REGION_ETAS = ((64, 0.02, dn._Series), (512, 0.04, dn._Sweeper))
+
+
+def test_upper_engine_is_the_reflected_lower_engine():
+    # G^+(eta) = -G^-(-eta): in both regions and geometries the upper
+    # engine returns the lower engine on -eta negated, bit for bit, and
+    # its flat part is -|D|
+    for (n, a, engine), geometry in itertools.product(
+            REGION_ETAS, (InfiniteDepth(), FlatStrip(1.0))):
+        grid = PeriodicGrid(n)
+        x = grid.nodes
+        eta = a * np.sin(x)
+        f = np.cos(2.0 * x) + 0.5 * np.sin(3.0 * x + 1.0)
+        _, upper = dn._dn_engines(grid, eta, DNConfig(),
+                                  (InfiniteDepth(), geometry))
+        assert type(upper) is engine
+        gf = upper.converged_gf(f)
+        remainder_hat = upper.remainder_hat()
+        reflected, = dn._dn_engines(grid, -eta, DNConfig(), (geometry,))
+        assert np.array_equal(gf, -reflected.converged_gf(f))
+        # the reflected engine left the upper one's working arrays alone
+        assert np.array_equal(upper.gf(), gf)
+        assert np.array_equal(remainder_hat, -reflected.remainder_hat())
+        flat = np.fft.irfft(np.abs(grid.rfft_wavenumbers) * np.fft.rfft(f), n)
+        remainder = np.fft.irfft(remainder_hat, n)
+        assert np.max(np.abs(gf - remainder + flat)) \
+            < 1e-12 * np.max(np.abs(flat))
 
 
 @pytest.mark.parametrize("geometry, seed", [

@@ -211,6 +211,25 @@ def test_unconverged_closing_sweep_raises(region, side, monkeypatch):
     assert count[0] == spoiled
 
 
+def test_series_at_its_order_cap_stops_the_first_joint_sweep(monkeypatch):
+    # a series sweep that reaches its order cap raises and names itself, so
+    # the joint iteration does not run on to its own sweep cap
+    eta = wall_eta("series")
+    monkeypatch.setattr(dn, "SERIES_MAX_ORDER", 2)
+    sweeps = []
+    inner = dn._Series.sweep
+
+    def sweep(self):
+        sweeps.append(self)
+        return inner(self)
+    monkeypatch.setattr(dn._Series, "sweep", sweep)
+    params = two_phase_params(g=1.0)
+    with pytest.raises(NotContracting,
+                       match="DN series not converged after 2 orders"):
+        pressure_fixed_point(eta, params, dn_cfg=DN48)
+    assert len(sweeps) == 1
+
+
 # --- the joint fixed point against full solves of every iterate ------------
 
 WALLS = {
