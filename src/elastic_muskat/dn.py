@@ -2,16 +2,17 @@
 
 Two engines compute G(eta) f: _Sweeper, the level solver below, and
 _Series, which sums the Craig-Sulem expansion G = sum_m G_m (Craig &
-Sulem, JCP 108, 1993).  Each lives in one private object per interface on
-one base, _Engine, which holds what they share: ``solve(f)`` takes a
-datum and runs the engine's step loop through errors.iterate,
-``converged_gf(f)`` also requires convergence, and ``gf()`` and
-``result(...)`` read G f off the last sweep.  An engine keeps only what
-differs by method: ``set_datum(f, restart)``, ``sweep()``, its step loop
-``_iterate()``, and ``gf_hat()`` and ``remainder_hat()``, the spectra of
-G f and of its remainder.  Engines are signed: G^+(eta) = -G^-(-eta) is
-an engine on -eta with sign -1, whose G f and remainder G^+ f + |D| f
-come out signed, so no caller negates a result.
+Sulem, JCP 108, 1993).  Each engine is one private object per interface
+and problem on one base, _Engine, which holds what they share:
+``solve(f)`` takes a datum and runs the engine's step loop through
+errors.iterate, ``converged_gf(f)`` also requires convergence, and
+``gf()`` and ``result(...)`` read G f off the last sweep.  An engine
+keeps only what differs by method: ``set_datum(f, restart)``, ``sweep()``,
+its step loop ``_iterate()``, and ``gf_hat()`` and ``remainder_hat()``, the
+spectra of G f and of its remainder.  Engines are signed:
+G^+(eta) = -G^-(-eta) is an engine of G^-(-eta) with sign -1, whose G f
+and remainder G^+ f + |D| f come out signed, so no caller negates a
+result.
 
 Which engine runs is decided by _dn_engines, before anything is solved,
 from eta, the grid and ``cfg`` alone.  At a Lipschitz proxy at or above
@@ -36,7 +37,7 @@ Every input of the scan inside the reach converges.  The level solver
 serves dn_fixed_point and dn_upper always, so their results and pins do not
 depend on the choice; evolution.rhs (one phase), pressure_fixed_point and
 pressure_oracle take their engines from _dn_engines, which returns G^- and,
-given a second geometry, G^+, both of one method and built the same way.
+given a second geometry, G^+, both of one method.
 
 The level solver.  The free boundary is straightened with
 rho(x, z) = z + H(x, z) where H is a harmonic lift of the interface.  The
@@ -90,11 +91,18 @@ the two-phase pressure solve sweeps a lower and an upper one in turn,
 changing their data between sweeps.  A sweeper of sign -1 keeps its
 working arrays in a second slot, so such a pair does not share them.
 
-The series engine forms eta^p/p! on 2n nodes once per interface and sums
-the orders of G f for each datum, one order per step of its loop.  A sweep
-of it is the whole sum: it is exact for its datum and raises
-NotContracting at the order cap, so the pressure solves run on either
-engine unchanged and stop where a series cannot converge (see _Series).
+A series engine is one row of a _SeriesSum, which sums the orders of G f
+one order per step of its loop and forms eta^m/m! on 2n nodes as the
+orders first reach m.  The series pair of _dn_engines is one sum of two
+rows, G^-(eta) over the lower geometry and G^-(-eta) over the upper one,
+sharing eta's powers; a sweep of either engine sums every row whose datum
+changed, together, and each row reads G f up to its own stop, bit for bit
+its sum alone.  The pressure solve sets both data before it sweeps the
+lower and then the upper engine, so each of its joint and closing sweep
+pairs is one two-row sum.  A sweep is the whole sum: it is exact for its
+datum and raises NotContracting at the order cap, so the pressure solves
+run on either engine unchanged and stop where a series cannot converge
+(see _SeriesSum).
 Both engines take eta and the data as node arrays and return arrays; only
 dn_fixed_point and dn_upper build Fields, for the DNResult they return.
 """
@@ -106,8 +114,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DegenerateJacobian, NotContracting, iterate
-from .grid import (Field, PeriodicGrid, _lipschitz_norms, _refine_hat,
-                   _truncate_hat, exp_linear_weights)
+from .grid import Field, PeriodicGrid, _lipschitz_norms, exp_linear_weights
 from .params import wall_distances
 
 
@@ -522,10 +529,12 @@ class _Sweeper(_Engine):
 
     CAPPED = "DN solve not converged after %d sweeps (residual %.3g)"
 
-    def __init__(self, grid, eta, cfg: DNConfig, geometry, sign=1.0):
+    def __init__(self, grid, eta, cfg: DNConfig, geometry, sign=1.0,
+                 proxy=None):
         super().__init__(grid, cfg, sign)
         n = self.n
-        _, proxy = _lipschitz_norms(grid, eta)
+        if proxy is None:
+            _, proxy = _lipschitz_norms(grid, eta)
         if proxy >= cfg.lipschitz_gate:
             raise NotContracting(
                 f"W^(1+eps) proxy {proxy:.3g} at or above gate {cfg.lipschitz_gate}")
@@ -642,127 +651,249 @@ def _series_reach(tol):
 
 
 @functools.lru_cache(maxsize=8)
-def _series_multipliers(grid, geometry, orders):
-    """Read-only (orders + 1, n//2 + 1) table of the series multipliers.
+def _series_multipliers(grid, geometries, orders):
+    """Read-only multiplier tables of a sum whose rows run over ``geometries``.
 
-    Row p is the symbol of D_p over the rfft wavenumbers of ``grid``:
-    |k|^p for even p and |k|^{p-1} G_0 for odd p, G_0 = |k| bottomless and
-    |k| tanh(h|k|) over a wall at depth h, so row 1 is G_0.
+    Over the rfft wavenumbers of ``grid``, the symbol of D_p is |k|^p for
+    even p and |k|^{p-1} G_0 for odd p, G_0 = |k| bottomless and
+    |k| tanh(h|k|) over a wall at depth h.  Returns, each with one row per
+    geometry: G_0 (rows, n//2 + 1); the symbols of D_0 ... D_orders as
+    (rows, orders + 1, n//2 + 1), times 1/2 below the Nyquist mode, which
+    holds the factors of truncating a 2n-node rfft to n nodes; and those
+    times -ik, complex.  Every factor is a power of two, so a product with
+    a table is bit for bit the product with the symbol and the truncation.
     """
     absk = np.abs(grid.rfft_wavenumbers)
-    g0 = absk if isinstance(geometry, InfiniteDepth) \
-        else absk * np.tanh(geometry.h * absk)
-    table = np.array([absk ** p if p % 2 == 0 else absk ** (p - 1) * g0
-                      for p in range(orders + 1)])
-    table.setflags(write=False)
-    return table
+    fold = np.where(np.arange(len(absk)) < len(absk) - 1, 0.5, 1.0)
+    g0 = np.array([absk if isinstance(geometry, InfiniteDepth)
+                   else absk * np.tanh(geometry.h * absk)
+                   for geometry in geometries])
+    table = np.array([[absk ** p if p % 2 == 0 else absk ** (p - 1) * g
+                       for p in range(orders + 1)] for g in g0]) * fold
+    dtable = table * -(1j * grid.rfft_wavenumbers)
+    for arr in (g0, table, dtable):
+        arr.setflags(write=False)
+    return g0, table, dtable
 
 
-class _Series(_Engine):
-    """G(eta) f as the Craig-Sulem series.
+class _SeriesSum:
+    """The Craig-Sulem series of one interface, one datum per row, summed
+    in lockstep.
 
-    The terms (D = -i d/dx, D_p from _series_multipliers)
+    Row 0 sums G^-(eta) over ``geometries[0]`` and a row 1 sums G^-(-eta)
+    over ``geometries[1]``, for the engine of G^+(eta).  The terms
+    (D = -i d/dx, D_p from _series_multipliers)
 
         G_m f = D_{m-1} D(eta^m/m! D f)
                 - sum_{j<m} D_{m-j}(eta^{m-j}/(m-j)! G_j f)
 
     are formed on 2n nodes, where the products of eta's powers with f_x
     and G_j f alias far less than on n nodes, and each term keeps the modes
-    |k| <= n/2 as an rfft half spectrum on n nodes.
-    Construction forms eta^p/p! there once, up to SERIES_MAX_ORDER.
-    ``set_datum`` takes f, and the step loop sums the orders of G f through
-    errors.iterate, one order per step.  A step's change is the larger of
-    the two newest terms' largest spectral moduli over that of G_0 f: a
-    single term can vanish where G f does not (G_1 f = 0 for eta = a cos x,
-    f = cos x).  The sum stops below ``cfg.tol``, raises NotContracting
-    once SERIES_PATIENCE changes in a row do not shrink, and is unconverged
-    at the order cap.  A ``sweep`` is the whole sum, so it is exact for its
-    datum and ``restart`` changes nothing; it raises NotContracting at the
-    order cap.
+    |k| <= n/2 as an rfft half spectrum on n nodes.  G_m is of degree m in
+    eta, so the terms on -eta are exactly (-1)^m those on eta: both rows
+    sum on eta and share one table of eta^p/p!, and row 1 negates its odd
+    terms where it reads G f.  eta^m/m! is formed on 2n nodes when order m
+    is first reached.
+
+    ``set_datum`` takes a row's datum and marks the row pending; ``sweep``
+    sums every pending row together, one order per step of errors.iterate,
+    which stops each row at its own first change below ``cfg.tol``.  A
+    row's change is the larger of its two newest terms' largest spectral
+    moduli over that of its G_0 f: a single term can vanish where G f does
+    not (G_1 f = 0 for eta = a cos x, f = cos x).  Later orders of a row
+    that has stopped are formed but not read, so each row's G f is bit for
+    bit its sum alone.  A row raises NotContracting once SERIES_PATIENCE
+    changes in a row do not shrink, and is unconverged at the order cap.
+    One pending row sums alone at the one-row cost.
+    """
+
+    def __init__(self, grid, eta, cfg: DNConfig, geometries):
+        n, rows = self.n, self.rows = grid.n, len(geometries)
+        self.grid, self.cfg = grid, cfg
+        orders = self.orders = SERIES_MAX_ORDER
+        self.tol = cfg.tol
+        self.g0, self.table, self.dtable = _series_multipliers(
+            grid, tuple(geometries), orders)
+        # zero-padding to 2n nodes doubles the modes below the Nyquist mode,
+        # which splits evenly between the modes +-n/2 of the finer grid
+        half = n // 2 + 1
+        self.refine = np.full(half, 2.0)
+        self.refine[-1] = 1.0
+        # d/dx keeps the mode n/2, which is no Nyquist mode on 2n nodes
+        self.ik2 = 1j * grid.rfft_wavenumbers * self.refine
+        # eta^p/p! as the running product of eta/1, eta/2, ...
+        self.powers = np.empty((orders + 1, 2 * n))
+        self.powers[0] = 1.0
+        self.eta2 = self.powers[1] = np.fft.irfft(
+            np.fft.rfft(eta) * self.refine, 2 * n)
+        self.formed = 1
+        # per row: the datum, its spectrum and f_x on 2n nodes, each term's
+        # spectrum and node values, a step's products and their rfft, and
+        # the sizes of the terms over the scale of G_0 f
+        self.f = np.empty((rows, n))
+        self.f_hat = np.empty((rows, half), complex)
+        self.fx = np.empty((rows, 2 * n))
+        self.terms_hat = np.empty((rows, orders + 1, half), complex)
+        self.terms = np.empty((rows, orders + 1, 2 * n))
+        self.prod = np.empty((rows, orders + 1, 2 * n))
+        self.spec = np.empty((rows, orders + 1, n + 1), complex)
+        self.padded = np.empty((rows, half), complex)
+        self.mag = np.empty((rows, half))
+        self.sizes = np.empty((orders + 1, rows))
+        self.scale = np.empty(rows)
+        self.pending = [False] * rows
+        # each row's changes and converged flag from its last sum
+        self.results = [None] * rows
+
+    def set_datum(self, row, f):
+        """Take the datum f of ``row``, which the next sweep sums."""
+        np.copyto(self.f[row], f)
+        self.pending[row] = True
+
+    def _flat_terms(self):
+        """The spectra of the pending data, f_x on 2n nodes and the flat
+        terms G_0 f, whose largest spectral moduli scale every change."""
+        rows, n = self.going, self.n
+        f_hat = np.fft.rfft(self.f[rows], out=self.f_hat[rows])
+        np.fft.irfft(np.multiply(self.ik2, f_hat, out=self.padded[rows]),
+                     2 * n, out=self.fx[rows])
+        term = np.multiply(self.g0[rows], f_hat, out=self.terms_hat[rows, 0])
+        np.fft.irfft(np.multiply(term, self.refine, out=self.padded[rows]),
+                     2 * n, out=self.terms[rows, 0])
+        size = np.abs(term, out=self.mag[rows]).max(axis=1,
+                                                    out=self.sizes[0, rows])
+        np.maximum(size, 1e-300, out=self.scale[rows])
+        size /= self.scale[rows]
+
+    def _next_order(self):
+        """Add the next order's term to every row of the sum; per row the
+        larger of the two newest terms over the flat term, a scalar when
+        one row sums alone."""
+        m = self.order = self.order + 1
+        rows, n, powers = self.going, self.n, self.powers
+        if m > self.formed:
+            np.multiply(np.divide(self.eta2, m, out=powers[m]), powers[m - 1],
+                        out=powers[m])
+            self.formed = m
+        prod = self.prod[rows, :m + 1]
+        np.multiply(powers[m], self.fx[rows], out=prod[:, 0])
+        np.multiply(powers[m:0:-1], self.terms[rows, :m], out=prod[:, 1:])
+        spec = np.fft.rfft(prod, out=self.spec[rows, :m + 1])[..., :n // 2 + 1]
+        term = np.multiply(self.dtable[rows, m - 1], spec[:, 0],
+                           out=self.terms_hat[rows, m])
+        term -= np.einsum("rij,rij->rj", self.table[rows, m:0:-1], spec[:, 1:])
+        np.fft.irfft(np.multiply(term, self.refine, out=self.padded[rows]),
+                     2 * n, out=self.terms[rows, m])
+        size = np.abs(term, out=self.mag[rows]).max(axis=1,
+                                                    out=self.sizes[m, rows])
+        size /= self.scale[rows]
+        change = np.maximum(self.sizes[m - 1, rows], size)
+        return change.tolist() if len(change) > 1 else change[0]
+
+    def sweep(self):
+        """Sum every pending row to its own stop; nothing when none is."""
+        rows = [row for row in range(self.rows) if self.pending[row]]
+        if not rows:
+            return
+        self.going, self.order = slice(rows[0], rows[-1] + 1), 0
+        self._flat_terms()
+        changes, converged = iterate(self._next_order, self.tol, self.orders,
+                                     SERIES_PATIENCE, "DN series")
+        if len(rows) == 1:
+            self.results[rows[0]] = changes, converged
+        else:
+            for i, row in enumerate(rows):
+                column = [change[i] for change in changes]
+                stop = next((k for k, change in enumerate(column, 1)
+                             if change < self.tol), None)
+                self.results[row] = column[:stop], stop is not None
+        self.pending = [False] * self.rows
+
+    def gf_hat(self, row):
+        """sum_m G_m f of ``row``'s datum, up to the row's stop."""
+        terms = self.terms_hat[row, :len(self.results[row][0]) + 1]
+        if row == 1:
+            terms = terms.copy()
+            np.negative(terms[1::2], out=terms[1::2])
+        return np.sum(terms, axis=0)
+
+
+class _Series(_Engine):
+    """G(eta) f as the Craig-Sulem series: one row of a _SeriesSum.
+
+    Row 0 is the engine of G^-(eta) and row 1 that of G^+(eta), sign -1.
+    ``set_datum`` takes f into the row, and the step loop is the sum of
+    every pending row of the _SeriesSum, after which the engine reads its
+    own row.  A ``sweep`` is the whole sum, so it is exact for its datum and
+    ``restart`` changes nothing; it raises NotContracting at the order cap.
+    A sweep with no new datum in any row sums nothing and returns the
+    row's last change again.
     """
 
     CAPPED = "DN series not converged after %d orders (change %.3g)"
     # no depth is truncated
     tail_bound = 0.0
 
-    def __init__(self, grid, eta, cfg: DNConfig, geometry, sign=1.0):
-        super().__init__(grid, cfg, sign)
-        orders = self.orders = SERIES_MAX_ORDER
-        self.table = _series_multipliers(grid, geometry, orders)
-        # d/dx keeps the mode n/2, which is no Nyquist mode on 2n nodes
-        self.ik = 1j * grid.rfft_wavenumbers
-        # eta^p/p! as the running product of eta/1, eta/2, ...
-        powers = self.powers = np.empty((orders + 1, 2 * self.n))
-        powers[0] = 1.0
-        np.divide(_refine_hat(np.fft.rfft(eta)),
-                  np.arange(1, orders + 1)[:, None], out=powers[1:])
-        np.cumprod(powers[1:], axis=0, out=powers[1:])
-        # node values on 2n nodes of each term G_j f and of the products of
-        # a step, and the spectra of the terms
-        self.terms = np.empty((orders + 1, 2 * self.n))
-        self.prod = np.empty((orders + 1, 2 * self.n))
-        self.terms_hat = np.empty((orders + 1, self.n // 2 + 1), complex)
-        self.order = 0
+    def __init__(self, lockstep, row):
+        super().__init__(lockstep.grid, lockstep.cfg, (1.0, -1.0)[row])
+        self.lockstep, self.row = lockstep, row
+        # the row's datum spectrum, which each sum writes
+        self.f_hat = lockstep.f_hat[row]
 
     def set_datum(self, f, restart=True):
-        """Take the datum f and its flat term G_0 f."""
-        self.f_hat = np.fft.rfft(f)
-        self.fx = _refine_hat(self.ik * self.f_hat)
-        np.multiply(self.table[1], self.f_hat, out=self.terms_hat[0])
-        self.terms[0] = _refine_hat(self.terms_hat[0])
-        self.scale = max(np.max(np.abs(self.terms_hat[0])), 1e-300)
-        self.sizes = [np.max(np.abs(self.terms_hat[0])) / self.scale]
-        self.order = 0
-
-    def _next_order(self):
-        """Add the term of the next order; the larger of the two newest
-        terms over the flat term."""
-        m = self.order = self.order + 1
-        table, prod = self.table, self.prod[:m + 1]
-        np.multiply(self.powers[m], self.fx, out=prod[0])
-        np.multiply(self.powers[m:0:-1], self.terms[:m], out=prod[1:])
-        spec = _truncate_hat(prod, self.n)
-        term = self.terms_hat[m]
-        np.multiply(table[m - 1] * -self.ik, spec[0], out=term)
-        term -= np.einsum("ij,ij->j", table[m:0:-1], spec[1:])
-        self.terms[m] = _refine_hat(term)
-        self.sizes.append(np.max(np.abs(term)) / self.scale)
-        return max(self.sizes[-2:])
+        self.lockstep.set_datum(self.row, f)
 
     def _iterate(self):
-        self.order = 0
-        del self.sizes[1:]
-        return iterate(self._next_order, self.tol, self.orders,
-                       SERIES_PATIENCE, "DN series")
+        self.lockstep.sweep()
+        return self.lockstep.results[self.row]
 
     def sweep(self) -> float:
         """Sum the series for the current datum; the last change."""
         return self._require(*self._iterate())
 
+    @property
+    def order(self):
+        """The orders of G f that the last sum read."""
+        return len(self.lockstep.results[self.row][0])
+
+    @property
+    def sizes(self):
+        """Each read term's largest spectral modulus over that of G_0 f."""
+        return self.lockstep.sizes[:self.order + 1, self.row]
+
     def gf_hat(self) -> np.ndarray:
-        return self.sign * np.sum(self.terms_hat[:self.order + 1], axis=0)
+        return self.sign * self.lockstep.gf_hat(self.row)
 
     def remainder_hat(self) -> np.ndarray:
         return self.gf_hat() - self.flat * self.f_hat
+
+
+def _series_engine(grid, eta, cfg: DNConfig, geometry):
+    """The series engine of G^-(eta) over ``geometry``, alone in its sum,
+    whatever _dn_engines would choose."""
+    return _Series(_SeriesSum(grid, eta, cfg, (geometry,)), 0)
 
 
 def _dn_engines(grid, eta, cfg: DNConfig, geometries):
     """The DN engines of the interface eta, one per geometry, signed.
 
     The first computes G^-(eta) over ``geometries[0]``; a second computes
-    G^+(eta) over ``geometries[1]``, built on -eta with sign -1 by the
-    reflection G^+(eta) = -G^-(-eta), so its G f and remainder
-    G^+ f + |D| f come signed.  Both are _Series when the Lipschitz proxy
-    is below both SERIES_PROXY_GATE and ``cfg.lipschitz_gate`` and k_max
-    max|eta| below _series_reach(cfg.tol); otherwise both are _Sweeper,
-    which raises as dn_fixed_point does.  The choice reads eta, the grid
-    and cfg alone, before anything is solved.
+    G^+(eta) over ``geometries[1]`` by the reflection G^+(eta) = -G^-(-eta),
+    so its G f and remainder G^+ f + |D| f come signed.  Both are _Series,
+    the two rows of one _SeriesSum, when the Lipschitz proxy is below both
+    SERIES_PROXY_GATE and ``cfg.lipschitz_gate`` and k_max max|eta| below
+    _series_reach(cfg.tol); otherwise both are _Sweeper, built on -eta with
+    sign -1 for G^+, which take the proxy computed here and raise as
+    dn_fixed_point does.  The choice reads eta, the grid and cfg alone,
+    before anything is solved.
     """
+    # the proxy of -eta is that of eta
     _, proxy = _lipschitz_norms(grid, eta)
-    series = proxy < min(SERIES_PROXY_GATE, cfg.lipschitz_gate) \
-        and grid.k_max * np.max(np.abs(eta)) < _series_reach(cfg.tol)
-    engine = _Series if series else _Sweeper
-    return [engine(grid, sign * eta, cfg, geometry, sign)
+    if proxy < min(SERIES_PROXY_GATE, cfg.lipschitz_gate) \
+            and grid.k_max * np.max(np.abs(eta)) < _series_reach(cfg.tol):
+        lockstep = _SeriesSum(grid, eta, cfg, geometries)
+        return [_Series(lockstep, row) for row in range(len(geometries))]
+    return [_Sweeper(grid, sign * eta, cfg, geometry, sign, proxy)
             for sign, geometry in zip((1.0, -1.0), geometries)]
 
 

@@ -13,6 +13,7 @@ initial distance to a wall.  The integral-equation solver stops by
 errors.iterate, the package's one stop rule.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +68,19 @@ def linear_multiplier(grid: PeriodicGrid, params: PhysicalParams):
     return LinearSymbol.from_params(params).rate(grid.rfft_wavenumbers)
 
 
+@functools.lru_cache(maxsize=8)
+def _etd_weights(grid: PeriodicGrid, params: PhysicalParams, dt: float):
+    """Read-only weights of an ETD step of dt: e^{-z}, dt phi_1(z) and
+    dt phi_2(z) at z = dt times the linear rate; a run forms them once."""
+    z = dt * linear_multiplier(grid, params)
+    # phi_1 = w0 + w1, phi_2 = w0 (Cox & Matthews)
+    w0, w1 = exp_linear_weights(z)
+    weights = np.exp(-z), dt * (w0 + w1), dt * w0
+    for w in weights:
+        w.setflags(write=False)
+    return weights
+
+
 def rhs(eta: Field, params: PhysicalParams,
         cfg: SolveConfig = SolveConfig()) -> Field:
     """Interface velocity -(1/mu^-) G^-(eta) f^-.
@@ -108,16 +122,14 @@ def etd_step(eta: Field, dt: float, params: PhysicalParams,
         def nonlinear(e):
             return nonlinear_remainder(e, params, cfg)
     grid = eta.grid
-    z = dt * linear_multiplier(grid, params)
-    # phi_1 = w0 + w1, phi_2 = w0 (Cox & Matthews)
-    w0, w1 = exp_linear_weights(z)
+    decay, dt_phi1, dt_phi2 = _etd_weights(grid, params, dt)
     n0_hat = np.fft.rfft(nonlinear(eta).values)
-    a_hat = np.exp(-z) * np.fft.rfft(eta.values) + dt * (w0 + w1) * n0_hat
+    a_hat = decay * np.fft.rfft(eta.values) + dt_phi1 * n0_hat
     a = Field(grid, np.fft.irfft(a_hat, grid.n))
     if cfg.scheme == "ETD1":
         return a
     n1_hat = np.fft.rfft(nonlinear(a).values)
-    corr = dt * w0 * (n1_hat - n0_hat)
+    corr = dt_phi2 * (n1_hat - n0_hat)
     return Field(grid, np.fft.irfft(a_hat + corr, grid.n))
 
 

@@ -9,7 +9,7 @@ convergence orders.
 
 import numpy as np
 
-from .dn import (DNConfig, FlatStrip, InfiniteDepth, _Series, _Sweeper,
+from .dn import (DNConfig, FlatStrip, InfiniteDepth, _Sweeper, _series_engine,
                  dn_fixed_point)
 from .dn_oracle import oracle_dn
 from .elastic import elastic_E, elastic_split, gateaux_dE, symbol_ell
@@ -97,7 +97,7 @@ EXACT_ERRORS = {
 # the amplitude a of each slope max|eta_x|
 EXACT_AMPLITUDES = {0.07: 0.05, 0.15: 0.1}
 # the DN engine of each method in EXACT_ERRORS
-ENGINES = {"level": _Sweeper, "series": _Series}
+ENGINES = {"level": _Sweeper, "series": _series_engine}
 
 
 def _exact_rows():

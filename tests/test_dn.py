@@ -1,8 +1,10 @@
+import gc
 import itertools
 import os
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -284,7 +286,7 @@ def test_series_matches_exact_harmonic_trace(geometry, a, k, measured):
     eta = a * (np.sin(x) + 0.25 * np.cos(2 * x + 1))
     eta_x = a * (np.cos(x) - 0.5 * np.sin(2 * x + 1))
     f, exact = exact_trace(x, eta, eta_x, k, geometry)
-    gf = dn._Series(GRID128, eta, DNConfig(), geometry).converged_gf(f)
+    gf = dn._series_engine(GRID128, eta, DNConfig(), geometry).converged_gf(f)
     err = np.max(np.abs(gf - exact)) / np.max(np.abs(exact))
     assert err <= 5.0 * measured
 
@@ -315,7 +317,7 @@ def test_engine_choice_follows_the_series_reach(a, tol, engine):
     # the series converges where it is chosen
     if inside:
         f = np.cos(3.0 * grid.nodes)
-        assert dn._Series(grid, eta, cfg, FlatStrip(0.5)).solve(f)[1]
+        assert dn._series_engine(grid, eta, cfg, FlatStrip(0.5)).solve(f)[1]
 
 
 def test_engine_choice_keeps_the_lipschitz_gate():
@@ -345,7 +347,7 @@ def test_series_outside_its_reach_raises(n, a, geometry):
     eta = a * (np.sin(x) + 0.25 * np.cos(2 * x + 1)) if n == 256 \
         else bench_profile(grid, a)
     assert grid.k_max * np.max(np.abs(eta)) > dn._series_reach(1e-10)
-    series = dn._Series(grid, eta, DNConfig(), geometry)
+    series = dn._series_engine(grid, eta, DNConfig(), geometry)
     f = elastic_E(Field(grid, eta)).values + 2.0 * eta
     with pytest.raises(NotContracting, match="DN series"):
         series.converged_gf(f)
@@ -355,7 +357,7 @@ def test_series_sums_past_a_vanishing_term():
     # G_1 f = 0 for eta = a cos x, f = cos x, so the sum may not stop at
     # the first small term
     eta = 0.05 * np.cos(X)
-    series = dn._Series(GRID, eta, DNConfig(), InfiniteDepth())
+    series = dn._series_engine(GRID, eta, DNConfig(), InfiniteDepth())
     changes, converged = series.solve(np.cos(X))
     assert converged and series.sizes[1] < 1e-14 and len(changes) > 2
     tight = dn_fixed_point(Field(GRID, eta), Field(GRID, np.cos(X)),
@@ -365,7 +367,7 @@ def test_series_sums_past_a_vanishing_term():
 
 def test_series_result_reads_its_last_sum():
     eta, f = PIN["eta"], PIN["f"]
-    series = dn._Series(GRID128, eta, DNConfig(), FlatStrip(1.0))
+    series = dn._series_engine(GRID128, eta, DNConfig(), FlatStrip(1.0))
     changes, converged = series.solve(f)
     res = series.result(len(changes), converged, changes)
     assert res.converged and res.iterations == len(changes) == series.order
@@ -406,6 +408,120 @@ def test_upper_engine_is_the_reflected_lower_engine():
         remainder = np.fft.irfft(remainder_hat, n)
         assert np.max(np.abs(gf - remainder + flat)) \
             < 1e-12 * np.max(np.abs(flat))
+
+
+# the lockstep pairs: bottomless on both sides, a wall below, a wall above
+LOCKSTEP_GEOMETRIES = {
+    "bottomless": (InfiniteDepth(), InfiniteDepth()),
+    "wall_below": (FlatStrip(1.0), InfiniteDepth()),
+    "wall_above": (InfiniteDepth(), FlatStrip(0.5)),
+}
+
+
+def lockstep_pair(geometries):
+    """A series engine pair of one interface from _dn_engines, with data
+    whose rows stop at different orders, and those data."""
+    grid = PeriodicGrid(64)
+    x = grid.nodes
+    eta = 0.05 * np.sin(x) + 0.02 * np.cos(3.0 * x + 1.0)
+    lower, upper = dn._dn_engines(grid, eta, DNConfig(), geometries)
+    assert type(lower) is type(upper) is dn._Series
+    return grid, eta, lower, upper, (np.cos(x), np.sin(7.0 * x) + 0.5)
+
+
+@pytest.mark.parametrize("pair", sorted(LOCKSTEP_GEOMETRIES))
+def test_lockstep_rows_equal_their_one_row_sums(pair):
+    # both rows summed together read G f, the remainder and the changes of
+    # each row summed alone, bit for bit: G^-(eta) on eta, G^+(eta) as
+    # -G^-(-eta)
+    geometries = LOCKSTEP_GEOMETRIES[pair]
+    grid, eta, lower, upper, data = lockstep_pair(geometries)
+    for engine, f in zip((lower, upper), data):
+        engine.set_datum(f)
+    changes = [lower.sweep(), upper.sweep()]
+    assert lower.order != upper.order
+    for engine, f, sign, geometry, change in zip(
+            (lower, upper), data, (1.0, -1.0), geometries, changes):
+        alone = dn._series_engine(grid, sign * eta, DNConfig(), geometry)
+        steps, converged = alone.solve(f)
+        assert converged and engine.order == alone.order == len(steps)
+        assert change == steps[-1]
+        assert np.array_equal(engine.sizes, alone.sizes)
+        assert np.array_equal(engine.gf(), sign * alone.gf())
+        assert np.array_equal(engine.remainder_hat(),
+                              sign * alone.remainder_hat())
+
+
+def test_a_sweep_with_no_new_datum_sums_nothing(monkeypatch):
+    _, _, lower, upper, data = lockstep_pair(LOCKSTEP_GEOMETRIES["bottomless"])
+    orders = []
+    inner = dn._SeriesSum._next_order
+
+    def next_order(self):
+        orders.append((self.going.start, self.going.stop))
+        return inner(self)
+    monkeypatch.setattr(dn._SeriesSum, "_next_order", next_order)
+    lower.set_datum(data[0])
+    upper.set_datum(data[1])
+    change, gf = lower.sweep(), lower.gf()
+    # one joint pass per order, up to the later row's stop
+    assert len(orders) == max(lower.order, upper.order)
+    assert set(orders) == {(0, 2)}
+    upper.sweep()
+    assert lower.sweep() == change and np.array_equal(lower.gf(), gf)
+    assert len(orders) == max(lower.order, upper.order)
+    # a new datum in one row sums that row alone
+    upper.set_datum(data[0])
+    upper.sweep()
+    assert set(orders[-upper.order:]) == {(1, 2)}
+
+
+def test_a_row_at_its_order_cap_raises_alone(monkeypatch):
+    # the lower row needs 9 orders and the upper 2: with a cap of 3 the
+    # lower sweep raises and the upper one reads its converged sum
+    monkeypatch.setattr(dn, "SERIES_MAX_ORDER", 3)
+    _, _, lower, upper, data = lockstep_pair(LOCKSTEP_GEOMETRIES["bottomless"])
+    lower.set_datum(data[0])
+    upper.set_datum(data[1])
+    with pytest.raises(NotContracting,
+                       match="DN series not converged after 3 orders"):
+        lower.sweep()
+    assert upper.sweep() < DNConfig().tol and upper.order == 2
+
+
+def test_a_series_sum_is_freed_with_its_engines():
+    # nothing but its engines holds a sum, so its arrays go with them and
+    # do not wait for the cyclic collector
+    _, _, lower, upper, data = lockstep_pair(LOCKSTEP_GEOMETRIES["bottomless"])
+    lower.converged_gf(data[0])
+    lockstep = weakref.ref(lower.lockstep)
+    gc.disable()
+    try:
+        del lower, upper
+        assert lockstep() is None
+    finally:
+        gc.enable()
+
+
+def test_a_level_pair_takes_one_lipschitz_proxy(monkeypatch):
+    # _dn_engines hands its proxy to both sweepers, which do not compute it
+    calls = []
+    inner = dn._lipschitz_norms
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+    monkeypatch.setattr(dn, "_lipschitz_norms", counted)
+    grid = PeriodicGrid(512)
+    eta = 0.04 * np.sin(grid.nodes)
+    engines = dn._dn_engines(grid, eta, DNConfig(),
+                             (FlatStrip(1.0), FlatStrip(1.0)))
+    assert [type(e) for e in engines] == [dn._Sweeper] * 2
+    assert len(calls) == 1
+    # the gate message is today's
+    with pytest.raises(NotContracting, match="proxy .* at or above gate 0.01"):
+        dn._dn_engines(grid, eta, DNConfig(lipschitz_gate=0.01),
+                       (FlatStrip(1.0), FlatStrip(1.0)))
 
 
 @pytest.mark.parametrize("geometry, seed", [

@@ -49,6 +49,37 @@ def test_nan_changes_run_to_the_cap():
     assert not converged and len(changes) == 6
 
 
+def rows(*columns):
+    """A sweep of several problems: one change per row and call."""
+    return sweeps([list(step) for step in zip(*columns)])
+
+
+def test_each_row_stops_at_its_own_first_change_below_tol():
+    # the second row stops at its second change; its later changes, which
+    # grow, are not watched
+    changes, converged = iterate(
+        rows([1.0, 0.1, 1e-3, 1e-9, 1.0], [1.0, 1e-9, 1.0, 2.0, 3.0]),
+        1e-8, 10, 2, "test")
+    assert converged and len(changes) == 4
+    assert [np.flatnonzero(np.array(changes)[:, r] < 1e-8)[0]
+            for r in range(2)] == [3, 1]
+
+
+def test_a_row_still_going_raises_on_its_patience():
+    with pytest.raises(NotContracting,
+                       match=r"test changes non-decreasing for 2 sweeps "
+                             r"\(last 4\)"):
+        iterate(rows([1.0, 0.5, 0.25, 0.1], [1.0, 2.0, 4.0, 8.0]),
+                1e-8, 10, 2, "test")
+
+
+def test_rows_run_to_the_cap_while_one_is_going():
+    changes, converged = iterate(
+        rows([1e-9] * 5, [1.0 / k for k in range(1, 6)], [np.nan] * 5),
+        1e-8, 4, 2, "test")
+    assert not converged and len(changes) == 4
+
+
 # --- what each solver does at its cap ----------------------------------------
 
 

@@ -118,6 +118,33 @@ def test_etd_linear_only_exact():
     assert np.max(np.abs(out.values - expect)) < 1e-14
 
 
+def test_etd_weights_are_formed_once_per_run(monkeypatch):
+    # a run of fixed steps forms its weights at its first step, read-only,
+    # and a shortened last step forms its own
+    calls = []
+    inner = evolution.exp_linear_weights
+
+    def counted(z):
+        calls.append(z.shape)
+        return inner(z)
+    monkeypatch.setattr(evolution, "exp_linear_weights", counted)
+    evolution._etd_weights.cache_clear()
+    grid = PeriodicGrid(32)
+    eta0 = Field(grid, 0.01 * np.cos(grid.nodes))
+    params = PhysicalParams(g=1.0)
+
+    def lin(e):
+        return zero_field(e.grid)
+    eta = eta0
+    for _ in range(4):
+        eta = etd_step(eta, 0.01, params, nonlinear=lin)
+    assert len(calls) == 1
+    assert not any(w.flags.writeable
+                   for w in evolution._etd_weights(grid, params, 0.01))
+    etd_step(eta, 0.005, params, nonlinear=lin)
+    assert len(calls) == 2
+
+
 def test_etd_rejects_bad_input():
     grid = PeriodicGrid(32)
     eta = zero_field(grid)
