@@ -23,11 +23,17 @@ one joint iteration solves them together.  Each sweep makes
   both engines take their next data.
 
 A level sweep is one Picard sweep of its problem.  A series sweep sums the
-series of its datum to the DN tolerance, so it is exact for that datum and
-the joint iteration is the plain phi iteration: 4 joint sweeps at n = 128
-on 0.02 cos x + 0.01 sin 2x, bottomless with mu^+ = mu^- (10 on the level
-solver).  A series that reaches its order cap raises from its sweep, so the
-iteration stops there and names the cause.
+series to the DN tolerance, so it is exact for its datum and the joint
+iteration is the plain phi iteration: 4 joint sweeps at n = 128 on
+0.02 cos x + 0.01 sin 2x, bottomless with mu^+ = mu^- (10 on the level
+solver).  The first sweep sums its data from order 0.  Every later datum
+is set without restart, so its sweep sums only the datum's change since
+the last sum and adds it to the G f that sum kept, and stops on the scale
+of the whole datum (dn._SeriesSum).  The data change by less from sweep
+to sweep, so on that interface the 4 joint sums and the closing one take
+7, 5, 3, 1 and 1 orders, where full sums take 7 each.  A series that
+reaches its order cap raises from its sweep, so the iteration stops there
+and names the cause.
 
 It starts from the flat-interface pressure phi_0 = mu^- J / (mu^+ + mu^-).
 By errors.iterate it stops once the phi change, relative to max|phi_0|, is

@@ -7,6 +7,8 @@ exact linear rates, finite-difference oracles, dense solves, or forced
 convergence orders.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from .dn import (DNConfig, FlatStrip, InfiniteDepth, _Sweeper, _series_engine,
@@ -15,7 +17,7 @@ from .dn_oracle import oracle_dn
 from .elastic import elastic_E, elastic_split, gateaux_dE, symbol_ell
 from .grid import Field, PeriodicGrid, sobolev_norm
 from .paracalc import para_apply
-from .params import PhysicalParams
+from .params import Geometry, PhysicalParams
 from .pressure import pressure_fixed_point, pressure_oracle
 from .evolution import (SolveConfig, scaling_experiment, smoothing_fit, solve,
                         stability_experiment)
@@ -268,21 +270,37 @@ def suite_stability():
     return rows
 
 
+def _fixed_point_vs_oracle(eta, params):
+    """The fixed-point pressure pair and the L2 deviation of its f^- from
+    the dense referee's (12 modes), relative to the referee's."""
+    fp = pressure_fixed_point(eta, params)
+    orc = pressure_oracle(eta, params, n_modes=12)
+    rel = np.linalg.norm(fp.f_minus.values - orc.f_minus.values) \
+        / np.linalg.norm(orc.f_minus.values)
+    return fp, rel
+
+
 def suite_two_phase():
     rows = []
     grid = PeriodicGrid(64, 2.0 * np.pi)
     params = PhysicalParams(sigma=1.0, g=1.0, mu_minus=1.0, mu_plus=1.0,
                             rho_minus=2.0, rho_plus=1.0, phase="two")
     eta = Field(grid, 1e-3 * np.sin(2 * grid.nodes))
-    fp = pressure_fixed_point(eta, params)
-    orc = pressure_oracle(eta, params, n_modes=12)
-    rel = np.linalg.norm(fp.f_minus.values - orc.f_minus.values) \
-        / np.linalg.norm(orc.f_minus.values)
+    fp, rel = _fixed_point_vs_oracle(eta, params)
     rows.append(_row("pressure_fp_vs_oracle", 0.0, rel, 1e-8))
     rows.append(_row("jump_residual", 0.0, fp.jump_residual, 1e-9))
     rows.append(_row("flux_residual", 0.0, fp.flux_residual, 1e-6))
     rows.append(_row("mean_gauge", 0.0,
                      abs(np.mean(fp.f_minus.values)), 1e-15))
+    # the same interface between walls at distance 1: the series engines
+    # warm-start over strips, below, above and on both sides
+    for name, geometry in (
+            ("flat_bottom", Geometry("flat_bottom", h_minus=1.0)),
+            ("flat_top", Geometry("flat_top", h_plus=1.0)),
+            ("both_walls", Geometry("flat_bottom", h_minus=1.0, h_plus=1.0))):
+        _, rel = _fixed_point_vs_oracle(eta,
+                                        replace(params, geometry=geometry))
+        rows.append(_row("pressure_fp_vs_oracle_%s" % name, 0.0, rel, 1e-8))
     return rows
 
 

@@ -503,6 +503,103 @@ def test_a_series_sum_is_freed_with_its_engines():
         gc.enable()
 
 
+WARM_GEOMETRIES = {"bottomless": InfiniteDepth(), "strip1": FlatStrip(1.0)}
+
+
+def warm_rows(name):
+    """A lower and an upper series engine of one interface over the
+    geometry ``name``, and data that move less and less, as the pressure
+    solve's iterates do: changes of 1e-3, 1e-6, 1e-9 and 1e-12 times a
+    unit step."""
+    geometry = WARM_GEOMETRIES[name]
+    grid = PeriodicGrid(64)
+    x = grid.nodes
+    eta = 0.05 * np.sin(x) + 0.02 * np.cos(3.0 * x + 1.0)
+    lower, upper = dn._dn_engines(grid, eta, DNConfig(), (geometry, geometry))
+    assert type(lower) is type(upper) is dn._Series
+    f = np.cos(x) + 0.3 * np.sin(2.0 * x + 0.5)
+    step = np.sin(3.0 * x) - 0.2 * np.cos(x + 1.0)
+    data = [f + sum(10.0 ** (-3 * j) for j in range(1, i + 1)) * step
+            for i in range(5)]
+    return grid, eta, geometry, (lower, upper), data
+
+
+def sum_rows(engines, f, restart):
+    """Set f in both rows and sum them."""
+    for engine in engines:
+        engine.set_datum(f, restart)
+    for engine in engines:
+        engine.sweep()
+
+
+def fresh_sums(grid, eta, geometry, f):
+    """G^-(eta) f and G^+(eta) f each summed alone from order 0, with the
+    sign of their rows."""
+    for sign in (1.0, -1.0):
+        fresh = dn._series_engine(grid, sign * eta, DNConfig(), geometry)
+        fresh.converged_gf(f)
+        yield sign, fresh
+
+
+@pytest.mark.parametrize("name", sorted(WARM_GEOMETRIES))
+def test_warm_rows_stay_within_tolerance_of_full_sums(name):
+    # set without restart, a row sums only its datum's change, in fewer
+    # orders, and its G f and remainder stay within tol max|G_0 f| of a
+    # full sum of the datum
+    grid, eta, geometry, engines, data = warm_rows(name)
+    absk = np.abs(grid.rfft_wavenumbers)
+    g0 = absk * np.tanh(geometry.h * absk) if name == "strip1" else absk
+    for i, f in enumerate(data):
+        sum_rows(engines, f, restart=i == 0)
+        bound = DNConfig().tol * np.max(np.abs(g0 * np.fft.rfft(f)))
+        for engine, (sign, fresh) in zip(engines,
+                                         fresh_sums(grid, eta, geometry, f)):
+            assert np.max(np.abs(engine.gf_hat() - sign * fresh.gf_hat())) \
+                < bound
+            assert np.max(np.abs(engine.remainder_hat()
+                                 - sign * fresh.remainder_hat())) < bound
+            assert engine.order == fresh.order if i == 0 \
+                else engine.order < fresh.order
+
+
+@pytest.mark.parametrize("name", sorted(WARM_GEOMETRIES))
+def test_a_restart_after_warm_sums_is_a_fresh_sum(name):
+    # the upper row restarts beside a warm lower one, then both restart: a
+    # restarted row is a fresh sum bit for bit
+    grid, eta, geometry, engines, data = warm_rows(name)
+    for i, f in enumerate(data):
+        sum_rows(engines, f, restart=i == 0)
+    f = data[1]
+    for restarts in ((False, True), (True, True)):
+        for engine, restart in zip(engines, restarts):
+            engine.set_datum(f, restart)
+        engines[0].sweep()
+        for engine, restart, (sign, fresh) in zip(
+                engines, restarts, fresh_sums(grid, eta, geometry, f)):
+            if not restart:
+                assert engine.order < fresh.order
+                continue
+            assert engine.order == fresh.order
+            assert np.array_equal(engine.sizes, fresh.sizes)
+            assert np.array_equal(engine.gf(), sign * fresh.gf())
+            assert np.array_equal(engine.remainder_hat(),
+                                  sign * fresh.remainder_hat())
+
+
+@pytest.mark.parametrize("name", sorted(WARM_GEOMETRIES))
+def test_a_zero_or_constant_change_leaves_gf_bit_equal(name):
+    _, _, _, engines, data = warm_rows(name)
+    # dyadic node values, so that (f + 0.25) - f is 0.25 exactly
+    f = np.round(data[0] * 2.0 ** 20) / 2.0 ** 20
+    sum_rows(engines, f, restart=True)
+    gf = [engine.gf() for engine in engines]
+    for g in (f, f + 0.25):
+        sum_rows(engines, g, restart=False)
+        for engine, before in zip(engines, gf):
+            assert engine.order == 1
+            assert np.array_equal(engine.gf(), before)
+
+
 def test_a_level_pair_takes_one_lipschitz_proxy(monkeypatch):
     # _dn_engines hands its proxy to both sweepers, which do not compute it
     calls = []

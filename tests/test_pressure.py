@@ -253,6 +253,33 @@ def wall_eta(region="series"):
 REGIONS = {"series": dn._Series, "level": dn._Sweeper}
 # joint sweeps of the bottomless g = 1, mu^+ = mu^- = 1 solve on wall_eta()
 PHI_ITERATIONS = 4
+# order passes of that solve's two-row series sums, the four joint sums
+# and the closing one: each warm sum runs on its data's change alone (a
+# full sum of every datum takes 7 orders, 35 passes in all)
+ORDERS_PER_SUM = [7, 5, 3, 1, 1]
+
+
+def test_warm_series_sums_take_fewer_orders(monkeypatch):
+    passes, orders = [0], []
+    inner_order, inner_sweep = dn._SeriesSum._next_order, dn._SeriesSum.sweep
+
+    def next_order(self):
+        passes[0] += 1
+        return inner_order(self)
+
+    def sweep(self):
+        before = passes[0]
+        inner_sweep(self)
+        if passes[0] > before:
+            orders.append(passes[0] - before)
+    monkeypatch.setattr(dn._SeriesSum, "_next_order", next_order)
+    monkeypatch.setattr(dn._SeriesSum, "sweep", sweep)
+    params = PhysicalParams(sigma=1.0, g=1.0, mu_minus=1.0, mu_plus=1.0,
+                            rho_minus=2.0, rho_plus=1.0, phase="two")
+    pair = pressure_fixed_point(wall_eta(), params)
+    assert pair.iterations == PHI_ITERATIONS
+    assert orders == ORDERS_PER_SUM
+    assert passes[0] == sum(ORDERS_PER_SUM) == 17
 
 
 @pytest.mark.parametrize("region", sorted(REGIONS))
