@@ -99,15 +99,18 @@ sharing eta's powers; a sweep of either engine sums every row whose datum
 changed, together, and each row reads G f up to its own stop, bit for bit
 its sum alone.  The pressure solve sets both data before it sweeps the
 lower and then the upper engine, so each of its joint and closing sweep
-pairs is one two-row sum.  A sweep sums to the tolerance: it is exact for
-its datum and raises NotContracting at the order cap, so the pressure
-solves run on either engine unchanged and stop where a series cannot
-converge (see _SeriesSum).  A datum set with ``restart`` is summed from
-order 0.  A row set without it keeps its last converged G f: the sweep
-sums only the datum's change since that sum and adds it, and stops on the
-scale of the whole datum.  The pressure solve's data change less from
-sweep to sweep, so on the two_phase_n128 benchmark its five sums per
-solve take 8, 6, 4, 2 and 1 orders, where full sums take 8 each.
+pairs is one two-row sum.  A sweep sums to the tolerance, so its G f is
+its datum's to within the tolerance, and raises NotContracting at the
+order cap, so the pressure solves run on either engine unchanged and stop
+where a series cannot converge (see _SeriesSum).  A datum set with
+``restart`` is summed from order 0.  A row set without it keeps its last
+converged G f: the sweep sums only the datum's change since that sum and
+adds it, and stops on the scale of the whole datum.  Each sum leaves out
+terms below the tolerance on that scale, so the G f of a chain of warm
+sums can be off by up to one tolerance per sum since the last restart.
+The pressure solve's data change less from sweep to sweep, so on the
+two_phase_n128 benchmark its five sums per solve take 8, 6, 4, 2 and 1
+orders, where full sums take 8 each.
 
 Both engines take eta and the data as node arrays and return arrays; only
 dn_fixed_point and dn_upper build Fields, for the DNResult they return.
@@ -712,16 +715,20 @@ class _SeriesSum:
     changes in a row do not shrink, and is unconverged at the order cap.
     One pending row sums alone at the one-row cost.
 
-    A row set with ``restart`` (the default) sums its datum from order 0.
-    A row set without it, whose last sum converged, is warm: it keeps that
-    sum's G f and datum, runs the same recursion on the change d of its
-    datum and adds the terms G_m d to the G f it kept, since G is linear in
-    f.  Its changes are the sizes of those terms over the largest spectral
-    modulus of G_0 f of the whole datum, so the stop rule, the patience and
-    the cap bound what a warm sum leaves out by the same tolerance as a
-    full sum.  ``f_hat`` stays the whole datum's spectrum, and a change
-    whose G_0 d is below the tolerance costs one order: G f is bit-equal
-    for d = 0 and for a constant d.
+    Every sum runs on the change d of its row's datum since the G f the
+    row kept, and adds the terms G_m d to that G f, since G is linear in f.
+    A row set with ``restart`` (the default), or whose last sum did not
+    converge, keeps the G f of a zero datum, so d is its datum and its sum
+    is bit for bit a fresh one.  A row set without it is warm: d is its
+    datum's change since its last sum.  The changes are the sizes of the
+    terms over the largest spectral modulus of G_0 f of the whole datum, so
+    the stop rule, the patience and the cap read a warm sum on the scale of
+    a full one; but what each sum leaves out stays in the G f that the next
+    warm sum adds to, so a chain of warm sums can leave out up to one
+    tolerance per sum since the last restart.  ``f_hat`` stays the whole
+    datum's spectrum, and a change whose G_0 d is below the tolerance
+    costs one order: G f is bit-equal for d = 0, and for a constant d
+    where the two data's spectra differ in the mean mode alone.
     """
 
     def __init__(self, grid, eta, cfg: DNConfig, geometries):
@@ -744,18 +751,15 @@ class _SeriesSum:
         self.eta2 = self.powers[1] = np.fft.irfft(
             np.fft.rfft(eta) * self.refine, 2 * n)
         self.formed = 1
-        # per row: the datum and its spectrum, the datum of the row's G f
-        # and that G f, a warm sum's change of datum and its spectrum, f_x
-        # on 2n nodes, each term's spectrum and node values, a step's
+        # per row: the datum and its spectrum, the kept G f and the
+        # spectrum of its datum, the change of datum that a sum runs on,
+        # f_x on 2n nodes, each term's spectrum and node values, a step's
         # products and their rfft, and the sizes of the terms over the
         # scale of G_0 f
         self.f = np.empty((rows, n))
         self.f_hat = np.empty((rows, half), complex)
-        # a cold row beside a warm one subtracts its summed datum unread,
-        # so it starts finite
-        self.summed = np.zeros((rows, n))
         self.gf = np.empty((rows, half), complex)
-        self.change = np.empty((rows, n))
+        self.summed_hat = np.empty((rows, half), complex)
         self.d_hat = np.empty((rows, half), complex)
         self.fx = np.empty((rows, 2 * n))
         self.terms_hat = np.empty((rows, orders + 1, half), complex)
@@ -767,46 +771,41 @@ class _SeriesSum:
         self.sizes = np.empty((orders + 1, rows))
         self.scale = np.empty(rows)
         self.pending = [False] * rows
-        # the rows whose next sum runs on the change of their datum
-        self.warm = [False] * rows
         # each row's changes and converged flag from its last sum
         self.results = [None] * rows
 
     def set_datum(self, row, f, restart=True):
-        """Take the datum f of ``row``, which the next sweep sums; without
-        ``restart`` a row whose last sum converged sums f's change since
-        that sum's datum and adds it to the G f it kept."""
+        """Take the datum f of ``row``, which the next sweep sums; with
+        ``restart``, or when the row's last sum did not converge, the row
+        drops the G f it kept and sums f from order 0."""
         np.copyto(self.f[row], f)
         self.pending[row] = True
-        self.warm[row] = not restart and self.results[row] is not None \
-            and self.results[row][1]
+        if restart or not (self.results[row] and self.results[row][1]):
+            # the G f of a zero datum; -0.0 is the additive identity, so
+            # the sum of a restarted row is bit for bit a fresh one
+            self.summed_hat[row] = 0.0
+            self.gf[row] = complex(-0.0, -0.0)
 
     def _flat_terms(self):
-        """The spectra of the pending data, the spectra that their sums run
-        on with f_x on 2n nodes and the flat terms G_0 f, and the scale of
-        every change, the largest spectral modulus of G_0 f of each datum."""
+        """The spectra of the pending data and of their changes since the
+        kept G f, which the sums run on, with f_x on 2n nodes and the flat
+        terms G_0 d, and the scale of every change, the largest spectral
+        modulus of G_0 f of the whole datum."""
         rows, n = self.going, self.n
-        f_hat = d_hat = np.fft.rfft(self.f[rows], out=self.f_hat[rows])
-        warm, full = self.warm[rows], None
-        if any(warm):
-            # a warm row sums its datum's change since its last sum
-            d_hat = np.fft.rfft(np.subtract(self.f[rows], self.summed[rows],
-                                            out=self.change[rows]),
-                                out=self.d_hat[rows])
-            if not all(warm):
-                cold = np.logical_not(warm)
-                d_hat[cold] = f_hat[cold]
-            full = np.abs(self.g0[rows] * f_hat).max(axis=1)
+        f_hat = np.fft.rfft(self.f[rows], out=self.f_hat[rows])
+        d_hat = np.subtract(f_hat, self.summed_hat[rows], out=self.d_hat[rows])
         np.fft.irfft(np.multiply(self.ik2, d_hat, out=self.padded[rows]),
                      2 * n, out=self.fx[rows])
         term = np.multiply(self.g0[rows], d_hat, out=self.terms_hat[rows, 0])
         np.fft.irfft(np.multiply(term, self.refine, out=self.padded[rows]),
                      2 * n, out=self.terms[rows, 0])
+        scale = np.abs(np.multiply(self.g0[rows], f_hat,
+                                   out=self.padded[rows]),
+                       out=self.mag[rows]).max(axis=1, out=self.scale[rows])
+        np.maximum(scale, 1e-300, out=scale)
         size = np.abs(term, out=self.mag[rows]).max(axis=1,
                                                     out=self.sizes[0, rows])
-        np.maximum(size if full is None else full, 1e-300,
-                   out=self.scale[rows])
-        size /= self.scale[rows]
+        size /= scale
 
     def _next_order(self):
         """Add the next order's term to every row of the sum; per row the
@@ -856,11 +855,8 @@ class _SeriesSum:
             if row == 1:
                 terms = terms.copy()
                 np.negative(terms[1::2], out=terms[1::2])
-            if self.warm[row]:
-                self.gf[row] += np.sum(terms, axis=0)
-            else:
-                self.gf[row] = np.sum(terms, axis=0)
-            np.copyto(self.summed[row], self.f[row])
+            self.gf[row] += np.sum(terms, axis=0)
+            np.copyto(self.summed_hat[row], self.f_hat[row])
         self.pending = [False] * self.rows
 
 
@@ -870,13 +866,12 @@ class _Series(_Engine):
     Row 0 is the engine of G^-(eta) and row 1 that of G^+(eta), sign -1.
     ``set_datum`` takes f into the row, and the step loop is the sum of
     every pending row of the _SeriesSum, after which the engine reads its
-    own row.  A ``sweep`` sums to the tolerance, so it is exact for its
-    datum; it raises NotContracting at the order cap.  With ``restart`` it
-    sums the datum from order 0; without, it sums only the datum's change
-    since the row's last converged sum and adds it to that sum's G f (the
-    warm rule of _SeriesSum), as a level sweep without ``restart`` keeps
-    its iterate.  A sweep with no new datum in any row sums nothing and
-    returns the row's last change again.
+    own row.  A ``sweep`` sums to the tolerance and raises NotContracting
+    at the order cap.  With ``restart`` it sums the datum from order 0;
+    without, it sums only the datum's change since the row's last converged
+    sum and adds it to that sum's G f (the warm rule of _SeriesSum), as a
+    level sweep without ``restart`` keeps its iterate.  A sweep with no new
+    datum in any row sums nothing and returns the row's last change again.
     """
 
     CAPPED = "DN series not converged after %d orders (change %.3g)"

@@ -23,15 +23,15 @@ one joint iteration solves them together.  Each sweep makes
   both engines take their next data.
 
 A level sweep is one Picard sweep of its problem.  A series sweep sums the
-series to the DN tolerance, so it is exact for its datum and the joint
-iteration is the plain phi iteration: 4 joint sweeps at n = 128 on
-0.02 cos x + 0.01 sin 2x, bottomless with mu^+ = mu^- (10 on the level
-solver).  The first sweep sums its data from order 0.  Every later datum
-is set without restart, so its sweep sums only the datum's change since
-the last sum and adds it to the G f that sum kept, and stops on the scale
-of the whole datum (dn._SeriesSum).  The data change by less from sweep
-to sweep, so on that interface the 4 joint sums and the closing one take
-7, 5, 3, 1 and 1 orders, where full sums take 7 each.  A series that
+series to the DN tolerance, so it is exact for its datum to that tolerance
+and the joint iteration is the plain phi iteration: 4 joint sweeps at
+n = 128 on 0.02 cos x + 0.01 sin 2x, bottomless with mu^+ = mu^- (10 on the
+level solver).  The first sweep sums its data from order 0.  Every later
+datum is set without restart, so its sweep sums only the datum's change
+since the last sum and adds it to the G f that sum kept, and stops on the
+scale of the whole datum (dn._SeriesSum).  The data change by less from
+sweep to sweep, so on that interface the 4 joint sums and the closing one
+take 7, 5, 3, 1 and 1 orders, where full sums take 7 each.  A series that
 reaches its order cap raises from its sweep, so the iteration stops there
 and names the cause.
 
@@ -47,10 +47,12 @@ Each problem then takes one closing sweep at the final data f^- and f^+,
 which replace the data of the last joint sweep, and G^- f^- and G^+ f^+
 are read off those sweeps, so the solve makes no public DN solve.
 A closing sweep whose change is not below the DN tolerance raises
-NotContracting; it is never replaced by a fresh solve.  The velocity reuses
-G^- f^-.  J, phi and the engines' data are node arrays and the phi update
-runs on rfft half spectra; Fields are built only for the returned
-PressurePair.
+NotContracting; it is never replaced by a fresh solve.  On the series the
+closing sums are warm, so that change bounds only their last terms: G^- f^-
+and G^+ f^+ carry what each sum since the first left out, each below the
+tolerance on the scale of its datum.  The velocity reuses G^- f^-.  J,
+phi and the engines' data are node arrays and the phi update runs on rfft
+half spectra; Fields are built only for the returned PressurePair.
 
 A dense collocation solve over a truncated Fourier basis serves as the
 referee, pressure_oracle.  It builds the columns of G^+- by converged DN

@@ -589,7 +589,8 @@ def test_a_restart_after_warm_sums_is_a_fresh_sum(name):
 @pytest.mark.parametrize("name", sorted(WARM_GEOMETRIES))
 def test_a_zero_or_constant_change_leaves_gf_bit_equal(name):
     _, _, _, engines, data = warm_rows(name)
-    # dyadic node values, so that (f + 0.25) - f is 0.25 exactly
+    # dyadic node values, so that the spectra of f + 0.25 and f differ in
+    # the mean mode alone
     f = np.round(data[0] * 2.0 ** 20) / 2.0 ** 20
     sum_rows(engines, f, restart=True)
     gf = [engine.gf() for engine in engines]
