@@ -154,7 +154,8 @@ def check_run_settings(cfg: dict):
             raise ConfigError("%s must be a positive number, not %r"
                               % (key, cfg[key]))
     # PeriodicGrid checks the range of n
-    for key, least in (("dn_levels", 2), ("snapshot_stride", 1), ("seed", 0)):
+    for key, least in (("dn_levels", 2), ("snapshot_stride", 1), ("seed", 0),
+                       ("tail_amplitude", 0)):
         if cfg[key] < least:
             raise ConfigError("%s must be at least %d, not %r"
                               % (key, least, cfg[key]))

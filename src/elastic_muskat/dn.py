@@ -713,7 +713,6 @@ class _SeriesSum:
     that has stopped are formed but not read, so each row's G f is bit for
     bit its sum alone.  A row raises NotContracting once SERIES_PATIENCE
     changes in a row do not shrink, and is unconverged at the order cap.
-    One pending row sums alone at the one-row cost.
 
     Every sum runs on the change d of its row's datum since the G f the
     row kept, and adds the terms G_m d to that G f, since G is linear in f.
@@ -809,8 +808,7 @@ class _SeriesSum:
 
     def _next_order(self):
         """Add the next order's term to every row of the sum; per row the
-        larger of the two newest terms over the flat term, a scalar when
-        one row sums alone."""
+        larger of the two newest terms over the flat term."""
         m = self.order = self.order + 1
         rows, n, powers = self.going, self.n, self.powers
         if m > self.formed:
@@ -829,8 +827,7 @@ class _SeriesSum:
         size = np.abs(term, out=self.mag[rows]).max(axis=1,
                                                     out=self.sizes[m, rows])
         size /= self.scale[rows]
-        change = np.maximum(self.sizes[m - 1, rows], size)
-        return change.tolist() if len(change) > 1 else change[0]
+        return np.maximum(self.sizes[m - 1, rows], size).tolist()
 
     def sweep(self):
         """Sum every pending row to its own stop; nothing when none is."""
@@ -839,17 +836,13 @@ class _SeriesSum:
             return
         self.going, self.order = slice(rows[0], rows[-1] + 1), 0
         self._flat_terms()
-        changes, converged = iterate(self._next_order, self.tol, self.orders,
-                                     SERIES_PATIENCE, "DN series")
-        if len(rows) == 1:
-            self.results[rows[0]] = changes, converged
-        else:
-            for i, row in enumerate(rows):
-                column = [change[i] for change in changes]
-                stop = next((k for k, change in enumerate(column, 1)
-                             if change < self.tol), None)
-                self.results[row] = column[:stop], stop is not None
-        for row in rows:
+        changes, _ = iterate(self._next_order, self.tol, self.orders,
+                             SERIES_PATIENCE, "DN series")
+        for i, row in enumerate(rows):
+            column = [change[i] for change in changes]
+            stop = next((k for k, change in enumerate(column, 1)
+                         if change < self.tol), None)
+            self.results[row] = column[:stop], stop is not None
             # sum_m G_m up to the row's stop
             terms = self.terms_hat[row, :len(self.results[row][0]) + 1]
             if row == 1:

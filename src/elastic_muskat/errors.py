@@ -34,35 +34,36 @@ def iterate(sweep, tol, max_iter, patience, what):
     no smaller than the one before.  The caller decides what the cap means.
 
     A sweep of several problems at once returns a list, one change per
-    row, and the rule holds row by row: a row stops at its first change
-    below ``tol`` and is not watched after it, the loop returns once every
-    row has stopped, and it raises once a row still going has ``patience``
-    non-decreasing changes.  Each row's stop is its first change below
-    ``tol`` in the returned changes.
+    row, and a single change is a sweep of one row.  The rule holds row by
+    row: a row stops at its first change below ``tol`` and is not watched
+    after it, the loop returns once every row has stopped, and it raises
+    once a row still going has ``patience`` non-decreasing changes.  Each
+    row's stop is its first change below ``tol`` in the returned changes.
     """
     stalled = "%s changes non-decreasing for %d sweeps (last %.3g)"
-    changes, grow = [], 0
+    changes, grow, previous = [], None, None
     for _ in range(max_iter):
         change = sweep()
         changes.append(change)
-        if isinstance(change, list):
-            # each row's count of non-decreasing changes, None once stopped
-            previous = changes[-2] if len(changes) > 1 else change
-            grow = [None if g is None or c < tol
-                    else g + 1 if len(changes) > 1 and c >= p else 0
-                    for g, c, p in zip(grow or [0] * len(change), change,
-                                       previous)]
-            if all(g is None for g in grow):
-                return changes, True
-            last = [c for g, c in zip(grow, change)
-                    if g is not None and g >= patience]
-            if last:
-                raise NotContracting(stalled % (what, patience, last[0]))
-        elif change < tol:
+        row_changes = change if isinstance(change, list) else (change,)
+        if grow is None:
+            # each row's count of non-decreasing changes, None once stopped;
+            # no change is at least NaN, so a first change counts 0
+            grow = [0] * len(row_changes)
+            previous = [float("nan")] * len(row_changes)
+        going, row = False, 0
+        for c in row_changes:
+            g = grow[row]
+            if g is not None:
+                if c < tol:
+                    grow[row] = None
+                else:
+                    g = grow[row] = g + 1 if c >= previous[row] else 0
+                    if g >= patience:
+                        raise NotContracting(stalled % (what, patience, c))
+                    going = True
+            row += 1
+        if not going:
             return changes, True
-        else:
-            grow = grow + 1 if len(changes) > 1 and change >= changes[-2] \
-                else 0
-            if grow >= patience:
-                raise NotContracting(stalled % (what, patience, change))
+        previous = row_changes
     return changes, False

@@ -287,15 +287,24 @@ def picard_solve(eta0: Field, T: float, params: PhysicalParams,
 # --- experiment drivers ------------------------------------------------------
 
 
+def _completed(traj: Trajectory, run: str) -> Trajectory:
+    """``traj``; MuskatError naming ``run`` if it aborted, since an aborted
+    run's states stop early and compare as if the flow had stopped."""
+    if traj.abort_reason is not None:
+        raise MuskatError("%s run aborted: %s" % (run, traj.abort_reason))
+    return traj
+
+
 def stability_experiment(eta0: Field, delta0: Field, T: float, dt: float,
                          params: PhysicalParams,
                          cfg: SolveConfig = SolveConfig()) -> dict:
-    """Perturbation growth ratio ||eta1-eta2||_{Z^s}/||delta0||_{H^s}."""
+    """Perturbation growth ratio ||eta1-eta2||_{Z^s}/||delta0||_{H^s};
+    MuskatError if either run aborts."""
     d0 = sobolev_norm(delta0, SOBOLEV_S)
     if d0 == 0.0:
         return {"ratio": None, "exact_match": True, "delta0": 0.0}
-    t1 = solve(eta0, T, dt, params, cfg)
-    t2 = solve(eta0 + delta0, T, dt, params, cfg)
+    t1 = _completed(solve(eta0, T, dt, params, cfg), "unperturbed")
+    t2 = _completed(solve(eta0 + delta0, T, dt, params, cfg), "perturbed")
     diff = Trajectory(times=t1.times,
                       states=[a - b for a, b in zip(t2.states, t1.states)],
                       monitors=[])
@@ -306,7 +315,8 @@ def stability_experiment(eta0: Field, delta0: Field, T: float, dt: float,
 def scaling_experiment(eta0: Field, lam: int, T: float, dt: float,
                        params: PhysicalParams,
                        cfg: SolveConfig = SolveConfig()) -> dict:
-    """Two-run defect for the rescaling eta -> lam^{-1} eta(lam^5 t, lam x)."""
+    """Two-run defect for the rescaling eta -> lam^{-1} eta(lam^5 t, lam x);
+    MuskatError if either run aborts."""
     if params.g != 0 or params.phase != "one" \
             or wall_distances(params.geometry):
         raise ValueError("scaling symmetry requires g=0, one-phase, no walls")
@@ -325,8 +335,9 @@ def scaling_experiment(eta0: Field, lam: int, T: float, dt: float,
         cs[::lam] = c[:kept] / lam
         return Field(grid, np.fft.irfft(cs, grid.n))
 
-    ref = solve(eta0, lam ** 5 * T, lam ** 5 * dt, params, cfg)
-    run = solve(rescaled(eta0), T, dt, params, cfg)
+    ref = _completed(solve(eta0, lam ** 5 * T, lam ** 5 * dt, params, cfg),
+                     "reference")
+    run = _completed(solve(rescaled(eta0), T, dt, params, cfg), "rescaled")
     scaled_ref = rescaled(ref.states[-1])
     defect = np.linalg.norm(run.states[-1].values - scaled_ref.values)
     scale = max(np.linalg.norm(scaled_ref.values), 1e-300)

@@ -270,6 +270,8 @@ def test_picard_abort_writes_the_etd_record(tmp_path):
     {"dt": float("inf")},
     # a negative depth is no wall at all, not a silently bottomless run
     {"h_minus": -1.0, "h_plus": -3.0},
+    # a negative tail would run as no tail at all
+    {"tail_amplitude": -1e-3},
 ])
 def test_invalid_run_settings_are_exit_one(tmp_path, capsys, bad):
     cfg = base_run_cfg(tmp_path, **bad)

@@ -18,35 +18,45 @@ def sweeps(changes):
 # --- the stop rule -----------------------------------------------------------
 
 
+def shapes(changes):
+    """A sweep of ``changes`` and the same changes as a sweep of one row,
+    each with a reader of that one row's changes."""
+    yield sweeps(changes), lambda got: got
+    yield sweeps([[c] for c in changes]), lambda got: [c for c, in got]
+
+
 def test_stops_at_the_first_change_below_tol():
-    changes, converged = iterate(sweeps([1.0, 0.1, 1e-3, 1e-9, 1e-12]),
-                                 1e-8, 10, 5, "test")
-    assert converged and changes == [1.0, 0.1, 1e-3, 1e-9]
+    for sweep, row in shapes([1.0, 0.1, 1e-3, 1e-9, 1e-12]):
+        changes, converged = iterate(sweep, 1e-8, 10, 5, "test")
+        assert converged and row(changes) == [1.0, 0.1, 1e-3, 1e-9]
 
 
 def test_cap_returns_unconverged():
-    changes, converged = iterate(sweeps([1.0 / k for k in range(1, 20)]),
-                                 1e-8, 4, 5, "test")
-    assert not converged and changes == [1.0, 0.5, 1.0 / 3, 0.25]
+    for sweep, row in shapes([1.0 / k for k in range(1, 20)]):
+        changes, converged = iterate(sweep, 1e-8, 4, 5, "test")
+        assert not converged and row(changes) == [1.0, 0.5, 1.0 / 3, 0.25]
 
 
 def test_patience_non_decreasing_changes_raise():
     # the first change has nothing to grow from; then three rises in a row
-    with pytest.raises(NotContracting,
-                       match="test changes non-decreasing for 3 sweeps"):
-        iterate(sweeps([1.0, 1.0, 2.0, 2.0, 0.0]), 1e-8, 10, 3, "test")
+    for sweep, _ in shapes([1.0, 1.0, 2.0, 2.0, 0.0]):
+        with pytest.raises(NotContracting,
+                           match=r"test changes non-decreasing for 3 sweeps "
+                                 r"\(last 2\)"):
+            iterate(sweep, 1e-8, 10, 3, "test")
 
 
 def test_a_falling_change_resets_the_count():
     # two rises, a fall, two rises: never three in a row
-    changes, converged = iterate(
-        sweeps([1.0, 2.0, 3.0, 0.5, 0.6, 0.7, 1e-9]), 1e-8, 10, 3, "test")
-    assert converged and len(changes) == 7
+    for sweep, row in shapes([1.0, 2.0, 3.0, 0.5, 0.6, 0.7, 1e-9]):
+        changes, converged = iterate(sweep, 1e-8, 10, 3, "test")
+        assert converged and len(row(changes)) == 7
 
 
 def test_nan_changes_run_to_the_cap():
-    changes, converged = iterate(lambda: np.nan, 1e-8, 6, 2, "test")
-    assert not converged and len(changes) == 6
+    for sweep, row in shapes([np.nan] * 10):
+        changes, converged = iterate(sweep, 1e-8, 6, 2, "test")
+        assert not converged and len(row(changes)) == 6
 
 
 def rows(*columns):

@@ -4,7 +4,8 @@ import pytest
 from elastic_muskat import dn, evolution
 from elastic_muskat.dn import DNConfig, dn_geometries
 from elastic_muskat.elastic import elastic_E, elastic_split, gateaux_dE
-from elastic_muskat.errors import ConfigError, NonFiniteState, NotContracting
+from elastic_muskat.errors import (ConfigError, MuskatError, NonFiniteState,
+                                   NotContracting)
 from elastic_muskat.evolution import (SolveConfig, etd_step,
                                       nonlinear_remainder, picard_solve, rhs,
                                       scaling_experiment, smoothing_fit,
@@ -472,6 +473,31 @@ def test_scaling_identity_lambda_one():
     eta0 = Field(grid, 0.01 * np.cos(grid.nodes))
     out = scaling_experiment(eta0, 1, 0.05, 0.05, PhysicalParams(), quick_cfg())
     assert out["defect"] < 1e-14
+
+
+# an aborted run stops at its last state, so comparing it would read as a
+# flow that stopped: ratio 1 and defect 0 when both runs abort at step 0
+@pytest.mark.parametrize("amp, run", [(0.2, "unperturbed"),
+                                      (0.1495, "perturbed")])
+def test_stability_experiment_raises_on_an_aborted_run(amp, run):
+    # proxy 2 amp: 0.4 aborts both runs at step 0, and 0.299 + 0.002
+    # only the perturbed one, whose one state met IndexError
+    grid = PeriodicGrid(64)
+    eta0 = Field(grid, amp * np.cos(grid.nodes))
+    delta0 = Field(grid, 1e-3 * np.cos(grid.nodes))
+    with pytest.raises(MuskatError,
+                       match="^%s run aborted: NotContracting" % run):
+        stability_experiment(eta0, delta0, 0.1, 0.05, PhysicalParams(),
+                             quick_cfg())
+
+
+def test_scaling_experiment_raises_on_an_aborted_run():
+    grid = PeriodicGrid(64)
+    eta0 = Field(grid, 0.2 * np.sin(grid.nodes))
+    with pytest.raises(MuskatError,
+                       match="^reference run aborted: NotContracting"):
+        scaling_experiment(eta0, 2, 1e-3, 1e-3 / 8, PhysicalParams(),
+                           quick_cfg())
 
 
 def test_scaling_input_validation():
