@@ -5,12 +5,13 @@ the flat-interface linear part nu1 |D|^5 + nu2 |D| is split off.  The linear
 flow is applied exactly per Fourier mode; the nonlinear remainder is
 integrated either by exponential time differencing (ETD1 / ETDRK2) or, for
 small data, by Picard iteration on the Duhamel integral equation; both
-integrate the one remainder nonlinear_remainder and take their exponential
-weights from grid.exp_linear_weights.  solve runs every scheme.  A run ends
-cleanly, with the trajectory so far, on any solver failure (an unconverged
-pressure solve included) and when a state of any scheme closes half its
-initial distance to a wall.  The integral-equation solver stops by
-errors.iterate, the package's one stop rule.
+integrate the one remainder nonlinear_remainder and take their weights
+from _etd_weights, the step weights a run forms once per step size, so a
+Picard sweep is the ETD recursion on a given remainder.  solve runs every
+scheme.  A run ends cleanly, with the trajectory so far, on any solver
+failure (an unconverged pressure solve included) and when a state of any
+scheme closes half its initial distance to a wall.  The integral-equation
+solver stops by errors.iterate, the package's one stop rule.
 """
 
 import functools
@@ -164,8 +165,7 @@ def solve(eta0: Field, T: float, dt: float, params: PhysicalParams,
     try:
         if cfg.scheme == "picard":
             run = picard_solve(eta0, T, params, cfg, dt=dt)
-            times, states = run.times[:1], run.states[:1]
-            monitors, manifest = run.monitors[:1], run.manifest
+            manifest = run.manifest
             steps = zip(run.times[1:], run.states[1:], run.monitors[1:])
         else:
             steps = _etd_steps(eta0, T, dt, params, cfg)
@@ -213,18 +213,23 @@ def picard_solve(eta0: Field, T: float, params: PhysicalParams,
     """Small-data solver: fixed-point iteration on the integral equation.
 
     Each sweep evaluates eta(t) = e^{-t m} eta0 + int_0^t e^{-(t-s) m} g(s) ds
-    with g = N the nonlinear remainder of the previous iterate, using an
-    exponentially weighted trapezoid rule per mode.  Raises NotContracting
-    when the data is at or above PICARD_GATE or the sweeps do not converge;
-    solve turns that into an abort.
+    with g = N the nonlinear remainder of the previous iterate, by the
+    exponentially weighted trapezoid rule per panel.  Over one panel that
+    rule is the ETD update with the remainder at both ends (Cox & Matthews),
+    so a sweep is one recursion on etd_step's weights from eta0:
+    eta_j = e^{-dt m} eta_{j-1} + dt phi_1 g_{j-1} + dt phi_2 (g_j - g_{j-1}).
+    The first iterate, the free flow, is the same recursion with g = 0.
 
-    The sweep distance includes an H^{s+5} norm, whose roundoff floor grows
-    like k_max^{s+5}, so PICARD_TOL is reached on coarse grids only.  On the
-    one-phase benchmark profile without its tail (T = 0.01, dt = 1e-3) the
-    iteration converges in 5 sweeps at n = 32; at n = 64 and 128 its
-    distance stalls near 1.4e-10 and 2.3e-8 and it raises NotContracting
-    after 3 non-decreasing sweeps.
+    A sweep's distance is max_j ||eta_new(t_j) - eta_old(t_j)||_{H^s} over
+    ||eta0||_{H^s}, s = SOBOLEV_S; below the gate it is never looser than
+    the unscaled H^s distance.  On the one-phase benchmark profile without
+    its tail (T = 0.01, dt = 1e-3) the iteration reaches PICARD_TOL in 5
+    sweeps at n = 32, 64, 128 and 256.  Raises NotContracting when the data
+    is at or above PICARD_GATE or the sweeps do not converge; solve turns
+    that into an abort.
     """
+    if not T > 0 or not dt > 0:
+        raise ValueError("T and dt must be positive")
     if params.phase != "one":
         raise ValueError("the integral-equation solver is one-phase only")
     h0 = sobolev_norm(eta0, SOBOLEV_S)
@@ -239,32 +244,28 @@ def picard_solve(eta0: Field, T: float, params: PhysicalParams,
     if dt * nsteps - T > 1e-9 * dt:
         dt = T / nsteps
     times = [dt * j for j in range(nsteps + 1)]
-    m = linear_multiplier(grid, params)
-    decay = np.exp(-dt * m)
-    # per-panel weights of int_0^dt e^{-(dt-s)m} g(s) ds, g linear: u = dt - s
-    # puts the new end at u = 0 and the old one at u = dt
-    w_new, w_old = (dt * w for w in exp_linear_weights(dt * m))
-
+    decay, dt_phi1, dt_phi2 = _etd_weights(grid, params, dt)
     eta0_hat = np.fft.rfft(eta0.values)
-    free = [np.exp(-t * m) * eta0_hat for t in times]
-    iterates = [Field(grid, np.fft.irfft(c, grid.n)) for c in free]
+
+    def duhamel(g_hat):
+        """The states at ``times`` of the recursion driven by ``g_hat``."""
+        states, c = [eta0], eta0_hat
+        for j in range(1, nsteps + 1):
+            c = decay * c + dt_phi1 * g_hat[j - 1] \
+                + dt_phi2 * (g_hat[j] - g_hat[j - 1])
+            states.append(Field(grid, np.fft.irfft(c, grid.n)))
+        return states
+
+    iterates = duhamel([0.0] * (nsteps + 1))
 
     def sweep():
         nonlocal iterates
-        g_hat = [np.fft.rfft(nonlinear_remainder(st, params, cfg).values)
-                 for st in iterates]
-        new = [iterates[0]]
-        integral = np.zeros_like(eta0_hat)
-        for j in range(1, nsteps + 1):
-            integral = decay * integral + w_old * g_hat[j - 1] + w_new * g_hat[j]
-            new.append(Field(grid, np.fft.irfft(free[j] + integral, grid.n)))
-        # X^s-proxy distance between sweeps
-        diffs = [a.values - b.values for a, b in zip(new, iterates)]
-        dist = max(_sobolev_norm(grid, d, SOBOLEV_S) for d in diffs)
-        dist += params.sigma / params.mu_minus * sum(
-            dt * _sobolev_norm(grid, d, SOBOLEV_S + 5.0) for d in diffs)
+        new = duhamel([np.fft.rfft(nonlinear_remainder(st, params, cfg).values)
+                       for st in iterates])
+        dist = max(_sobolev_norm(grid, a.values - b.values, SOBOLEV_S)
+                   for a, b in zip(new, iterates))
         iterates = new
-        return dist
+        return dist / max(h0, 1e-300)
 
     dists, converged = iterate(sweep, PICARD_TOL, PICARD_MAX_ITER, 3,
                                "integral-equation iteration")

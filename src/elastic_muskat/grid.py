@@ -29,8 +29,11 @@ class PeriodicGrid:
     length: float = 2.0 * np.pi
 
     def __post_init__(self):
-        if self.n < 8 or self.n % 2 != 0:
-            raise ValueError("n must be even and at least 8")
+        if isinstance(self.n, bool) \
+                or not isinstance(self.n, (int, np.integer)) \
+                or self.n < 8 or self.n % 2 != 0:
+            raise ValueError("n must be an even integer of at least 8, not %r"
+                             % (self.n,))
         if not 0 < self.length < np.inf:
             raise ValueError("length must be positive and finite")
 

@@ -30,6 +30,11 @@ def test_grid_validation():
         PeriodicGrid(7, 2 * np.pi)
     with pytest.raises(ValueError):
         PeriodicGrid(64, -1.0)
+    # a float or bool size reaches numpy's FFT only to fail there
+    for n in (64.0, np.float64(64), True):
+        with pytest.raises(ValueError, match="integer"):
+            PeriodicGrid(n)
+    assert PeriodicGrid(np.int64(64)).rfft_wavenumbers.size == 33
 
 
 def test_grid_length_must_be_finite():
