@@ -98,18 +98,18 @@ rows, G^-(eta) over the lower geometry and G^-(-eta) over the upper one,
 sharing eta's powers; a sweep of either engine sums every row whose datum
 changed, together, and each row reads G f up to its own stop, bit for bit
 its sum alone.  The pressure solve sets both data before it sweeps the
-lower and then the upper engine, so each of its joint and closing sweep
-pairs is one two-row sum.  A sweep sums to the tolerance, so its G f is
-its datum's to within the tolerance, and raises NotContracting at the
-order cap, so the pressure solves run on either engine unchanged and stop
-where a series cannot converge (see _SeriesSum).  A datum set with
+lower and then the upper engine, so each of its joint sweeps is one
+two-row sum.  A sweep sums to the tolerance, so its G f is its datum's to
+within the tolerance, and raises NotContracting at the order cap, so the
+pressure solves run on either engine unchanged and stop where a series
+cannot converge (see _SeriesSum).  A datum set with
 ``restart`` is summed from order 0.  A row set without it keeps its last
 converged G f: the sweep sums only the datum's change since that sum and
 adds it, and stops on the scale of the whole datum.  Each sum leaves out
 terms below the tolerance on that scale, so the G f of a chain of warm
 sums can be off by up to one tolerance per sum since the last restart.
 The pressure solve's data change less from sweep to sweep, so on the
-two_phase_n128 benchmark its five sums per solve take 8, 6, 4, 2 and 1
+two_phase_n128 benchmark its four sums per solve take 8, 6, 4 and 2
 orders, where full sums take 8 each.
 
 Both engines take eta and the data as node arrays and return arrays; only

@@ -87,7 +87,7 @@ def rhs(eta: Field, params: PhysicalParams,
     """Interface velocity -(1/mu^-) G^-(eta) f^-.
 
     In the two-phase case G^-(eta) f^- is read off the pressure solve's
-    closing lower sweep, so the velocity makes no DN solve.  In one phase
+    last lower sweep, so the velocity makes no DN solve.  In one phase
     f^+ = 0, so f^- is the pressure jump sigma E(eta) + g rho^- eta, and
     G^- f^- comes from the DN engine that dn._dn_engines picks for eta.
     Raises NotContracting when a solve fails.
@@ -115,8 +115,8 @@ def etd_step(eta: Field, dt: float, params: PhysicalParams,
     ``nonlinear`` overrides the remainder evaluation (pass
     ``lambda e: zero_field(e.grid)`` to recover the exact linear flow).
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < np.inf:
+        raise ValueError("dt must be positive and finite")
     if cfg.scheme not in ("ETD1", "ETDRK2"):
         raise ValueError("unknown scheme %r" % (cfg.scheme,))
     if nonlinear is None:
@@ -153,8 +153,8 @@ def solve(eta0: Field, T: float, dt: float, params: PhysicalParams,
     picard_solve, and its failure ends the run at the initial state.  Every
     state of either kind passes the same wall check.
     """
-    if not T > 0 or not dt > 0:
-        raise ValueError("T and dt must be positive")
+    if not 0 < T < np.inf or not 0 < dt < np.inf:
+        raise ValueError("T and dt must be positive and finite")
     # abort once the interface has closed half its initial distance to a wall
     floors = {side: 0.5 * dist for side, dist
               in wall_distances(params.geometry, eta0.values).items()}
@@ -228,8 +228,8 @@ def picard_solve(eta0: Field, T: float, params: PhysicalParams,
     is at or above PICARD_GATE or the sweeps do not converge; solve turns
     that into an abort.
     """
-    if not T > 0 or not dt > 0:
-        raise ValueError("T and dt must be positive")
+    if not 0 < T < np.inf or not 0 < dt < np.inf:
+        raise ValueError("T and dt must be positive and finite")
     if params.phase != "one":
         raise ValueError("the integral-equation solver is one-phase only")
     h0 = sobolev_norm(eta0, SOBOLEV_S)
@@ -256,12 +256,15 @@ def picard_solve(eta0: Field, T: float, params: PhysicalParams,
             states.append(Field(grid, np.fft.irfft(c, grid.n)))
         return states
 
+    # state 0 is eta0 in every iterate, so its remainder is formed once
+    g0_hat = np.fft.rfft(nonlinear_remainder(eta0, params, cfg).values)
     iterates = duhamel([0.0] * (nsteps + 1))
 
     def sweep():
         nonlocal iterates
-        new = duhamel([np.fft.rfft(nonlinear_remainder(st, params, cfg).values)
-                       for st in iterates])
+        new = duhamel([g0_hat] + [
+            np.fft.rfft(nonlinear_remainder(st, params, cfg).values)
+            for st in iterates[1:]])
         dist = max(_sobolev_norm(grid, a.values - b.values, SOBOLEV_S)
                    for a, b in zip(new, iterates))
         iterates = new

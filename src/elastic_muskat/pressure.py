@@ -17,21 +17,21 @@ is the same for both methods.  Each remainder is read off the last sweep
 of an engine, and the three fixed points are linear in their unknowns, so
 one joint iteration solves them together.  Each sweep makes
 
-- one DN sweep of G^-, datum phi;
-- one DN sweep of G^+, datum phi - J;
-- the update of phi above from the two sweeps' remainders, after which
-  both engines take their next data.
+- one DN sweep of G^-, datum phi, which it sets first;
+- one DN sweep of G^+, datum phi - J, likewise;
+- the update of phi above from the two sweeps' remainders.
 
 A level sweep is one Picard sweep of its problem.  A series sweep sums the
 series to the DN tolerance, so it is exact for its datum to that tolerance
 and the joint iteration is the plain phi iteration: 4 joint sweeps at
 n = 128 on 0.02 cos x + 0.01 sin 2x, bottomless with mu^+ = mu^- (10 on the
-level solver).  The first sweep sums its data from order 0.  Every later
-datum is set without restart, so its sweep sums only the datum's change
-since the last sum and adds it to the G f that sum kept, and stops on the
-scale of the whole datum (dn._SeriesSum).  The data change by less from
-sweep to sweep, so on that interface the 4 joint sums and the closing one
-take 7, 5, 3, 1 and 1 orders, where full sums take 7 each.  A series that
+level solver).  The first sweep restarts both engines, so the series sums
+its data from order 0 and the level solver takes the lift as its iterate.
+Every later datum is set without restart, so its sweep sums only the
+datum's change since the last sum and adds it to the G f that sum kept,
+and stops on the scale of the whole datum (dn._SeriesSum).  The data
+change by less from sweep to sweep, so on that interface the 4 joint sums
+take 7, 5, 3 and 1 orders, where full sums take 7 each.  A series that
 reaches its order cap raises from its sweep, so the iteration stops there
 and names the cause.
 
@@ -43,25 +43,26 @@ This is an inexact inner solve (Dembo, Eisenstat & Steihaug, SIAM J. Numer.
 Anal. 19, 1982) at its limit of one inner sweep per outer step, so each DN
 problem pays its per-interface set-up once.
 
-Each problem then takes one closing sweep at the final data f^- and f^+,
-which replace the data of the last joint sweep, and G^- f^- and G^+ f^+
-are read off those sweeps, so the solve makes no public DN solve.
-A closing sweep whose change is not below the DN tolerance raises
-NotContracting; it is never replaced by a fresh solve.  On the series the
-closing sums are warm, so that change bounds only their last terms: G^- f^-
-and G^+ f^+ carry what each sum since the first left out, each below the
-tolerance on the scale of its datum.  The velocity reuses G^- f^-.  J,
-phi and the engines' data are node arrays and the phi update runs on rfft
-half spectra; Fields are built only for the returned PressurePair.
+The solve returns the data of its last joint sweep: f^- is that sweep's
+phi less its mean and f^+ = f^- - J, and G^- f^- and G^+ f^+ are read off
+the same two DN sweeps, whose changes the stop rule has just held below
+the DN tolerance.  No datum is set after that sweep, so each engine's G f
+belongs to one datum (on the level solver a datum set later would replace
+the f that G f reads), and the solve makes no public DN solve.  On the
+series the last sums are warm, so G^- f^- and G^+ f^+ carry what each sum
+since the first left out, each below the tolerance on the scale of its
+datum.  The velocity reuses G^- f^-.  J, phi and the engines' data are
+node arrays and the phi update runs on rfft half spectra; Fields are built
+only for the returned PressurePair.
 
 A dense collocation solve over a truncated Fourier basis serves as the
 referee, pressure_oracle.  It builds the columns of G^+- by converged DN
 solves, not by the joint iteration: one lower and one upper engine are made
 for eta, and every solve of the call (each basis column, the jump and both
-closing fluxes) runs to the DN tolerance on them, stopped by the engine's
-errors.iterate rule.  Its columns equal fresh solves on the same engines
-bit for bit (on the level solver, public dn_fixed_point and dn_upper
-solves); an unconverged one raises NotContracting.
+fluxes at its answer) runs to the DN tolerance on them, stopped by the
+engine's errors.iterate rule.  Its columns equal fresh solves on the same
+engines bit for bit (on the level solver, public dn_fixed_point and
+dn_upper solves); an unconverged one raises NotContracting.
 """
 
 from dataclasses import dataclass
@@ -87,14 +88,14 @@ class PressurePair:
     f_minus: Field
     f_plus: Field
     jump_residual: float
-    # flux continuity between the two closing sweeps; G^- is checked
-    # independently by verify two_phase's pressure_fp_vs_oracle and by the
-    # tests against fresh DN solves
+    # flux continuity between the two DN sweeps of the last joint sweep;
+    # G^- is checked independently by verify two_phase's
+    # pressure_fp_vs_oracle and by the tests against fresh DN solves
     flux_residual: float
     iterations: int
-    # G^-(eta) f^- from the closing lower sweep, reused by the velocity
+    # G^-(eta) f^- from the last lower sweep, reused by the velocity
     g_minus: Field
-    # G^+(eta) f^+ from the closing upper sweep
+    # G^+(eta) f^+ from the last upper sweep
     g_plus: Field
 
     def report(self) -> dict:
@@ -113,9 +114,9 @@ def pressure_fixed_point(eta: Field, params: PhysicalParams,
                          dn_cfg: DNConfig = DNConfig()) -> PressurePair:
     """Solve for the trace pressures by one joint Picard iteration.
 
-    ``iterations`` counts joint sweeps; one closing sweep of each DN
-    problem follows them.  It makes no DN solve: every sweep runs on the
-    two private engines that dn._dn_engines picks with ``dn_cfg``.
+    ``iterations`` counts joint sweeps, and the pair is read off the last
+    one.  It makes no DN solve: every sweep runs on the two private
+    engines that dn._dn_engines picks with ``dn_cfg``.
     """
     if params.phase != "two":
         raise ValueError("pressure solve is a two-phase operation")
@@ -136,20 +137,19 @@ def pressure_fixed_point(eta: Field, params: PhysicalParams,
     phi0_hat = np.fft.rfft(jump * w_minus)
     phi0_hat[0] = 0.0
     phi = np.fft.irfft(phi0_hat, grid.n)
-    lower.set_datum(phi)
-    upper.set_datum(phi - jump)
     scale = max(np.max(np.abs(phi)), 1e-300)
+    # the datum of the last joint sweep; the first sweep restarts both
+    swept = None
 
     def sweep():
-        nonlocal phi
+        nonlocal phi, swept
+        lower.set_datum(phi, restart=swept is None)
+        upper.set_datum(phi - jump, restart=swept is None)
         dn_res = max(lower.sweep(), upper.sweep())
         # mu^- R^+ - mu^+ R^- over mu^+ + mu^-
         r_hat = upper.remainder_hat() * w_minus - lower.remainder_hat() * w_plus
-        phi_new = np.fft.irfft(phi0_hat + inv_absk * r_hat, grid.n)
-        res = float(np.max(np.abs(phi_new - phi)) / scale)
-        phi = phi_new
-        lower.set_datum(phi, restart=False)
-        upper.set_datum(phi - jump, restart=False)
+        swept, phi = phi, np.fft.irfft(phi0_hat + inv_absk * r_hat, grid.n)
+        res = float(np.max(np.abs(phi - swept)) / scale)
         # below 1 once both tolerances hold
         return max(res / TOL, dn_res / dn_cfg.tol)
 
@@ -158,21 +158,11 @@ def pressure_fixed_point(eta: Field, params: PhysicalParams,
         raise NotContracting("pressure iteration not converged after %d sweeps"
                              " (at %.3g x tolerance)" % (MAX_ITER, errs[-1]))
 
-    f_minus = phi - np.mean(phi)
+    # the data of the last joint sweep, whose G^- f^- and G^+ f^+ it read
+    f_minus = swept - np.mean(swept)
     f_plus = f_minus - jump
     jres = np.linalg.norm(f_minus - f_plus - jump)
     jscale = max(np.linalg.norm(jump), 1e-300)
-    # G^- f^- and G^+ f^+ from one closing sweep of each problem at the
-    # final data
-    lower.set_datum(f_minus, restart=False)
-    upper.set_datum(f_plus, restart=False)
-    for side, engine in (("lower", lower), ("upper", upper)):
-        change = engine.sweep()
-        if not change < dn_cfg.tol:
-            raise NotContracting(
-                "closing %s sweep of the pressure solve not converged"
-                " (change %.3g, DN tolerance %.3g)"
-                % (side, change, dn_cfg.tol))
     gm = lower.gf()
     gp = upper.gf()
     flux = gp * (1.0 / params.mu_plus) - gm * (1.0 / params.mu_minus)
@@ -192,11 +182,17 @@ def pressure_oracle(eta: Field, params: PhysicalParams, n_modes: int = 16,
     Columns of G^+- are built by DN solves on each truncated Fourier basis
     field; the flux-match equation plus a zero-mean gauge row is solved by
     least squares.  Every DN solve, to ``dn_cfg``'s tolerance, runs on one
-    lower and one upper engine made for eta.
+    lower and one upper engine made for eta.  ``n_modes`` must be an
+    integer with 1 <= n_modes < n/2: sin((n/2) x) vanishes on the grid.
     """
     if params.phase != "two":
         raise ValueError("pressure solve is a two-phase operation")
     grid = eta.grid
+    if isinstance(n_modes, bool) \
+            or not isinstance(n_modes, (int, np.integer)) \
+            or not 1 <= n_modes < grid.n / 2:
+        raise ValueError("n_modes must be an integer with 1 <= n_modes < %g,"
+                         " not %r" % (grid.n / 2, n_modes))
     lower, upper = _dn_engines(grid, eta.values, dn_cfg, dn_geometries(params))
     mu_sum_inv_p = 1.0 / params.mu_plus
     mu_sum_inv_m = 1.0 / params.mu_minus

@@ -19,7 +19,7 @@ from .grid import Field, PeriodicGrid, sobolev_norm
 from .paracalc import para_apply
 from .params import Geometry, PhysicalParams
 from .pressure import pressure_fixed_point, pressure_oracle
-from .evolution import (SolveConfig, scaling_experiment, smoothing_fit, solve,
+from .evolution import (scaling_experiment, smoothing_fit, solve,
                         stability_experiment)
 
 
@@ -219,8 +219,7 @@ def suite_scaling():
     for n, steps in ((64, 8), (128, 16)):
         grid = PeriodicGrid(n, 2.0 * np.pi)
         eta0 = Field(grid, 0.02 * np.sin(grid.nodes))
-        cfg = SolveConfig(dn=DNConfig(n_levels=n))
-        rep = scaling_experiment(eta0, 2, 1e-3, 1e-3 / steps, params, cfg)
+        rep = scaling_experiment(eta0, 2, 1e-3, 1e-3 / steps, params)
         defects.append(rep["defect"])
     # both runs solve their DN problems by the series, which has no level
     # error, so the symmetry holds to roundoff (3.8e-16 and 2.7e-15

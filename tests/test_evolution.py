@@ -154,10 +154,18 @@ def test_etd_rejects_bad_input():
         etd_step(eta, 0.0, PhysicalParams())
     with pytest.raises(ValueError):
         etd_step(eta, 0.1, PhysicalParams(), cfg=quick_cfg(scheme="RK4"))
-    # backwards, picard's exponentials overflow; with dt = 0 it divided by 0
-    for T, dt in ((0.1, -0.05), (-0.1, 0.05), (0.1, 0.0)):
+    # backwards, picard's exponentials overflow; with dt = 0 it divided by
+    # 0; an infinite T overflowed the step count and an infinite dt made a
+    # non-finite state
+    for T, dt in ((0.1, -0.05), (-0.1, 0.05), (0.1, 0.0), (np.inf, 0.05),
+                  (0.1, np.inf), (np.nan, 0.05), (0.1, np.nan)):
         with pytest.raises(ValueError, match="T and dt must be positive"):
             picard_solve(eta, T, PhysicalParams(), quick_cfg(), dt=dt)
+        with pytest.raises(ValueError, match="T and dt must be positive"):
+            solve(eta, T, dt, PhysicalParams(), quick_cfg())
+    for dt in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            etd_step(eta, dt, PhysicalParams())
 
 
 def test_etdrk2_second_order():
@@ -484,7 +492,8 @@ def test_solve_picard_abort_is_recorded_like_etd():
 
 
 def test_picard_sweep_solves_once_per_state(monkeypatch):
-    # one DN solve per state and sweep: the remainder is nonlinear_remainder
+    # one DN solve per later state and sweep, and one for eta0, whose
+    # remainder every sweep shares: the remainder is nonlinear_remainder
     calls = []
     engines = evolution._dn_engines
 
@@ -496,7 +505,7 @@ def test_picard_sweep_solves_once_per_state(monkeypatch):
     grid = PeriodicGrid(64)
     eta0 = Field(grid, 1e-3 * np.cos(grid.nodes))
     traj = picard_solve(eta0, 0.1, PhysicalParams(), quick_cfg(), dt=0.025)
-    assert len(calls) == traj.manifest["iterations"] * 5
+    assert len(calls) == 1 + traj.manifest["iterations"] * 4
 
 
 def test_picard_gate_rejects_large_data():
