@@ -1,9 +1,10 @@
 """Solve the two-phase trace-pressure system and check its balances.
 
 The pressures on either side of the interface must differ by the elastic
-plus gravity jump while the normal velocities match.  The Picard solve is
-compared against a dense collocation referee, then the right-hand side fed
-to the evolution is shown for a small two-mode interface.
+plus gravity jump while the normal velocities match.  The solve, here one
+pass of the pressure's series in the interface height, is compared against
+a dense collocation referee, then the right-hand side fed to the evolution
+is shown for a small two-mode interface.
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ eta = Field(grid, 0.02 * np.cos(grid.nodes)
             + 0.01 * np.sin(2.0 * grid.nodes))
 
 pair = pressure_fixed_point(eta, params)
-print("Picard iterations:       %d" % pair.iterations)
+print("series degrees:          %d" % pair.iterations)
 print("jump residual:           %.2e" % pair.jump_residual)
 print("flux residual:           %.2e" % pair.flux_residual)
 print("mean(f^-) gauge:         %.2e" % abs(mean(pair.f_minus)))

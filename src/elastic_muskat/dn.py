@@ -7,9 +7,10 @@ and problem on one base, _Engine, which holds what they share:
 ``solve(f)`` takes a datum and runs the engine's step loop through
 errors.iterate, ``converged_gf(f)`` also requires convergence, and
 ``gf()`` and ``result(...)`` read G f off the last sweep.  An engine
-keeps only what differs by method: ``set_datum(f, restart)``, ``sweep()``,
-its step loop ``_iterate()``, and ``gf_hat()`` and ``remainder_hat()``, the
-spectra of G f and of its remainder.  Engines are signed:
+keeps only what differs by method: ``set_datum(f)`` (the level solver's
+also takes ``restart``), ``sweep()``, its step loop ``_iterate()``, and
+``gf_hat()`` and ``remainder_hat()``, the spectra of G f and of its
+remainder.  Engines are signed:
 G^+(eta) = -G^-(-eta) is an engine of G^-(-eta) with sign -1, whose G f
 and remainder G^+ f + |D| f come out signed, so no caller negates a
 result.
@@ -19,14 +20,17 @@ from eta, the grid and ``cfg`` alone.  At a Lipschitz proxy at or above
 SERIES_PROXY_GATE (0.3) or ``cfg.lipschitz_gate`` the level solver runs,
 and raises there as it always did.  Below both, the series runs while
 k_max max|eta| is under _series_reach(cfg.tol), and the level solver
-otherwise.  The series' terms stop shrinking at a roundoff floor that
-grows with k_max max|eta|, the cancellation of Nicholls & Reitich (JCP
-170, 2001), so it runs only where a scan measured it to converge.  The
-scan summed orders up to SERIES_MAX_ORDER = 24 on 2n nodes for
-n = 64 ... 1024, three interfaces (the benchmark's base profile with and
-without its tail, and a (sin x + 0.25 cos(2x + 1))) with a stepped by 0.01
-up to the proxy gate, the data E(eta) + 2 eta, cos x and cos 3x, and the
-geometries bottomless, h = 1 and h = 0.5:
+otherwise.  The proxy is computed only when a bound from one rfft of eta
+(grid._lipschitz_bound) does not already clear the gates, so the choice
+is the proxy's without its cost on small interfaces.  The series' terms
+stop shrinking at a roundoff floor that grows with k_max max|eta|, the
+cancellation of Nicholls & Reitich (JCP 170, 2001), so it runs only where
+a scan measured it to converge.  The scan summed orders up to
+SERIES_MAX_ORDER = 24 on 2n nodes for n = 64 ... 1024, three interfaces
+(the benchmark's base profile with and without its tail, and
+a (sin x + 0.25 cos(2x + 1))) with a stepped by 0.01 up to the proxy gate,
+the data E(eta) + 2 eta, cos x and cos 3x, and the geometries bottomless,
+h = 1 and h = 0.5:
 
     tol      smallest floored k_max max|eta|   reach    largest converged
     1e-8     18.25 (n = 256, proxy 0.297)      12.9     47.5
@@ -87,9 +91,10 @@ sweep; the geometry lives only in the grid-constant operators.  Its step
 loop sweeps one datum to convergence, and any number of data can be solved
 in turn on one set-up.  dn_fixed_point makes a sweeper for one solve; the
 dense pressure referee solves every column on a lower and an upper engine;
-the two-phase pressure solve sweeps a lower and an upper one in turn,
-changing their data between sweeps.  A sweeper of sign -1 keeps its
-working arrays in a second slot, so such a pair does not share them.
+the two-phase pressure solve past the series' reach sweeps a lower and an
+upper one in turn, changing their data between sweeps.  A sweeper of sign
+-1 keeps its working arrays in a second slot, so such a pair does not
+share them.
 
 A series engine is one row of a _SeriesSum, which sums the orders of G f
 one order per step of its loop and forms eta^m/m! on 2n nodes as the
@@ -97,20 +102,13 @@ orders first reach m.  The series pair of _dn_engines is one sum of two
 rows, G^-(eta) over the lower geometry and G^-(-eta) over the upper one,
 sharing eta's powers; a sweep of either engine sums every row whose datum
 changed, together, and each row reads G f up to its own stop, bit for bit
-its sum alone.  The pressure solve sets both data before it sweeps the
-lower and then the upper engine, so each of its joint sweeps is one
-two-row sum.  A sweep sums to the tolerance, so its G f is its datum's to
-within the tolerance, and raises NotContracting at the order cap, so the
-pressure solves run on either engine unchanged and stop where a series
-cannot converge (see _SeriesSum).  A datum set with
-``restart`` is summed from order 0.  A row set without it keeps its last
-converged G f: the sweep sums only the datum's change since that sum and
-adds it, and stops on the scale of the whole datum.  Each sum leaves out
-terms below the tolerance on that scale, so the G f of a chain of warm
-sums can be off by up to one tolerance per sum since the last restart.
-The pressure solve's data change less from sweep to sweep, so on the
-two_phase_n128 benchmark its four sums per solve take 8, 6, 4 and 2
-orders, where full sums take 8 each.
+its sum alone.  Every sum runs from order 0 on its datum, to the
+tolerance, and raises NotContracting at the order cap (see _SeriesSum).
+The two-phase pressure solve takes no sweeps of a series pair: the pair's
+_SeriesSum.pressure sums f^- and both fluxes in one pass, degree by degree
+in eta, on the same powers and tables (on the two_phase_n128 benchmark, 9
+degrees per solve where joint sweeps took four sums of 8, 6, 4 and 2
+orders).
 
 Both engines take eta and the data as node arrays and return arrays; only
 dn_fixed_point and dn_upper build Fields, for the DNResult they return.
@@ -123,7 +121,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DegenerateJacobian, NotContracting, iterate
-from .grid import Field, PeriodicGrid, _lipschitz_norms, exp_linear_weights
+from .grid import (Field, PeriodicGrid, _lipschitz_bound, _lipschitz_norms,
+                   exp_linear_weights)
 from .params import wall_distances
 
 
@@ -669,7 +668,9 @@ def _series_multipliers(grid, geometries, orders):
     geometry: G_0 (rows, n//2 + 1); the symbols of D_0 ... D_orders as
     (rows, orders + 1, n//2 + 1), times 1/2 below the Nyquist mode, which
     holds the factors of truncating a 2n-node rfft to n nodes; and those
-    times -ik, complex.  Every factor is a power of two, so a product with
+    times -ik, complex.  A row 1 sums on -eta with the powers of eta, so
+    its tables carry (-1)^p on each symbol that meets eta^p: D_p, and D_{p-1}
+    times -ik.  Every factor is a power of two or a sign, so a product with
     a table is bit for bit the product with the symbol and the truncation.
     """
     absk = np.abs(grid.rfft_wavenumbers)
@@ -680,9 +681,45 @@ def _series_multipliers(grid, geometries, orders):
     table = np.array([[absk ** p if p % 2 == 0 else absk ** (p - 1) * g
                        for p in range(orders + 1)] for g in g0]) * fold
     dtable = table * -(1j * grid.rfft_wavenumbers)
+    if len(geometries) > 1:
+        # row 1's eta^p/p! are those of -eta times (-1)^p: D_p meets
+        # eta^p, and D_{p-1} D meets eta^p too
+        np.negative(table[1, 1::2], out=table[1, 1::2])
+        np.negative(dtable[1, ::2], out=dtable[1, ::2])
     for arr in (g0, table, dtable):
         arr.setflags(write=False)
     return g0, table, dtable
+
+
+@functools.lru_cache(maxsize=8)
+def _pressure_tables(grid, geometries, orders, mu_minus, mu_plus):
+    """Read-only tables of _SeriesSum.pressure over a pair of rows.
+
+    With w the weight (1/mu) / (A^-/mu^- + A^+/mu^+) of each row's flux (0
+    in the mean, the gauge), ``tables`` (3, orders + 1, 3, n//2 + 1) maps
+    the spectra of eta^i/i! times phi_q's f_x, row 0's term and row 1's
+    term, i = p - q, to phi_p and the rows' X_p: X^-_p takes D_{i-1} times
+    -ik and -D_i of row 0, X^+_p those of row 1, and phi_p is
+    -(w^- X^-_p + w^+ X^+_p).  ``extra`` (3, orders + 1, n//2 + 1) maps
+    eta^p/p! times -J_x, in row 1 alone at q = 0, alike; its entry at
+    p = 0 is w^+ A^+, which maps J to phi_0.
+    """
+    g0, table, dtable = _series_multipliers(grid, geometries, orders)
+    inv_mu = np.array([[1.0 / mu_minus], [1.0 / mu_plus]])
+    flat = np.sum(g0 * inv_mu, axis=0)
+    weights = np.divide(inv_mu, flat, out=np.zeros_like(g0), where=flat > 0)
+    tables = np.zeros((3, orders + 1, 3, len(flat)), complex)
+    for row in (0, 1):
+        tables[row + 1, 1:, 0] = dtable[row, :-1]
+        tables[row + 1, 1:, row + 1] = -table[row, 1:]
+    tables[0] = -(weights[0] * tables[1] + weights[1] * tables[2])
+    extra = np.zeros((3, orders + 1, len(flat)), complex)
+    extra[2, 1:] = dtable[1, :-1]
+    extra[0, 1:] = -weights[1] * extra[2, 1:]
+    extra[0, 0] = weights[1] * g0[1]
+    for arr in (tables, extra):
+        arr.setflags(write=False)
+    return tables, extra
 
 
 class _SeriesSum:
@@ -700,43 +737,35 @@ class _SeriesSum:
     and G_j f alias far less than on n nodes, and each term keeps the modes
     |k| <= n/2 as an rfft half spectrum on n nodes.  G_m is of degree m in
     eta, so the terms on -eta are exactly (-1)^m those on eta: both rows
-    sum on eta and share one table of eta^p/p!, and row 1 negates its odd
-    terms where it reads G f.  eta^m/m! is formed on 2n nodes when order m
-    is first reached.
+    share one table of eta^p/p!, and row 1's multiplier tables carry the
+    signs.  eta^m/m! is formed on 2n nodes when order m is first reached.
 
     ``set_datum`` takes a row's datum and marks the row pending; ``sweep``
-    sums every pending row together, one order per step of errors.iterate,
-    which stops each row at its own first change below ``cfg.tol``.  A
-    row's change is the larger of its two newest terms' largest spectral
-    moduli over that of its G_0 f: a single term can vanish where G f does
-    not (G_1 f = 0 for eta = a cos x, f = cos x).  Later orders of a row
-    that has stopped are formed but not read, so each row's G f is bit for
-    bit its sum alone.  A row raises NotContracting once SERIES_PATIENCE
-    changes in a row do not shrink, and is unconverged at the order cap.
+    sums every pending row together from order 0, one order per step of
+    errors.iterate, which stops each row at its own first change below
+    ``cfg.tol``.  A row's change is the larger of its two newest terms'
+    largest spectral moduli over that of its G_0 f: a single term can
+    vanish where G f does not (G_1 f = 0 for eta = a cos x, f = cos x).
+    Later orders of a row that has stopped are formed but not read, so each
+    row's G f is bit for bit its sum alone.  A row raises NotContracting
+    once SERIES_PATIENCE changes in a row do not shrink, and is unconverged
+    at the order cap.
 
-    Every sum runs on the change d of its row's datum since the G f the
-    row kept, and adds the terms G_m d to that G f, since G is linear in f.
-    A row set with ``restart`` (the default), or whose last sum did not
-    converge, keeps the G f of a zero datum, so d is its datum and its sum
-    is bit for bit a fresh one.  A row set without it is warm: d is its
-    datum's change since its last sum.  The changes are the sizes of the
-    terms over the largest spectral modulus of G_0 f of the whole datum, so
-    the stop rule, the patience and the cap read a warm sum on the scale of
-    a full one; but what each sum leaves out stays in the G f that the next
-    warm sum adds to, so a chain of warm sums can leave out up to one
-    tolerance per sum since the last restart.  ``f_hat`` stays the whole
-    datum's spectrum, and a change whose G_0 d is below the tolerance
-    costs one order: G f is bit-equal for d = 0, and for a constant d
-    where the two data's spectra differ in the mean mode alone.
+    ``pressure`` sums the two-phase pressure of a pair of rows in one
+    pass, degree by degree in eta (see there).
     """
+
+    PRESSURE_CAPPED = ("pressure series not converged after %d degrees"
+                       " (at %.3g x tolerance)")
 
     def __init__(self, grid, eta, cfg: DNConfig, geometries):
         n, rows = self.n, self.rows = grid.n, len(geometries)
         self.grid, self.cfg = grid, cfg
+        self.geometries = tuple(geometries)
         orders = self.orders = SERIES_MAX_ORDER
         self.tol = cfg.tol
         self.g0, self.table, self.dtable = _series_multipliers(
-            grid, tuple(geometries), orders)
+            grid, self.geometries, orders)
         # zero-padding to 2n nodes doubles the modes below the Nyquist mode,
         # which splits evenly between the modes +-n/2 of the finer grid
         half = n // 2 + 1
@@ -750,16 +779,12 @@ class _SeriesSum:
         self.eta2 = self.powers[1] = np.fft.irfft(
             np.fft.rfft(eta) * self.refine, 2 * n)
         self.formed = 1
-        # per row: the datum and its spectrum, the kept G f and the
-        # spectrum of its datum, the change of datum that a sum runs on,
-        # f_x on 2n nodes, each term's spectrum and node values, a step's
-        # products and their rfft, and the sizes of the terms over the
-        # scale of G_0 f
+        # per row: the datum and its spectrum, G f, f_x on 2n nodes, each
+        # term's spectrum and node values, a step's products and their
+        # rfft, and the sizes of the terms over the scale of G_0 f
         self.f = np.empty((rows, n))
         self.f_hat = np.empty((rows, half), complex)
         self.gf = np.empty((rows, half), complex)
-        self.summed_hat = np.empty((rows, half), complex)
-        self.d_hat = np.empty((rows, half), complex)
         self.fx = np.empty((rows, 2 * n))
         self.terms_hat = np.empty((rows, orders + 1, half), complex)
         self.terms = np.empty((rows, orders + 1, 2 * n))
@@ -773,48 +798,42 @@ class _SeriesSum:
         # each row's changes and converged flag from its last sum
         self.results = [None] * rows
 
-    def set_datum(self, row, f, restart=True):
-        """Take the datum f of ``row``, which the next sweep sums; with
-        ``restart``, or when the row's last sum did not converge, the row
-        drops the G f it kept and sums f from order 0."""
+    def set_datum(self, row, f):
+        """Take the datum f of ``row``, which the next sweep sums."""
         np.copyto(self.f[row], f)
         self.pending[row] = True
-        if restart or not (self.results[row] and self.results[row][1]):
-            # the G f of a zero datum; -0.0 is the additive identity, so
-            # the sum of a restarted row is bit for bit a fresh one
-            self.summed_hat[row] = 0.0
-            self.gf[row] = complex(-0.0, -0.0)
+
+    def _power(self, m):
+        """eta^m/m! on 2n nodes, formed when first asked for."""
+        powers = self.powers
+        if m > self.formed:
+            np.multiply(np.divide(self.eta2, m, out=powers[m]), powers[m - 1],
+                        out=powers[m])
+            self.formed = m
+        return powers[m]
 
     def _flat_terms(self):
-        """The spectra of the pending data and of their changes since the
-        kept G f, which the sums run on, with f_x on 2n nodes and the flat
-        terms G_0 d, and the scale of every change, the largest spectral
-        modulus of G_0 f of the whole datum."""
+        """The spectra of the pending data, f_x on 2n nodes, the flat terms
+        G_0 f and their sizes, and the scale of every change, the largest
+        spectral modulus of G_0 f."""
         rows, n = self.going, self.n
         f_hat = np.fft.rfft(self.f[rows], out=self.f_hat[rows])
-        d_hat = np.subtract(f_hat, self.summed_hat[rows], out=self.d_hat[rows])
-        np.fft.irfft(np.multiply(self.ik2, d_hat, out=self.padded[rows]),
+        np.fft.irfft(np.multiply(self.ik2, f_hat, out=self.padded[rows]),
                      2 * n, out=self.fx[rows])
-        term = np.multiply(self.g0[rows], d_hat, out=self.terms_hat[rows, 0])
+        term = np.multiply(self.g0[rows], f_hat, out=self.terms_hat[rows, 0])
         np.fft.irfft(np.multiply(term, self.refine, out=self.padded[rows]),
                      2 * n, out=self.terms[rows, 0])
-        scale = np.abs(np.multiply(self.g0[rows], f_hat,
-                                   out=self.padded[rows]),
-                       out=self.mag[rows]).max(axis=1, out=self.scale[rows])
-        np.maximum(scale, 1e-300, out=scale)
-        size = np.abs(term, out=self.mag[rows]).max(axis=1,
+        peak = np.abs(term, out=self.mag[rows]).max(axis=1,
                                                     out=self.sizes[0, rows])
-        size /= scale
+        np.maximum(peak, 1e-300, out=self.scale[rows])
+        peak /= self.scale[rows]
 
     def _next_order(self):
         """Add the next order's term to every row of the sum; per row the
         larger of the two newest terms over the flat term."""
         m = self.order = self.order + 1
         rows, n, powers = self.going, self.n, self.powers
-        if m > self.formed:
-            np.multiply(np.divide(self.eta2, m, out=powers[m]), powers[m - 1],
-                        out=powers[m])
-            self.formed = m
+        self._power(m)
         prod = self.prod[rows, :m + 1]
         np.multiply(powers[m], self.fx[rows], out=prod[:, 0])
         np.multiply(powers[m:0:-1], self.terms[rows, :m], out=prod[:, 1:])
@@ -844,13 +863,97 @@ class _SeriesSum:
                          if change < self.tol), None)
             self.results[row] = column[:stop], stop is not None
             # sum_m G_m up to the row's stop
-            terms = self.terms_hat[row, :len(self.results[row][0]) + 1]
-            if row == 1:
-                terms = terms.copy()
-                np.negative(terms[1::2], out=terms[1::2])
-            self.gf[row] += np.sum(terms, axis=0)
-            np.copyto(self.summed_hat[row], self.f_hat[row])
+            np.sum(self.terms_hat[row, :len(self.results[row][0]) + 1],
+                   axis=0, out=self.gf[row])
         self.pending = [False] * self.rows
+
+    def pressure(self, jump, mu_minus, mu_plus, phi_tol):
+        """The two-phase trace pressure of a pair of rows, in one pass.
+
+        With J = ``jump``, f^- = sum_p phi_p, phi_p of degree p in eta, is
+        the datum of row 0 and f^- - J that of row 1, and each phi_p makes
+        the fluxes (1/mu^-) G^- f^- and (1/mu^+) G^+ f^+ equal at degree p.
+        Both rows run the recursion above collected by total degree,
+
+            (G d)_p = A d_p + sum_{q<p} D_{p-q-1} D(eta^{p-q}/(p-q)! D d_q)
+                      - sum_{s<p} D_{p-s}(eta^{p-s}/(p-s)! (G d)_s),
+
+        d_0 = phi_0 in row 0 and phi_0 - J in row 1, d_q = phi_q in both
+        for q >= 1, and A each row's G_0.  With X_p a row's degree-p term
+        less A d_p, flux continuity at degree p is
+
+            phi_0 = (A^+ J/mu^+) / (A^-/mu^- + A^+/mu^+),
+            phi_p = -(X^-_p/mu^- + X^+_p/mu^+) / (A^-/mu^- + A^+/mu^+),
+
+        each with mean 0, and phi_p is one more row of the same sums
+        (_pressure_tables).  Degree p keeps phi_p and both rows' terms as
+        one (3, n//2 + 1) spectrum and, on 2n nodes, as phi_p's f_x and the
+        two terms; the f_x products serve both rows, and row 1 adds those of
+        -J_x at q = 0.  So a degree costs one batched rfft of its products,
+        one einsum and one irfft.  errors.iterate stops three rows: phi_p
+        over max|phi_0| against ``phi_tol``, and each row's term over its
+        degree-0 term against ``cfg.tol``, each change the larger of the two
+        newest degrees, all as spectral maxima.  It raises NotContracting
+        from SERIES_PATIENCE or at the order cap.  Returns node arrays of
+        f^-, G^-(eta) f^- and G^+(eta) f^+, every degree formed summed, and
+        the changes.
+        """
+        n, orders = self.n, self.orders
+        half = n // 2 + 1
+        tables, extra = _pressure_tables(self.grid, self.geometries, orders,
+                                         mu_minus, mu_plus)
+        g0, powers = self.g0, self.powers
+        # per degree: phi_p and the rows' terms, as spectra and on 2n nodes
+        # with phi_p's f_x in place of phi_p
+        hat = np.empty((orders + 1, 3, half), complex)
+        nodes = np.empty((orders + 1, 3, 2 * n))
+        prods = np.empty((3 * orders + 1, 2 * n))
+        specs = np.empty((3 * orders + 1, n + 1), complex)
+        lift = np.array([self.ik2, self.refine, self.refine])
+        sizes = np.empty((orders + 1, 3))
+        tols = np.array([phi_tol, self.tol, self.tol])
+
+        jump_hat = np.fft.rfft(jump)
+        phi = np.multiply(extra[0, 0], jump_hat, out=hat[0, 0])
+        np.multiply(g0, [phi, phi - jump_hat], out=hat[0, 1:])
+        # -J_x with the degree-0 node values
+        both = np.fft.irfft(np.concatenate([lift * hat[0],
+                                            -self.ik2 * jump_hat[None]]),
+                            2 * n)
+        nodes[0], minus_jx = both[:3], both[3]
+        peaks = np.abs(hat[0]).max(axis=1)
+        scale = np.maximum(peaks, 1e-300)
+        sizes[0] = peaks / scale
+        self.order = 0
+
+        def degree():
+            p = self.order = self.order + 1
+            self._power(p)
+            prod = prods[:3 * p + 1]
+            np.multiply(powers[p:0:-1, None], nodes[:p],
+                        out=prod[:3 * p].reshape(p, 3, 2 * n))
+            np.multiply(powers[p], minus_jx, out=prod[3 * p])
+            spec = np.fft.rfft(prod, out=specs[:3 * p + 1])[:, :half]
+            terms = np.einsum("rscj,scj->rj", tables[:, p:0:-1],
+                              spec[:3 * p].reshape(p, 3, half), out=hat[p])
+            terms += extra[:, p] * spec[3 * p]
+            # A phi_p
+            terms[1:] += g0 * terms[0]
+            np.fft.irfft(lift * terms, 2 * n, out=nodes[p])
+            np.abs(terms).max(axis=1, out=sizes[p])
+            sizes[p] /= scale
+            return (np.maximum(sizes[p - 1], sizes[p]) / tols).tolist()
+
+        changes, converged = iterate(degree, 1.0, orders, SERIES_PATIENCE,
+                                     "pressure series")
+        if not converged:
+            raise NotContracting(self.PRESSURE_CAPPED
+                                 % (len(changes), max(changes[-1])))
+        sums = np.sum(hat[:len(changes) + 1], axis=0)
+        # G^+ f^+ = -G^-(-eta) f^+
+        np.negative(sums[2], out=sums[2])
+        f_minus, gm, gp = np.fft.irfft(sums, n)
+        return f_minus, gm, gp, changes
 
 
 class _Series(_Engine):
@@ -859,12 +962,10 @@ class _Series(_Engine):
     Row 0 is the engine of G^-(eta) and row 1 that of G^+(eta), sign -1.
     ``set_datum`` takes f into the row, and the step loop is the sum of
     every pending row of the _SeriesSum, after which the engine reads its
-    own row.  A ``sweep`` sums to the tolerance and raises NotContracting
-    at the order cap.  With ``restart`` it sums the datum from order 0;
-    without, it sums only the datum's change since the row's last converged
-    sum and adds it to that sum's G f (the warm rule of _SeriesSum), as a
-    level sweep without ``restart`` keeps its iterate.  A sweep with no new
-    datum in any row sums nothing and returns the row's last change again.
+    own row.  Every sum runs from order 0.  A ``sweep`` sums to the
+    tolerance and raises NotContracting at the order cap; a sweep with no
+    new datum in any row sums nothing and returns the row's last change
+    again.
     """
 
     CAPPED = "DN series not converged after %d orders (change %.3g)"
@@ -877,8 +978,8 @@ class _Series(_Engine):
         # the row's datum spectrum, which each sum writes
         self.f_hat = lockstep.f_hat[row]
 
-    def set_datum(self, f, restart=True):
-        self.lockstep.set_datum(self.row, f, restart)
+    def set_datum(self, f):
+        self.lockstep.set_datum(self.row, f)
 
     def _iterate(self):
         self.lockstep.sweep()
@@ -924,10 +1025,13 @@ def _dn_engines(grid, eta, cfg: DNConfig, geometries):
     dn_fixed_point does.  The choice reads eta, the grid and cfg alone,
     before anything is solved.
     """
-    # the proxy of -eta is that of eta
-    _, proxy = _lipschitz_norms(grid, eta)
-    if proxy < min(SERIES_PROXY_GATE, cfg.lipschitz_gate) \
-            and grid.k_max * np.max(np.abs(eta)) < _series_reach(cfg.tol):
+    gate = min(SERIES_PROXY_GATE, cfg.lipschitz_gate)
+    in_reach = grid.k_max * np.max(np.abs(eta)) < _series_reach(cfg.tol)
+    # the bound is at least the proxy, so below the gate it settles the
+    # choice alone; the proxy of -eta is that of eta
+    proxy = 0.0 if in_reach and _lipschitz_bound(grid, eta) < gate \
+        else _lipschitz_norms(grid, eta)[1]
+    if in_reach and proxy < gate:
         lockstep = _SeriesSum(grid, eta, cfg, geometries)
         return [_Series(lockstep, row) for row in range(len(geometries))]
     return [_Sweeper(grid, sign * eta, cfg, geometry, sign, proxy)

@@ -86,8 +86,9 @@ def rhs(eta: Field, params: PhysicalParams,
         cfg: SolveConfig = SolveConfig()) -> Field:
     """Interface velocity -(1/mu^-) G^-(eta) f^-.
 
-    In the two-phase case G^-(eta) f^- is read off the pressure solve's
-    last lower sweep, so the velocity makes no DN solve.  In one phase
+    In the two-phase case G^-(eta) f^- comes with the pressure solve's
+    f^- (off its series pass, or its last joint sweep on the level
+    solver), so the velocity makes no DN solve.  In one phase
     f^+ = 0, so f^- is the pressure jump sigma E(eta) + g rho^- eta, and
     G^- f^- comes from the DN engine that dn._dn_engines picks for eta.
     Raises NotContracting when a solve fails.

@@ -225,6 +225,22 @@ def _lipschitz_norms(grid, values):
     return lip, lip + _dyadic_sup(fields[1:], LIPSCHITZ_EPS)
 
 
+def _lipschitz_bound(grid, values):
+    """A bound on the proxy of _lipschitz_norms from one rfft of f.
+
+    With a_k the amplitude of f's mode k, ||f_x||_inf <= sum_k k a_k, and
+    each block P_j, whose cutoff lies in [0, 1], keeps modes with
+    2^(j-1) < k (j >= 1), so 2^(j/2) ||P_j f_x||_inf <= sum_k k a_k
+    max(1, sqrt(2k)).  Their sum bounds the proxy whatever the phases (the
+    bound bench/workloads.py uses on the 2 pi torus, where k >= 1); a
+    relative 1e-12 covers the roundoff of both.
+    """
+    k = grid.rfft_wavenumbers
+    amplitude = np.abs(np.fft.rfft(values)) * (2.0 / grid.n)
+    weight = k * (1.0 + np.maximum(1.0, np.sqrt(2.0 * k)))
+    return float(np.dot(weight, amplitude)) * (1.0 + 1e-12)
+
+
 def lipschitz_norms(f: Field):
     """(||f_x||_inf, W^{1+eps,inf} proxy ||f_x||_inf + |f_x|_{C^eps_*})."""
     return _lipschitz_norms(f.grid, f.values)

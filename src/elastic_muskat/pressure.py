@@ -2,62 +2,63 @@
 
 The trace pressures f^- and f^+ satisfy a jump condition
 f^- - f^+ = J = sigma E(eta) + g (rho^- - rho^+) eta together with continuity
-of the normal velocity (1/mu^+) G^+ f^+ = (1/mu^-) G^- f^-.  Splitting the DN
-operators into their flat parts -+|D| plus remainders R^+- turns this into a
-fixed-point equation for phi = f^-,
+of the normal velocity (1/mu^+) G^+ f^+ = (1/mu^-) G^- f^-.  G^- and G^+ are
+the two engines that dn._dn_engines makes for eta before anything is
+solved, the Craig-Sulem series inside its measured reach and the level
+solver past it (the rule and its scan are in dn's docstring), and the
+solve takes its method from them.
+
+On the series, G^+- are power series in eta, so f^- is one as well
+(Nicholls & Reitich, JCP 170, 2001): f^- = sum_p phi_p with phi_p of
+degree p.  dn._SeriesSum.pressure sums it in one pass over the pair's
+two-row sum.  Each phi_p makes flux continuity hold at degree p, with each
+side's exact flat symbol A^+- (|D| tanh(h|D|) over a wall at depth h), so
+no splitting of G^+- is iterated; f^-, G^- f^- and G^+ f^+ come off the
+same pass, and ``iterations`` counts its degrees (9 at n = 128 on
+0.02 cos x + 0.01 sin 2x, bottomless with mu^+ = mu^-, and 9 or 10 with a
+wall at h = 1, 0.5 or 0.25 on either side or both).  It stops once phi_p,
+relative to max|phi_0|, is below TOL and each side's degree-p flux,
+relative to its degree-0 flux, is below the DN tolerance, and raises
+NotContracting from its patience or at dn.SERIES_MAX_ORDER.
+
+On the level solver, splitting the DN operators into their flat parts
+-+|D| plus remainders R^+- turns the system into a fixed-point equation
+for phi = f^-,
 
     phi = [mu^- J + |D|^{-1} (mu^- R^+ (phi - J) - mu^+ R^- phi)] / (mu^+ + mu^-),
 
-taken mean-free and contractive for small interfaces.  G^- and G^+ are
-the two engines that dn._dn_engines makes for eta before anything is
-solved, the Craig-Sulem series inside its measured reach and the level
-solver past it (the rule and its scan are in dn's docstring).  The engines
-share one contract and return G^+ and R^+ as they are, so the code below
-is the same for both methods.  Each remainder is read off the last sweep
-of an engine, and the three fixed points are linear in their unknowns, so
-one joint iteration solves them together.  Each sweep makes
+taken mean-free and contractive for small interfaces.  Each remainder is
+read off the last sweep of an engine, and the three fixed points are
+linear in their unknowns, so one joint iteration solves them together.
+Each joint sweep makes
 
-- one DN sweep of G^-, datum phi, which it sets first;
-- one DN sweep of G^+, datum phi - J, likewise;
+- one Picard sweep of G^-, datum phi, which it sets first;
+- one Picard sweep of G^+, datum phi - J, likewise;
 - the update of phi above from the two sweeps' remainders.
 
-A level sweep is one Picard sweep of its problem.  A series sweep sums the
-series to the DN tolerance, so it is exact for its datum to that tolerance
-and the joint iteration is the plain phi iteration: 4 joint sweeps at
-n = 128 on 0.02 cos x + 0.01 sin 2x, bottomless with mu^+ = mu^- (10 on the
-level solver).  The first sweep restarts both engines, so the series sums
-its data from order 0 and the level solver takes the lift as its iterate.
-Every later datum is set without restart, so its sweep sums only the
-datum's change since the last sum and adds it to the G f that sum kept,
-and stops on the scale of the whole datum (dn._SeriesSum).  The data
-change by less from sweep to sweep, so on that interface the 4 joint sums
-take 7, 5, 3 and 1 orders, where full sums take 7 each.  A series that
-reaches its order cap raises from its sweep, so the iteration stops there
-and names the cause.
-
-It starts from the flat-interface pressure phi_0 = mu^- J / (mu^+ + mu^-).
-By errors.iterate it stops once the phi change, relative to max|phi_0|, is
+The first sweep restarts both engines, which take the lift as their
+iterate; every later datum keeps the iterate.  It starts from the
+flat-interface pressure phi_0 = mu^- J / (mu^+ + mu^-).  By
+errors.iterate it stops once the phi change, relative to max|phi_0|, is
 below TOL and both DN sweep changes below the DN tolerance, and raises
 NotContracting after MAX_ITER sweeps or 5 non-decreasing changes in a row.
 This is an inexact inner solve (Dembo, Eisenstat & Steihaug, SIAM J. Numer.
 Anal. 19, 1982) at its limit of one inner sweep per outer step, so each DN
-problem pays its per-interface set-up once.
+problem pays its per-interface set-up once.  It returns the data of its
+last joint sweep: f^- is that sweep's phi less its mean, and G^- f^- and
+G^+ f^+ are read off the same two sweeps, whose changes the stop rule has
+just held below the DN tolerance.  No datum is set after that sweep, so
+each engine's G f belongs to one datum.  Its flat parts are the
+bottomless symbol |D| whatever the walls, so between walls at h = 0.25 on
+both sides it does not contract.
 
-The solve returns the data of its last joint sweep: f^- is that sweep's
-phi less its mean and f^+ = f^- - J, and G^- f^- and G^+ f^+ are read off
-the same two DN sweeps, whose changes the stop rule has just held below
-the DN tolerance.  No datum is set after that sweep, so each engine's G f
-belongs to one datum (on the level solver a datum set later would replace
-the f that G f reads), and the solve makes no public DN solve.  On the
-series the last sums are warm, so G^- f^- and G^+ f^+ carry what each sum
-since the first left out, each below the tolerance on the scale of its
-datum.  The velocity reuses G^- f^-.  J, phi and the engines' data are
-node arrays and the phi update runs on rfft half spectra; Fields are built
-only for the returned PressurePair.
+On either path f^+ = f^- - J, the solve makes no public DN solve, and the
+velocity reuses G^- f^-.  J and the data are node arrays, and Fields are
+built only for the returned PressurePair.
 
 A dense collocation solve over a truncated Fourier basis serves as the
 referee, pressure_oracle.  It builds the columns of G^+- by converged DN
-solves, not by the joint iteration: one lower and one upper engine are made
+solves, not by the pressure solve: one lower and one upper engine are made
 for eta, and every solve of the call (each basis column, the jump and both
 fluxes at its answer) runs to the DN tolerance on them, stopped by the
 engine's errors.iterate rule.  Its columns equal fresh solves on the same
@@ -69,15 +70,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dn import DNConfig, _dn_engines, dn_geometries
+from .dn import DNConfig, _dn_engines, _Series, dn_geometries
 from .elastic import elastic_E
 from .errors import NotContracting, iterate
 from .grid import Field, sobolev_norm
 from .params import PhysicalParams
 
 
-# joint sweeps before the solve gives up, and the phi change (relative to
-# max|phi_0|) below which it may stop
+# joint sweeps before the level solve gives up, and the phi change or
+# term (relative to max|phi_0|) below which either solve may stop
 MAX_ITER = 80
 TOL = 1e-12
 SMALLNESS_GATE = 0.1   # on ||eta||_{H^2}
@@ -88,14 +89,15 @@ class PressurePair:
     f_minus: Field
     f_plus: Field
     jump_residual: float
-    # flux continuity between the two DN sweeps of the last joint sweep;
-    # G^- is checked independently by verify two_phase's
-    # pressure_fp_vs_oracle and by the tests against fresh DN solves
+    # flux continuity between the two returned fluxes; G^- is checked
+    # independently by verify two_phase's pressure_fp_vs_oracle rows and by
+    # the tests against fresh DN solves
     flux_residual: float
+    # degrees of the series pass, or joint sweeps on the level solver
     iterations: int
-    # G^-(eta) f^- from the last lower sweep, reused by the velocity
+    # G^-(eta) f^-, reused by the velocity
     g_minus: Field
-    # G^+(eta) f^+ from the last upper sweep
+    # G^+(eta) f^+
     g_plus: Field
 
     def report(self) -> dict:
@@ -112,11 +114,12 @@ def _jump_values(eta: Field, params: PhysicalParams) -> np.ndarray:
 
 def pressure_fixed_point(eta: Field, params: PhysicalParams,
                          dn_cfg: DNConfig = DNConfig()) -> PressurePair:
-    """Solve for the trace pressures by one joint Picard iteration.
+    """Solve for the trace pressures on the engines of dn._dn_engines.
 
-    ``iterations`` counts joint sweeps, and the pair is read off the last
-    one.  It makes no DN solve: every sweep runs on the two private
-    engines that dn._dn_engines picks with ``dn_cfg``.
+    On a series pair, one pass of the degree series; on the level solver,
+    the joint Picard iteration, read off its last sweep.  It makes no
+    public DN solve: everything runs on the two private engines that
+    dn._dn_engines picks with ``dn_cfg``.
     """
     if params.phase != "two":
         raise ValueError("pressure solve is a two-phase operation")
@@ -125,18 +128,41 @@ def pressure_fixed_point(eta: Field, params: PhysicalParams,
         raise NotContracting(
             "||eta||_H2 = %.3g at or above pressure gate %.3g"
             % (h2, SMALLNESS_GATE))
-    w_minus = params.mu_minus / (params.mu_plus + params.mu_minus)
-    w_plus = params.mu_plus / (params.mu_plus + params.mu_minus)
     jump = _jump_values(eta, params)
     grid = eta.grid
     lower, upper = _dn_engines(grid, eta.values, dn_cfg, dn_geometries(params))
+    if isinstance(lower, _Series):
+        f_minus, gm, gp, changes = lower.lockstep.pressure(
+            jump, params.mu_minus, params.mu_plus, TOL)
+    else:
+        f_minus, gm, gp, changes = _joint_sweeps(lower, upper, jump, params,
+                                                 dn_cfg.tol)
+    f_plus = f_minus - jump
+    jres = np.linalg.norm(f_minus - f_plus - jump)
+    jscale = max(np.linalg.norm(jump), 1e-300)
+    flux = gp * (1.0 / params.mu_plus) - gm * (1.0 / params.mu_minus)
+    fscale = max(np.linalg.norm(gm) / params.mu_minus, 1e-300)
+    return PressurePair(f_minus=Field(grid, f_minus),
+                        f_plus=Field(grid, f_plus),
+                        jump_residual=float(jres / jscale),
+                        flux_residual=float(np.linalg.norm(flux) / fscale),
+                        iterations=len(changes), g_minus=Field(grid, gm),
+                        g_plus=Field(grid, gp))
+
+
+def _joint_sweeps(lower, upper, jump, params, dn_tol):
+    """f^-, G^- f^-, G^+ f^+ and the changes of the joint iteration on two
+    level engines, read off its last joint sweep."""
+    w_minus = params.mu_minus / (params.mu_plus + params.mu_minus)
+    w_plus = params.mu_plus / (params.mu_plus + params.mu_minus)
+    n = len(jump)
     # the update runs on rfft half spectra; |D|^{-1} maps the mean to 0
-    absk = np.abs(grid.rfft_wavenumbers)
+    absk = np.abs(lower.grid.rfft_wavenumbers)
     inv_absk = np.divide(1.0, absk, out=np.zeros_like(absk), where=absk > 0)
     # the flat-interface pressure; every update is mean-free
     phi0_hat = np.fft.rfft(jump * w_minus)
     phi0_hat[0] = 0.0
-    phi = np.fft.irfft(phi0_hat, grid.n)
+    phi = np.fft.irfft(phi0_hat, n)
     scale = max(np.max(np.abs(phi)), 1e-300)
     # the datum of the last joint sweep; the first sweep restarts both
     swept = None
@@ -148,31 +174,17 @@ def pressure_fixed_point(eta: Field, params: PhysicalParams,
         dn_res = max(lower.sweep(), upper.sweep())
         # mu^- R^+ - mu^+ R^- over mu^+ + mu^-
         r_hat = upper.remainder_hat() * w_minus - lower.remainder_hat() * w_plus
-        swept, phi = phi, np.fft.irfft(phi0_hat + inv_absk * r_hat, grid.n)
+        swept, phi = phi, np.fft.irfft(phi0_hat + inv_absk * r_hat, n)
         res = float(np.max(np.abs(phi - swept)) / scale)
         # below 1 once both tolerances hold
-        return max(res / TOL, dn_res / dn_cfg.tol)
+        return max(res / TOL, dn_res / dn_tol)
 
     errs, converged = iterate(sweep, 1.0, MAX_ITER, 5, "pressure iteration")
     if not converged:
         raise NotContracting("pressure iteration not converged after %d sweeps"
                              " (at %.3g x tolerance)" % (MAX_ITER, errs[-1]))
-
     # the data of the last joint sweep, whose G^- f^- and G^+ f^+ it read
-    f_minus = swept - np.mean(swept)
-    f_plus = f_minus - jump
-    jres = np.linalg.norm(f_minus - f_plus - jump)
-    jscale = max(np.linalg.norm(jump), 1e-300)
-    gm = lower.gf()
-    gp = upper.gf()
-    flux = gp * (1.0 / params.mu_plus) - gm * (1.0 / params.mu_minus)
-    fscale = max(np.linalg.norm(gm) / params.mu_minus, 1e-300)
-    return PressurePair(f_minus=Field(grid, f_minus),
-                        f_plus=Field(grid, f_plus),
-                        jump_residual=float(jres / jscale),
-                        flux_residual=float(np.linalg.norm(flux) / fscale),
-                        iterations=len(errs), g_minus=Field(grid, gm),
-                        g_plus=Field(grid, gp))
+    return swept - np.mean(swept), lower.gf(), upper.gf(), errs
 
 
 def pressure_oracle(eta: Field, params: PhysicalParams, n_modes: int = 16,

@@ -291,15 +291,17 @@ def suite_two_phase():
     rows.append(_row("flux_residual", 0.0, fp.flux_residual, 1e-6))
     rows.append(_row("mean_gauge", 0.0,
                      abs(np.mean(fp.f_minus.values)), 1e-15))
-    # the same interface between walls at distance 1: the series engines
-    # warm-start over strips, below, above and on both sides
-    for name, geometry in (
-            ("flat_bottom", Geometry("flat_bottom", h_minus=1.0)),
-            ("flat_top", Geometry("flat_top", h_plus=1.0)),
-            ("both_walls", Geometry("flat_bottom", h_minus=1.0, h_plus=1.0))):
-        _, rel = _fixed_point_vs_oracle(eta,
-                                        replace(params, geometry=geometry))
-        rows.append(_row("pressure_fp_vs_oracle_%s" % name, 0.0, rel, 1e-8))
+    # the same interface between walls at distance 1 and 0.25, below, above
+    # and on both sides: the degree series' rows over strips
+    for h, suffix in ((1.0, ""), (0.25, "_h0.25")):
+        for name, geometry in (
+                ("flat_bottom", Geometry("flat_bottom", h_minus=h)),
+                ("flat_top", Geometry("flat_top", h_plus=h)),
+                ("both_walls", Geometry("flat_bottom", h_minus=h, h_plus=h))):
+            _, rel = _fixed_point_vs_oracle(eta,
+                                            replace(params, geometry=geometry))
+            rows.append(_row("pressure_fp_vs_oracle_%s%s" % (name, suffix),
+                             0.0, rel, 1e-8))
     return rows
 
 

@@ -9,7 +9,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from elastic_muskat import evolution, pressure
+from elastic_muskat import dn, evolution, pressure
 from elastic_muskat.cli import (CONFIG_DEFAULTS, build_initial_data,
                                 load_config, main)
 from elastic_muskat.errors import ConfigError, DegenerateJacobian
@@ -202,12 +202,26 @@ def test_top_separation_precondition_is_exit_one(tmp_path):
 
 
 def test_pressure_failure_is_exit_two(tmp_path, monkeypatch):
-    # an unconverged pressure solve aborts the run; it is not replaced
+    # an unconverged pressure solve aborts the run; it is not replaced.
+    # The joint iteration runs on the level solver, past the series' reach
+    # (k_max max|eta| = 10.2)
     monkeypatch.setattr(pressure, "MAX_ITER", 1)
-    cfg = base_run_cfg(tmp_path, phase="two", mu_plus=1.0)
+    cfg = base_run_cfg(tmp_path, phase="two", mu_plus=1.0, n=512,
+                       modes=[[1, 0.04, 0.0]])
     assert main(["simulate", "--config", cfg, "--quiet"]) == 2
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["abort_reason"].startswith("NotContracting")
+    assert (tmp_path / "out" / "state_000000.csv").exists()
+
+
+def test_pressure_series_failure_is_exit_two(tmp_path, monkeypatch):
+    # so does a degree series at its order cap
+    monkeypatch.setattr(dn, "SERIES_MAX_ORDER", 1)
+    cfg = base_run_cfg(tmp_path, phase="two", mu_plus=1.0)
+    assert main(["simulate", "--config", cfg, "--quiet"]) == 2
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["abort_reason"].startswith(
+        "NotContracting: pressure series not converged")
     assert (tmp_path / "out" / "state_000000.csv").exists()
 
 

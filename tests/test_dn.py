@@ -20,7 +20,8 @@ from elastic_muskat.dn_oracle import (_defect_correction, _flat_solver,
 from elastic_muskat.elastic import elastic_E
 from elastic_muskat.errors import (ConfigError, DegenerateJacobian,
                                    NotContracting)
-from elastic_muskat.grid import Field, PeriodicGrid, lipschitz_norms, mean
+from elastic_muskat.grid import (Field, PeriodicGrid, _lipschitz_bound,
+                                 lipschitz_norms, mean)
 from elastic_muskat.verify import SUITES, exact_trace
 
 
@@ -503,15 +504,14 @@ def test_a_series_sum_is_freed_with_its_engines():
         gc.enable()
 
 
-WARM_GEOMETRIES = {"bottomless": InfiniteDepth(), "strip1": FlatStrip(1.0)}
+ROW_GEOMETRIES = {"bottomless": InfiniteDepth(), "strip1": FlatStrip(1.0)}
 
 
-def warm_rows(name):
+def row_pair(name):
     """A lower and an upper series engine of one interface over the
-    geometry ``name``, and data that move less and less, as the pressure
-    solve's iterates do: changes of 1e-3, 1e-6, 1e-9 and 1e-12 times a
-    unit step."""
-    geometry = WARM_GEOMETRIES[name]
+    geometry ``name``, and a chain of data that move less and less:
+    changes of 1e-3, 1e-6, 1e-9 and 1e-12 times a unit step."""
+    geometry = ROW_GEOMETRIES[name]
     grid = PeriodicGrid(64)
     x = grid.nodes
     eta = 0.05 * np.sin(x) + 0.02 * np.cos(3.0 * x + 1.0)
@@ -524,61 +524,32 @@ def warm_rows(name):
     return grid, eta, geometry, (lower, upper), data
 
 
-def sum_rows(engines, f, restart):
+def sum_rows(engines, f):
     """Set f in both rows and sum them."""
     for engine in engines:
-        engine.set_datum(f, restart)
+        engine.set_datum(f)
     for engine in engines:
         engine.sweep()
 
 
 def fresh_sums(grid, eta, geometry, f):
-    """G^-(eta) f and G^+(eta) f each summed alone from order 0, with the
-    sign of their rows."""
+    """G^-(eta) f and G^+(eta) f each summed alone, with the sign of their
+    rows."""
     for sign in (1.0, -1.0):
         fresh = dn._series_engine(grid, sign * eta, DNConfig(), geometry)
         fresh.converged_gf(f)
         yield sign, fresh
 
 
-@pytest.mark.parametrize("name", sorted(WARM_GEOMETRIES))
-def test_warm_rows_stay_within_tolerance_of_full_sums(name):
-    # set without restart, a row sums only its datum's change, in fewer
-    # orders, and its G f and remainder stay within tol max|G_0 f| of a
-    # full sum of the datum
-    grid, eta, geometry, engines, data = warm_rows(name)
-    absk = np.abs(grid.rfft_wavenumbers)
-    g0 = absk * np.tanh(geometry.h * absk) if name == "strip1" else absk
-    for i, f in enumerate(data):
-        sum_rows(engines, f, restart=i == 0)
-        bound = DNConfig().tol * np.max(np.abs(g0 * np.fft.rfft(f)))
+@pytest.mark.parametrize("name", sorted(ROW_GEOMETRIES))
+def test_every_series_sum_is_a_fresh_sum(name):
+    # a sum keeps nothing of the sums before it: along a chain of data,
+    # each sum of the pair is a one-row sum of its datum alone, bit for bit
+    grid, eta, geometry, engines, data = row_pair(name)
+    for f in data:
+        sum_rows(engines, f)
         for engine, (sign, fresh) in zip(engines,
                                          fresh_sums(grid, eta, geometry, f)):
-            assert np.max(np.abs(engine.gf_hat() - sign * fresh.gf_hat())) \
-                < bound
-            assert np.max(np.abs(engine.remainder_hat()
-                                 - sign * fresh.remainder_hat())) < bound
-            assert engine.order == fresh.order if i == 0 \
-                else engine.order < fresh.order
-
-
-@pytest.mark.parametrize("name", sorted(WARM_GEOMETRIES))
-def test_a_restart_after_warm_sums_is_a_fresh_sum(name):
-    # the upper row restarts beside a warm lower one, then both restart: a
-    # restarted row is a fresh sum bit for bit
-    grid, eta, geometry, engines, data = warm_rows(name)
-    for i, f in enumerate(data):
-        sum_rows(engines, f, restart=i == 0)
-    f = data[1]
-    for restarts in ((False, True), (True, True)):
-        for engine, restart in zip(engines, restarts):
-            engine.set_datum(f, restart)
-        engines[0].sweep()
-        for engine, restart, (sign, fresh) in zip(
-                engines, restarts, fresh_sums(grid, eta, geometry, f)):
-            if not restart:
-                assert engine.order < fresh.order
-                continue
             assert engine.order == fresh.order
             assert np.array_equal(engine.sizes, fresh.sizes)
             assert np.array_equal(engine.gf(), sign * fresh.gf())
@@ -586,19 +557,18 @@ def test_a_restart_after_warm_sums_is_a_fresh_sum(name):
                                   sign * fresh.remainder_hat())
 
 
-@pytest.mark.parametrize("name", sorted(WARM_GEOMETRIES))
+@pytest.mark.parametrize("name", sorted(ROW_GEOMETRIES))
 def test_a_zero_or_constant_change_leaves_gf_bit_equal(name):
-    _, _, _, engines, data = warm_rows(name)
+    _, _, _, engines, data = row_pair(name)
     # dyadic node values, so that the spectra of f + 0.25 and f differ in
     # the mean mode alone
     f = np.round(data[0] * 2.0 ** 20) / 2.0 ** 20
-    sum_rows(engines, f, restart=True)
+    sum_rows(engines, f)
     gf = [engine.gf() for engine in engines]
-    for g in (f, f + 0.25):
-        sum_rows(engines, g, restart=False)
-        for engine, before in zip(engines, gf):
-            assert engine.order == 1
-            assert np.array_equal(engine.gf(), before)
+    for g in (data[1], f, f + 0.25):
+        sum_rows(engines, g)
+    for engine, before in zip(engines, gf):
+        assert np.array_equal(engine.gf(), before)
 
 
 def test_a_level_pair_takes_one_lipschitz_proxy(monkeypatch):
@@ -620,6 +590,64 @@ def test_a_level_pair_takes_one_lipschitz_proxy(monkeypatch):
     with pytest.raises(NotContracting, match="proxy .* at or above gate 0.01"):
         dn._dn_engines(grid, eta, DNConfig(lipschitz_gate=0.01),
                        (FlatStrip(1.0), FlatStrip(1.0)))
+
+
+def bound_interfaces(count):
+    """Seeded interfaces on n = 32 ... 512 with random spectra: a decay
+    rate, a band of modes and a scale that puts the proxy near the gate."""
+    rng = np.random.default_rng(20)
+    for _ in range(count):
+        grid = PeriodicGrid(int(2 ** rng.integers(5, 10)))
+        k = np.arange(1, grid.n // 2)
+        amplitude = rng.normal(size=len(k)) * k ** -rng.uniform(1.5, 4.0) \
+            * (k <= rng.integers(1, grid.n // 2))
+        phase = rng.uniform(0.0, 2.0 * np.pi, len(k))
+        eta = np.cos(np.outer(grid.nodes, k) + phase) @ amplitude
+        yield grid, eta * rng.uniform(0.05, 0.6) / lipschitz_norms(
+            Field(grid, eta))[1]
+
+
+def test_lipschitz_bound_is_at_least_the_proxy():
+    # the bound that settles the engine choice below the gate is an upper
+    # bound of the proxy, whatever the spectrum
+    ratios = [lipschitz_norms(Field(grid, eta))[1]
+              / _lipschitz_bound(grid, eta)
+              for grid, eta in bound_interfaces(300)]
+    assert max(ratios) < 1.0
+    # one mode k = 1 is the tightest case on the 2 pi torus: 2 / (1 + sqrt 2)
+    grid = PeriodicGrid(64)
+    eta = 0.1 * np.cos(grid.nodes)
+    assert lipschitz_norms(Field(grid, eta))[1] / _lipschitz_bound(grid, eta) \
+        == pytest.approx(2.0 / (1.0 + np.sqrt(2.0)), rel=1e-12)
+
+
+def test_engine_choice_is_the_proxy_rule(monkeypatch):
+    # the bound changes no choice: each interface gets the engines that
+    # the proxy alone picks, and a level pair still gets the exact proxy
+    passed = []
+    init = dn._Sweeper.__init__
+
+    def sweeper(self, grid, eta, cfg, geometry, sign=1.0, proxy=None):
+        passed.append(proxy)
+        init(self, grid, eta, cfg, geometry, sign, proxy)
+    monkeypatch.setattr(dn._Sweeper, "__init__", sweeper)
+    kinds = set()
+    for grid, eta in bound_interfaces(120):
+        proxy = lipschitz_norms(Field(grid, eta))[1]
+        for cfg in (DNConfig(), DNConfig(lipschitz_gate=0.2)):
+            series = proxy < min(dn.SERIES_PROXY_GATE, cfg.lipschitz_gate) \
+                and grid.k_max * np.max(np.abs(eta)) \
+                < dn._series_reach(cfg.tol)
+            passed.clear()
+            try:
+                engine, = dn._dn_engines(grid, eta, cfg, (InfiniteDepth(),))
+            except NotContracting:
+                assert not series and proxy >= cfg.lipschitz_gate
+                continue
+            kinds.add(type(engine))
+            assert (type(engine) is dn._Series) == series
+            assert passed == ([] if series else [proxy])
+    assert kinds == {dn._Series, dn._Sweeper}
 
 
 @pytest.mark.parametrize("geometry, seed", [

@@ -95,6 +95,8 @@ def test_rows_run_to_the_cap_while_one_is_going():
 
 GRID = PeriodicGrid(64)
 ETA = Field(GRID, 0.02 * np.sin(GRID.nodes))
+# k_max max|eta| = 10.2, past the series' reach at the default tolerance
+LEVEL_ETA = Field(PeriodicGrid(512), 0.04 * np.sin(PeriodicGrid(512).nodes))
 CFG = SolveConfig(dn=DNConfig(n_levels=48))
 
 
@@ -106,17 +108,22 @@ def test_dn_solve_returns_unconverged_at_its_cap(monkeypatch):
 
 
 @pytest.mark.parametrize("module, name, call, what", [
+    # the joint iteration runs on the level solver, past the series' reach
     (pressure, "MAX_ITER",
      lambda: pressure.pressure_fixed_point(
-         ETA, PhysicalParams(mu_plus=1.0, phase="two"), CFG.dn),
+         LEVEL_ETA, PhysicalParams(mu_plus=1.0, phase="two"), CFG.dn),
      "pressure iteration"),
+    (dn, "SERIES_MAX_ORDER",
+     lambda: pressure.pressure_fixed_point(
+         ETA, PhysicalParams(mu_plus=1.0, phase="two"), CFG.dn),
+     "pressure series"),
     (dn_oracle, "MAX_ITER",
      lambda: dn_oracle.oracle_dn(ETA, Field(GRID, np.cos(GRID.nodes))),
      "FD referee"),
     (evolution, "PICARD_MAX_ITER",
      lambda: picard_solve(ETA * 0.05, 0.1, PhysicalParams(), CFG, dt=0.05),
      "integral-equation"),
-], ids=["pressure", "referee", "picard"])
+], ids=["pressure", "pressure_series", "referee", "picard"])
 def test_other_solvers_raise_at_their_cap(module, name, call, what,
                                           monkeypatch):
     monkeypatch.setattr(module, name, 1)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from elastic_muskat import dn, evolution
+from elastic_muskat import grid as grid_module
 from elastic_muskat.cli import CONFIG_DEFAULTS, build_initial_data
 from elastic_muskat.dn import DNConfig, dn_geometries
 from elastic_muskat.elastic import elastic_E, elastic_split, gateaux_dE
@@ -145,6 +146,26 @@ def test_etd_weights_are_formed_once_per_run(monkeypatch):
                    for w in evolution._etd_weights(grid, params, 0.01))
     etd_step(eta, 0.005, params, nonlinear=lin)
     assert len(calls) == 2
+
+
+def test_one_phase_step_takes_one_lipschitz_proxy(monkeypatch):
+    # the engine choice settles on the spectral bound below the gate, so
+    # the monitors' proxy is the only one a step computes
+    calls = []
+    inner = grid_module._lipschitz_norms
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+    for module in (grid_module, dn):
+        monkeypatch.setattr(module, "_lipschitz_norms", counted)
+    grid = PeriodicGrid(128)
+    x = grid.nodes
+    eta0 = Field(grid, sum(0.03 / k ** 2 * np.cos(k * x + p)
+                           for k, p in zip(range(1, 5), (0.0, 1.0, 2.5, 4.0))))
+    traj = solve(eta0, 0.003, 1e-3, PhysicalParams(g=1.0))
+    assert traj.abort_reason is None and len(traj.states) == 4
+    assert len(calls) == len(traj.states)
 
 
 def test_etd_rejects_bad_input():
